@@ -9,6 +9,7 @@ and descends on the negated bracket whenever a mini-batch lands below zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,8 +17,8 @@ import numpy as np
 from scipy.special import expit
 
 from .divergence import Branch
-from .errors import ConfigError, TrainingDiverged
-from .trainer import AdamState, TrainConfig, TrainReport, _epoch_batches, _SplitView, adam_step
+from .errors import ConfigError
+from .trainer import Objective, TrainConfig, train
 
 __all__ = [
     "SurrogateLoss",
@@ -25,6 +26,7 @@ __all__ = [
     "sigmoid_loss",
     "upu_risk",
     "nnpu_risk",
+    "risk_objective",
     "train_baseline",
 ]
 
@@ -102,69 +104,31 @@ def risk_weights(method, loss, prior, g_pos, g_unl):
     return w_pos, w_unl, branch
 
 
+def risk_objective(method: str, loss: SurrogateLoss, prior: float) -> Objective:
+    """uPU or nnPU training objective; validation uses the unbiased risk."""
+
+    def train_value(g_pos, g_unl):
+        if method == "upu":
+            return upu_risk(loss, prior, g_pos, g_unl)
+        return nnpu_risk(loss, prior, g_pos, g_unl)[0]
+
+    return Objective(
+        weights=functools.partial(risk_weights, method, loss, prior),
+        train_value=train_value,
+        val_value=functools.partial(upu_risk, loss, prior),
+    )
+
+
 def train_baseline(method: str, loss: SurrogateLoss, prior: float, model, data, cfg: TrainConfig):
     """Train a decision model by uPU or nnPU risk minimization.
 
-    Mirrors the ratio trainer: Adam, per-batch branch rule for nnPU, and a
-    best-validation snapshot.  The validation criterion is the unbiased risk
-    (computable from PU data alone, given the prior).
+    Runs the ratio models' training loop: Adam, per-batch branch rule for
+    nnPU, and a best-validation snapshot.  The validation criterion is the
+    unbiased risk (computable from PU data alone, given the prior).
     """
     method = method.lower()
     if method not in ("upu", "nnpu"):
         raise ConfigError(f"unknown baseline method {method!r}")
     if not (0.0 < prior < 1.0):
         raise ConfigError(f"baselines need a prior in (0, 1), got {prior}")
-    cfg.validate()
-    tr, va = data.train, data.val
-    for name, ds in (("train", tr), ("validation", va)):
-        if ds.n_pos == 0 or ds.n_unl == 0:
-            raise ConfigError(f"{name} split needs at least one positive and one unlabeled point")
-    if cfg.batch_size > tr.n_unl:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the unlabeled training pool ({tr.n_unl})")
-
-    report = TrainReport()
-    if cfg.epochs == 0:
-        return model, report
-
-    rng = np.random.default_rng(cfg.seed)
-    state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    best_val = np.inf
-    best_params = model.params.copy()
-
-    tr_pos, tr_unl = _SplitView(model, tr.positives), _SplitView(model, tr.unlabeled)
-    va_pos, va_unl = _SplitView(model, va.positives), _SplitView(model, va.unlabeled)
-
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate
-        if cfg.lr_halving_period:
-            lr *= 0.5 ** (epoch // cfg.lr_halving_period)
-        n_corrected = 0
-        batches = _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size)
-        for pos_idx, unl_idx in batches:
-            w_pos, w_unl, branch = risk_weights(
-                method, loss, prior, tr_pos.predict(pos_idx), tr_unl.predict(unl_idx)
-            )
-            grad = tr_pos.grad_dot(pos_idx, w_pos) + tr_unl.grad_dot(unl_idx, w_unl)
-            if branch is Branch.CORRECTED:
-                n_corrected += 1
-            if cfg.l2_reg:
-                grad = grad + cfg.l2_reg * model.params
-            model.params = model.params + adam_step(state, grad, lr)
-
-        if method == "upu":
-            train_risk = upu_risk(loss, prior, tr_pos.predict(), tr_unl.predict())
-        else:
-            train_risk, _ = nnpu_risk(loss, prior, tr_pos.predict(), tr_unl.predict())
-        val_risk = upu_risk(loss, prior, va_pos.predict(), va_unl.predict())
-        if not (np.isfinite(train_risk) and np.isfinite(val_risk)):
-            raise TrainingDiverged(f"non-finite risk at epoch {epoch}")
-        report.train_objective.append(float(train_risk))
-        report.val_objective.append(float(val_risk))
-        report.corrected_fraction.append(n_corrected / len(batches))
-        if val_risk < best_val:
-            best_val = val_risk
-            best_params = model.params.copy()
-            report.best_epoch = epoch
-
-    model.params = best_params
-    return model, report
+    return train(model, data, risk_objective(method, loss, prior), cfg)

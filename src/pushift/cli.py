@@ -3,7 +3,7 @@
 Every run is described by a JSON config document; command-line flags
 override config fields (flag > config > default).  Each output JSON embeds
 the effective config hash and the seed, so reruns with the same hash are
-byte-identical on the numeric fields.
+byte-identical on the numeric fields at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
 5 degenerate prior estimation.
@@ -377,7 +377,8 @@ def cmd_evaluate(args) -> int:
         doc["seed"] = adapted.get("seed")
         doc["config_hash"] = adapted.get("config_hash")
     if X.shape[1] == 1:
-        doc["boundary"] = decision_boundary_1d(model.predict, theta)
+        boundary = decision_boundary_1d(model.predict, theta)
+        doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing
     _write_json(args.out, doc)
     if args.append_csv:
         tag = args.tag if args.tag is not None else doc.get("seed", "")

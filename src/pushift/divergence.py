@@ -118,9 +118,10 @@ def objective_gradient(gen: BregmanGenerator, alpha: float, model, batch_pos, ba
     xu = np.atleast_2d(np.asarray(batch_unl, dtype=float))
     if xp.shape[0] == 0 or xu.shape[0] == 0:
         raise ValueError("batches must be nonempty")
-    w_pos, w_unl, branch = branch_weights(gen, alpha, model.predict(xp), model.predict(xu))
-    grad = model.grad_dot(xp, w_pos) + model.grad_dot(xu, w_unl)
-    return grad, branch
+    r_pos, back_pos = model.forward(model.encode(xp))
+    r_unl, back_unl = model.forward(model.encode(xu))
+    w_pos, w_unl, branch = branch_weights(gen, alpha, r_pos, r_unl)
+    return back_pos(w_pos) + back_unl(w_unl), branch
 
 
 @dataclass(frozen=True)

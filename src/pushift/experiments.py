@@ -29,10 +29,11 @@ from .data import (
     synth_from_mixture,
     synth_gaussian_pair,
 )
+from .errors import DegeneratePriorError
 from .generators import lsif_generator
 from .metrics import auc
 from .models import GaussianBasisLinear, gaussian_basis_linear, mlp
-from .prior import PriorEstimate, ThresholdIntervals, build_intervals, estimate_prior, estimate_test_prior
+from .prior import PriorEstimate, ThresholdIntervals, build_intervals, estimate_prior, estimate_test_prior, gamma_bar
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
@@ -95,6 +96,11 @@ def fit_drpu(
     points when no model is supplied; ``max_centers`` subsamples the centers
     for large unlabeled pools.
     """
+    # gamma_bar depends only on the validation sizes: fail before training
+    # when no threshold can be admissible, not after it.
+    gbar = gamma_bar(split.val.n_pos, split.val.n_unl, gamma)
+    if gbar >= 1.0:
+        raise DegeneratePriorError(gbar, split.val.n_pos, split.val.n_unl)
     gen = gen or lsif_generator()
     if model is None:
         centers = split.train.unlabeled

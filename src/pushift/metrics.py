@@ -9,7 +9,6 @@ callers flag results where the tie convention actually mattered.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .divergence import DiscreteDistributionPair, population_divergence
 from .errors import ConfigError
@@ -36,9 +35,22 @@ def auc(scores_pos, scores_neg) -> float:
     sn = np.asarray(scores_neg, dtype=float).reshape(-1)
     if sp.size == 0 or sn.size == 0:
         raise ValueError("both score lists must be nonempty")
-    ranks = rankdata(np.concatenate((sp, sn)), method="average")
+    ranks = _average_ranks(np.concatenate((sp, sn)))
     rank_sum = float(np.sum(ranks[: sp.size]))
     return (rank_sum - sp.size * (sp.size + 1) / 2.0) / (sp.size * sn.size)
+
+
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks, each run of equal values sharing its mean rank; NaN input gives NaN ranks."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def ties_present(scores_pos, scores_neg) -> bool:

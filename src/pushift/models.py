@@ -8,10 +8,13 @@ Two families:
 * ``MLP`` -- fully connected ReLU network with a softplus output in ratio
   mode, trained by manual backpropagation.  No autodiff framework involved.
 
-Both expose the same surface: ``predict`` (nonnegative in ratio mode),
-``predict_grad`` for a single point, and ``grad_dot(X, w)`` which returns
-sum_i w_i * d r(x_i) / d theta in one backward pass.  ``grad_dot`` is the
-primitive the training loops consume.
+Both expose the same primitive: ``encode(X)`` turns raw inputs into the
+rows the model consumes (kernel features, or the checked inputs for the
+MLP), and ``forward(Z)`` returns the predictions on encoded rows together
+with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
+from that same forward pass.  The training loop encodes each split once and
+calls ``forward`` once per mini-batch side.  ``predict``, ``grad_dot`` and
+``predict_grad`` (a single point) are thin wrappers over the primitive.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -54,20 +57,31 @@ class RatioModel:
     def n_params(self) -> int:
         return self.params.size
 
-    def predict(self, X) -> np.ndarray:
+    def encode(self, X) -> np.ndarray:
+        """Rows ``forward`` consumes; by default the checked inputs."""
+        return self._check_dim(X)
+
+    def forward(self, Z):
+        """Predictions on encoded rows ``Z`` and their ``backward(weights)``.
+
+        ``backward`` returns sum_i weights[i] * d prediction_i / d params at
+        the parameters of this pass, reusing what the pass computed.
+        """
         raise NotImplementedError
 
+    def predict(self, X) -> np.ndarray:
+        return self.forward(self.encode(X))[0]
+
     def grad_dot(self, X, weights) -> np.ndarray:
-        raise NotImplementedError
+        return self.forward(self.encode(X))[1](weights)
 
     def predict_grad(self, x):
         """Value and parameter gradient at a single input point."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[0] != 1:
             raise ValueError("predict_grad takes a single point")
-        value = self.predict(x)[0]
-        grad = self.grad_dot(x, np.ones(1))
-        return float(value), grad
+        value, backward = self.forward(self.encode(x))
+        return float(value[0]), backward(np.ones(1))
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -118,39 +132,29 @@ class GaussianBasisLinear(RatioModel):
         self._w = value.copy()
 
     def features(self, X) -> np.ndarray:
+        """exp(-(|x|^2 - 2 x.c + |c|^2) / (2 bw^2)), built in one rows x centers buffer."""
         X = self._check_dim(X)
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ self.centers.T
-            + np.sum(self.centers * self.centers, axis=1)[None, :]
-        )
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        out = (2.0 * X) @ self.centers.T
+        np.subtract(np.sum(X * X, axis=1)[:, None], out, out=out)
+        np.add(out, np.sum(self.centers * self.centers, axis=1)[None, :], out=out)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * self.bandwidth**2, out=out)
+        return np.exp(out, out=out)
 
-    def raw(self, X) -> np.ndarray:
-        return self.features(X) @ self._w
-
-    def predict(self, X) -> np.ndarray:
-        raw = self.raw(X)
-        return np.maximum(raw, 0.0) if self.clamp else raw
-
-    def grad_dot(self, X, weights) -> np.ndarray:
-        return self.grad_dot_features(self.features(X), weights)
-
-    # Feature-cache protocol: the training loop evaluates the same rows every
-    # epoch, and the kernel expansion dominates the cost, so it precomputes
-    # the feature matrix once and works on row slices.
-    def feature_cache(self, X) -> np.ndarray:
+    def encode(self, X) -> np.ndarray:
+        """The kernel features; the training loop builds them once per split."""
         return self.features(X)
 
-    def predict_features(self, phi) -> np.ndarray:
+    def forward(self, phi):
         raw = phi @ self._w
-        return np.maximum(raw, 0.0) if self.clamp else raw
 
-    def grad_dot_features(self, phi, weights) -> np.ndarray:
-        w = np.asarray(weights, dtype=float)
-        if self.clamp:
-            w = w * (phi @ self._w >= 0)
-        return phi.T @ w
+        def backward(weights):
+            w = np.asarray(weights, dtype=float)
+            if self.clamp:
+                w = w * (raw >= 0)
+            return phi.T @ w
+
+        return (np.maximum(raw, 0.0) if self.clamp else raw), backward
 
     def to_dict(self) -> dict:
         return {
@@ -232,11 +236,10 @@ class MLP(RatioModel):
             raise ValueError(f"parameter vector must have shape {self._theta.shape}")
         self._theta = value.copy()
 
-    def _forward(self, X):
-        X = self._check_dim(X)
+    def forward(self, X):
+        """Forward pass that keeps its activations for the backward pass."""
         layers = self._layers(self._theta)
         activations = [X]
-        pre = None
         a = X
         pres = []
         for idx, (W, b) in enumerate(layers):
@@ -246,37 +249,27 @@ class MLP(RatioModel):
                 a = np.maximum(pre, 0.0)
                 activations.append(a)
         z = pres[-1][:, 0]
-        if self.output == "softplus":
-            y = np.logaddexp(0.0, z)
-        else:
-            y = z
-        return y, z, pres, activations
+        y = np.logaddexp(0.0, z) if self.output == "softplus" else z
 
-    def predict(self, X) -> np.ndarray:
-        return self._forward(X)[0]
+        def backward(weights):
+            w = np.asarray(weights, dtype=float)
+            if self.output == "softplus":
+                delta = (w * expit(z))[:, None]
+            else:
+                delta = w[:, None]
+            grads = [None] * len(layers)
+            for idx in range(len(layers) - 1, -1, -1):
+                W, _ = layers[idx]
+                grads[idx] = (delta.T @ activations[idx], delta.sum(axis=0))
+                if idx > 0:
+                    delta = (delta @ W) * (pres[idx - 1] > 0)
+            flat = []
+            for gW, gb in grads:
+                flat.append(gW.reshape(-1))
+                flat.append(gb)
+            return np.concatenate(flat)
 
-    def grad_dot(self, X, weights) -> np.ndarray:
-        y, z, pres, activations = self._forward(X)
-        w = np.asarray(weights, dtype=float)
-        if self.output == "softplus":
-            delta = (w * expit(z))[:, None]
-        else:
-            delta = w[:, None]
-        layers = self._layers(self._theta)
-        grads = [None] * len(layers)
-        for idx in range(len(layers) - 1, -1, -1):
-            W, _ = layers[idx]
-            a_prev = activations[idx]
-            gW = delta.T @ a_prev
-            gb = delta.sum(axis=0)
-            grads[idx] = (gW, gb)
-            if idx > 0:
-                delta = (delta @ W) * (pres[idx - 1] > 0)
-        flat = []
-        for gW, gb in grads:
-            flat.append(gW.reshape(-1))
-            flat.append(gb)
-        return np.concatenate(flat)
+        return y, backward
 
     def to_dict(self) -> dict:
         return {

@@ -1,22 +1,24 @@
-"""Mini-batch training of ratio models on positive/unlabeled data.
+"""Mini-batch training on positive/unlabeled data, for every objective.
 
-Each optimization step evaluates the branch rule on its own mini-batch:
-while the clipped part of the corrected objective is nonnegative the step
-descends on the plain objective, otherwise it descends on the negated
-bracket.  Batches take ``batch_size`` unlabeled points and a proportional
-draw of positives so both empirical means are estimated every step; one
-epoch is one pass over the unlabeled set.
+One loop serves the ratio models and the PU baselines; an ``Objective``
+supplies what differs.  Each optimization step evaluates the branch rule on
+its own mini-batch: while the clipped part of the objective is nonnegative
+the step descends on the plain objective, otherwise it descends on the
+negated bracket.  Batches take ``batch_size`` unlabeled points and a
+proportional draw of positives so both empirical means are estimated every
+step; one epoch is one pass over the unlabeled set.
 
 Model selection keeps the parameter snapshot from the epoch with the lowest
-plain objective on the validation split.  That criterion contains neither
-the class-prior nor the correction strength, so it needs no labels and no
-prior knowledge.
+validation value.  For the ratio objective that is the plain objective,
+which contains neither the class-prior nor the correction strength, so it
+needs no labels and no prior knowledge.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .divergence import Branch, branch_weights, corrected_objective, empirical_o
 from .errors import ConfigError, TrainingDiverged
 from .generators import BregmanGenerator
 
-__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
+__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "Objective", "ratio_objective", "train"]
 
 
 @dataclass
@@ -119,39 +121,41 @@ def _epoch_batches(rng, n_pos, n_unl, batch_size):
     return batches
 
 
-class _SplitView:
-    """Model evaluation over fixed rows, reusing precomputed features.
+@dataclass(frozen=True)
+class Objective:
+    """What the training loop minimizes, given model outputs on P and U rows.
 
-    The kernel-expansion models spend almost all their time building the
-    feature matrix, and the training loop revisits the same rows every
-    epoch, so the matrix is built once and sliced per batch.  Models without
-    a feature cache fall through to plain prediction.
+    ``weights(out_pos, out_unl)`` returns ``(w_pos, w_unl, branch)``, the
+    per-point chain-rule weights of the active branch on one mini-batch;
+    ``train_value`` and ``val_value`` score whole splits once per epoch, and
+    the epoch with the lowest ``val_value`` is kept.
     """
 
-    def __init__(self, model, X):
-        self.model = model
-        self.X = X
-        self.phi = model.feature_cache(X) if hasattr(model, "feature_cache") else None
-
-    def predict(self, idx=None):
-        if self.phi is not None:
-            return self.model.predict_features(self.phi if idx is None else self.phi[idx])
-        return self.model.predict(self.X if idx is None else self.X[idx])
-
-    def grad_dot(self, idx, weights):
-        if self.phi is not None:
-            return self.model.grad_dot_features(self.phi[idx], weights)
-        return self.model.grad_dot(self.X[idx], weights)
+    weights: Callable
+    train_value: Callable
+    val_value: Callable
 
 
-def train(model, data, gen: BregmanGenerator, cfg: TrainConfig):
+def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
+    """Bregman-divergence objective: corrected when training, plain for selection."""
+    return Objective(
+        weights=functools.partial(branch_weights, gen, alpha),
+        train_value=lambda r_pos, r_unl: corrected_objective(gen, alpha, r_pos, r_unl).value,
+        val_value=functools.partial(empirical_objective, gen),
+    )
+
+
+def train(model, data, objective, cfg: TrainConfig):
     """Train ``model`` on a train/validation split of PU data.
 
-    ``data`` is a ``SplitDataset``; the model is mutated in place and also
-    returned with the best-validation parameters restored, together with the
-    per-epoch ``TrainReport``.
+    ``data`` is a ``SplitDataset``; ``objective`` is an ``Objective``, or a
+    ``BregmanGenerator`` for the ratio objective at ``cfg.alpha``.  The model
+    is mutated in place and also returned with the best-validation parameters
+    restored, together with the per-epoch ``TrainReport``.
     """
     cfg.validate()
+    if isinstance(objective, BregmanGenerator):
+        objective = ratio_objective(objective, cfg.alpha)
     tr, va = data.train, data.val
     for name, ds in (("train", tr), ("validation", va)):
         if ds.n_pos == 0 or ds.n_unl == 0:
@@ -170,8 +174,11 @@ def train(model, data, gen: BregmanGenerator, cfg: TrainConfig):
     best_val = np.inf
     best_params = model.params.copy()
 
-    tr_pos, tr_unl = _SplitView(model, tr.positives), _SplitView(model, tr.unlabeled)
-    va_pos, va_unl = _SplitView(model, va.positives), _SplitView(model, va.unlabeled)
+    # The same rows are revisited every epoch, so each split is encoded once
+    # (for kernel models this is the whole feature expansion).
+    tr_pos, tr_unl, va_pos, va_unl = (
+        model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)
+    )
 
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate
@@ -180,18 +187,18 @@ def train(model, data, gen: BregmanGenerator, cfg: TrainConfig):
         n_corrected = 0
         batches = _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size)
         for pos_idx, unl_idx in batches:
-            w_pos, w_unl, branch = branch_weights(
-                gen, cfg.alpha, tr_pos.predict(pos_idx), tr_unl.predict(unl_idx)
-            )
-            grad = tr_pos.grad_dot(pos_idx, w_pos) + tr_unl.grad_dot(unl_idx, w_unl)
+            out_pos, back_pos = model.forward(tr_pos[pos_idx])
+            out_unl, back_unl = model.forward(tr_unl[unl_idx])
+            w_pos, w_unl, branch = objective.weights(out_pos, out_unl)
+            grad = back_pos(w_pos) + back_unl(w_unl)
             if branch is Branch.CORRECTED:
                 n_corrected += 1
             if cfg.l2_reg:
                 grad = grad + cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, lr)
 
-        train_obj = corrected_objective(gen, cfg.alpha, tr_pos.predict(), tr_unl.predict()).value
-        val_obj = empirical_objective(gen, va_pos.predict(), va_unl.predict())
+        train_obj = objective.train_value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
+        val_obj = objective.val_value(model.forward(va_pos)[0], model.forward(va_unl)[0])
         if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
             raise TrainingDiverged(
                 f"non-finite objective at epoch {epoch}: train={train_obj}, val={val_obj}"

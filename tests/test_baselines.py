@@ -12,8 +12,8 @@ from pushift.baselines import (
 from pushift.data import SplitDataset, case1_mixture, synth_case1, synth_from_mixture
 from pushift.divergence import Branch
 from pushift.errors import ConfigError
-from pushift.models import GaussianBasisLinear
-from pushift.trainer import TrainConfig
+from pushift.models import GaussianBasisLinear, mlp
+from pushift.trainer import AdamState, TrainConfig, _epoch_batches, adam_step
 
 
 class TestSurrogateLosses:
@@ -163,3 +163,42 @@ class TestTrainBaseline:
         train_baseline("nnpu", sigmoid_loss(), 0.4, m1, split, cfg)
         train_baseline("nnpu", sigmoid_loss(), 0.4, m2, split, cfg)
         np.testing.assert_array_equal(m1.params, m2.params)
+
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            pytest.param(lambda X: GaussianBasisLinear(X, bandwidth=0.3, clamp=False), id="kernel"),
+            pytest.param(lambda X: mlp([1, 16, 1], seed=2, output="linear"), id="mlp"),
+        ],
+    )
+    def test_nnpu_matches_reference_loop(self, make_model):
+        """Same batches, nnPU branch rule and best-validation snapshot, written out by hand."""
+        split = overfit_split()
+        tr, va = split.train, split.val
+        loss, prior = sigmoid_loss(), 0.4
+        cfg = TrainConfig(epochs=40, batch_size=50, learning_rate=5e-2, l2_reg=1e-3, seed=6)
+        model, report = train_baseline("nnpu", loss, prior, make_model(tr.unlabeled), split, cfg)
+        assert max(report.corrected_fraction) > 0  # both branches are exercised
+
+        ref = make_model(tr.unlabeled)
+        rng = np.random.default_rng(cfg.seed)
+        state = AdamState.zeros(ref.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+        best_val, best_params = np.inf, ref.params.copy()
+        for _ in range(cfg.epochs):
+            for pos_idx, unl_idx in _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size):
+                xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
+                gp, gu = ref.predict(xp), ref.predict(xu)
+                bracket = np.mean(loss.loss(-1, gu)) - prior * np.mean(loss.loss(-1, gp))
+                if bracket >= 0:
+                    w_pos = prior * (loss.dloss_dv(1, gp) - loss.dloss_dv(-1, gp)) / gp.size
+                    w_unl = loss.dloss_dv(-1, gu) / gu.size
+                else:
+                    w_pos = prior * loss.dloss_dv(-1, gp) / gp.size
+                    w_unl = -loss.dloss_dv(-1, gu) / gu.size
+                grad = ref.grad_dot(xp, w_pos) + ref.grad_dot(xu, w_unl) + cfg.l2_reg * ref.params
+                ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
+            val = upu_risk(loss, prior, ref.predict(va.positives), ref.predict(va.unlabeled))
+            if val < best_val:
+                best_val, best_params = val, ref.params.copy()
+        np.testing.assert_array_equal(model.params, best_params)
+        assert min(report.val_objective) == best_val

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pushift import experiments
 from pushift.cli import main
 from pushift.prior import build_intervals
 
@@ -110,10 +111,22 @@ class TestTrain:
     def test_divergence_exit_code(self, dataset_dir, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main([
-                "train", "--data", str(dataset_dir), "--out", str(tmp_path / "dv"),
+                "train", "--data", str(dataset_dir), "--out", str(tmp_path / "dv"), "--gamma", "0.9",
                 "--epochs", "3", "--batch-size", "80", "--learning-rate", "1e200",
             ])
         assert code == 4
+
+    def test_degenerate_prior_fails_before_training(self, tmp_path, monkeypatch):
+        """Default sizes and gamma leave no admissible threshold: exit 5 with no training run."""
+        data = tmp_path / "defaults"
+        assert main(["synth", "--out", str(data)]) == 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "r")]) == 5
+        assert not (tmp_path / "r" / "model.json").exists()
 
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
@@ -169,6 +182,21 @@ class TestAdapt:
         rows = metrics_csv.read_text().strip().splitlines()
         assert rows[0].startswith("tag,theta,boundary,accuracy")
         assert len(rows) == 2
+
+    def test_no_crossing_writes_null_boundary(self, dataset_dir, trained_run, tmp_path):
+        """A threshold the scores never reach has no boundary; metrics.json stays strict JSON."""
+        out = tmp_path / "metrics.json"
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--theta", "1e6",
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(out),
+        ])
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"bare {name} in metrics.json")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["boundary"] is None
 
     def test_no_shift_theta_collapses(self, dataset_dir, trained_run, tmp_path):
         """Val-unlabeled as the test set gives pi_prime == pi_hat exactly."""

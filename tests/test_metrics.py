@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from pushift.errors import ConfigError
 from pushift.generators import exp_generator, kl_generator, lsif_generator
 from pushift.metrics import (
+    _average_ranks,
     accuracy,
     auc,
     auc_brute_force,
@@ -38,6 +43,28 @@ class TestEmpiricalAuc:
         sp = rng.integers(0, 20, n_pos).astype(float)
         sn = rng.integers(0, 20, n_neg).astype(float)
         assert auc(sp, sn) == pytest.approx(auc_brute_force(sp, sn), abs=1e-12)
+
+    def test_average_ranks_match_scipy_rankdata(self):
+        """The numpy tie-averaged ranks replace scipy.stats.rankdata bit for bit."""
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(5)
+        for trial in range(250):
+            n = int(rng.integers(1, 300))
+            x = rng.integers(0, max(1, n // 4), n).astype(float) if trial % 2 else rng.normal(size=n)
+            np.testing.assert_array_equal(_average_ranks(x), rankdata(x, method="average"))
+        x = np.array([0.0, -0.0, 1.0, np.nan])
+        np.testing.assert_array_equal(_average_ranks(x), rankdata(x, method="average"))
+
+    def test_tied_scores_equal_brute_force(self):
+        sp = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, -0.0])
+        sn = np.array([1.0, 2.0, 0.0, 0.0, 3.0])
+        assert auc(sp, sn) == auc_brute_force(sp, sn)
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, pushift; sys.exit('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,15 +79,76 @@ class TestGaussianBasisLinear:
             X = rng.normal(scale=2.0, size=(40, 2))
             assert np.all(model.predict(X) >= 0)
 
-    def test_feature_cache_paths_agree(self):
+    def test_features_match_textbook_expression(self):
+        """The in-place expansion keeps the order of operations, so the bits match."""
         rng = np.random.default_rng(3)
-        model = gaussian_basis_linear(rng.normal(size=(6, 2)), bandwidth=0.8)
-        model.params = rng.normal(size=6)
-        X = rng.normal(size=(9, 2))
-        phi = model.feature_cache(X)
-        np.testing.assert_array_equal(model.predict_features(phi), model.predict(X))
-        w = rng.normal(size=9)
-        np.testing.assert_array_equal(model.grad_dot_features(phi, w), model.grad_dot(X, w))
+        centers, X = rng.normal(size=(40, 3)), rng.normal(size=(70, 3))
+        model = gaussian_basis_linear(centers, bandwidth=0.8)
+        sq = (
+            np.sum(X * X, axis=1)[:, None]
+            - 2.0 * X @ centers.T
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        np.testing.assert_array_equal(model.features(X), np.exp(-sq / (2.0 * 0.8**2)))
+
+    def test_features_peak_memory_is_one_output(self):
+        rng = np.random.default_rng(4)
+        model = gaussian_basis_linear(rng.normal(size=(500, 2)))
+        X = rng.normal(size=(2000, 2))
+        tracemalloc.start()
+        try:
+            phi = model.features(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * phi.nbytes
+
+
+def _fused_cases():
+    rng = np.random.default_rng(11)
+    centers = rng.normal(size=(12, 2))
+    for clamp in (True, False):
+        model = GaussianBasisLinear(centers, bandwidth=0.7, clamp=clamp)
+        model.params = rng.normal(size=12)
+        yield pytest.param(model, id=f"kernel-clamp={clamp}")
+    for output in ("softplus", "linear"):
+        yield pytest.param(mlp([2, 8, 6, 1], seed=5, output=output), id=f"mlp-{output}")
+
+
+class TestFusedForward:
+    """``forward`` on gathered encoded rows is what the training loop runs."""
+
+    @pytest.mark.parametrize("model", list(_fused_cases()))
+    def test_matches_predict_and_grad_dot_on_gathered_rows(self, model):
+        rng = np.random.default_rng(12)
+        X = rng.normal(scale=1.5, size=(60, 2))
+        idx = rng.choice(60, size=25, replace=True)
+        w = rng.normal(size=25)
+        out, backward = model.forward(model.encode(X)[idx])
+        np.testing.assert_array_equal(out, model.predict(X[idx]))
+        np.testing.assert_array_equal(backward(w), model.grad_dot(X[idx], w))
+
+    def test_clamped_rows_get_no_gradient(self):
+        rng = np.random.default_rng(13)
+        model = GaussianBasisLinear(rng.normal(size=(12, 2)), bandwidth=0.7, clamp=True)
+        model.params = rng.normal(size=12)
+        phi = model.encode(rng.normal(scale=1.5, size=(60, 2)))
+        raw = phi @ model.params
+        assert np.any(raw < 0) and np.any(raw >= 0)
+        w = rng.normal(size=60)
+        out, backward = model.forward(phi)
+        np.testing.assert_array_equal(out, np.maximum(raw, 0.0))
+        np.testing.assert_array_equal(backward(w), phi.T @ np.where(raw >= 0, w, 0.0))
+
+    def test_unclamped_gradient_is_features_transpose(self):
+        rng = np.random.default_rng(14)
+        model = GaussianBasisLinear(rng.normal(size=(12, 2)), bandwidth=0.7, clamp=False)
+        model.params = rng.normal(size=12)
+        phi = model.encode(rng.normal(scale=1.5, size=(60, 2)))
+        w = rng.normal(size=60)
+        out, backward = model.forward(phi)
+        np.testing.assert_array_equal(out, phi @ model.params)
+        np.testing.assert_array_equal(backward(w), phi.T @ w)
 
 
 class TestMLP:

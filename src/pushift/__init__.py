@@ -9,14 +9,11 @@ summary of the training scores.
 
 from .baselines import SurrogateLoss, logistic_loss, nnpu_risk, sigmoid_loss, train_baseline, upu_risk
 from .classifier import (
-    Decision,
     ShiftSpec,
-    classify,
-    classify_batch,
-    cost_sensitive_risk,
     cost_threshold,
     excess_risk_bound_check,
     squared_loss_decomposition,
+    threshold_decisions,
 )
 from .data import (
     GaussianMixtureSpec,
@@ -57,7 +54,7 @@ from .generators import (
     lsif_generator,
     scaled_quadratic_generator,
 )
-from .metrics import accuracy, auc, auc_excess_bound_check, error_rate, prior_abs_error, ties_present
+from .metrics import accuracy, auc, auc_excess_bound_check, error_rate, ties_present
 from .models import MLP, GaussianBasisLinear, gaussian_basis_linear, load_model, mlp, save_model
 from .prior import (
     PriorEstimate,

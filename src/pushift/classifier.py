@@ -24,11 +24,8 @@ from .generators import BregmanGenerator
 
 __all__ = [
     "ShiftSpec",
-    "Decision",
     "cost_threshold",
-    "classify",
-    "classify_batch",
-    "cost_sensitive_risk",
+    "threshold_decisions",
     "finite_support_risk",
     "finite_support_bayes_risk",
     "excess_risk_bound_check",
@@ -49,13 +46,6 @@ class ShiftSpec:
                 raise ConfigError(f"{name} must lie strictly inside (0, 1), got {v}")
 
 
-@dataclass(frozen=True)
-class Decision:
-    label: int
-    score: float
-    threshold_used: float
-
-
 def cost_threshold(spec: ShiftSpec):
     """Matched cost c0 and ratio threshold theta = c0 / train_prior.
 
@@ -69,33 +59,10 @@ def cost_threshold(spec: ShiftSpec):
     return c0, c0 / pi
 
 
-def classify(model, spec: ShiftSpec, x) -> Decision:
-    c0, theta = cost_threshold(spec)
-    score = float(model.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-    return Decision(label=1 if score >= theta else -1, score=score, threshold_used=theta)
-
-
-def classify_batch(model, spec: ShiftSpec, X) -> np.ndarray:
-    _, theta = cost_threshold(spec)
-    return np.where(model.predict(X) >= theta, 1, -1)
-
-
-def cost_sensitive_risk(labels, decisions, prior: float, cost: float) -> float:
-    """Empirical plug-in of the cost-weighted risk from labeled data.
-
-    (1 - cost) * prior * FNR + cost * (1 - prior) * FPR, with the error
-    rates computed per true class.
-    """
-    y = np.asarray(labels, dtype=int)
-    d = np.asarray(decisions, dtype=int)
-    if y.shape != d.shape:
-        raise ValueError("labels and decisions must have equal length")
-    pos, neg = y == 1, y == -1
-    if not np.any(pos) or not np.any(neg):
-        raise ValueError("both classes must be present in the evaluation set")
-    fnr = float(np.mean(d[pos] == -1))
-    fpr = float(np.mean(d[neg] == 1))
-    return (1.0 - cost) * prior * fnr + cost * (1.0 - prior) * fpr
+def threshold_decisions(r_values, theta: float) -> np.ndarray:
+    """The classifier: +1 where the score is >= theta (ties positive), else -1."""
+    r = np.asarray(r_values, dtype=float)
+    return np.where(r >= theta, 1, -1)
 
 
 def finite_support_risk(dist: DiscreteDistributionPair, decisions, prior: float, cost: float) -> float:
@@ -111,11 +78,6 @@ def finite_support_bayes_risk(dist: DiscreteDistributionPair, prior: float, cost
     miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
     miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
     return float(np.sum(np.minimum(miss_pos, miss_neg)))
-
-
-def threshold_decisions(r_values, theta: float) -> np.ndarray:
-    r = np.asarray(r_values, dtype=float)
-    return np.where(r >= theta, 1, -1)
 
 
 def bound_constant(spec: ShiftSpec) -> float:

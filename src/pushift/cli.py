@@ -21,13 +21,15 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
-from .data import SplitDataset, load_csv, load_pu_dataset, save_csv, synth_case1, synth_case2
+from .classifier import threshold_decisions
+from .data import SplitDataset, load_csv, load_pu_dataset, save_csv, synth_from_mixture
 from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged
-from .experiments import adapt_threshold, decision_boundary_1d, fit_drpu
+from .experiments import CASE_DEFAULTS, adapt_threshold, decision_boundary_1d, fit_drpu
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
 from .models import GaussianBasisLinear, load_model, save_model
@@ -70,13 +72,10 @@ TRAIN_DEFAULTS = {
     "adam_beta1": 0.5,
     "adam_beta2": 0.999,
     "l2_reg": 0.1,
-    "gamma": 0.5,
+    "gamma": 0.9,  # 0.5 leaves no admissible threshold at the default 100 validation positives
     "bandwidth": 1.0,
     "max_centers": None,
 }
-
-CASE_PRIORS = {1: (0.4, 0.6), 2: (0.6, 0.4)}
-
 
 def _config_hash(cfg: dict) -> str:
     """Hash of the run parameters; filesystem paths are not identity."""
@@ -125,22 +124,22 @@ def _validate_prior(name, value):
 def cmd_synth(args) -> int:
     cfg = _effective_config(SYNTH_DEFAULTS, args, SYNTH_DEFAULTS.keys())
     case = int(cfg["case"])
-    if case not in CASE_PRIORS:
+    if case not in CASE_DEFAULTS:
         raise ConfigError(f"case must be 1 or 2, got {case}")
-    default_train, default_test = CASE_PRIORS[case]
-    train_prior = default_train if cfg["train_prior"] is None else float(cfg["train_prior"])
-    test_prior = default_test if cfg["test_prior"] is None else float(cfg["test_prior"])
+    defaults = CASE_DEFAULTS[case]
+    train_prior = defaults["train_prior"] if cfg["train_prior"] is None else float(cfg["train_prior"])
+    test_prior = defaults["test_prior"] if cfg["test_prior"] is None else float(cfg["test_prior"])
     _validate_prior("train_prior", train_prior)
     _validate_prior("test_prior", test_prior)
     cfg["train_prior"], cfg["test_prior"] = train_prior, test_prior
     seed = int(cfg["seed"])
-    synth = synth_case1 if case == 1 else synth_case2
+    mix = defaults["mixture"]()
 
     ss = np.random.SeedSequence(seed)
     s_tr, s_va, s_te = ss.spawn(3)
-    tr = synth(int(cfg["n_train_pos"]), int(cfg["n_train_unl"]), train_prior, s_tr)
-    va = synth(int(cfg["n_val_pos"]), int(cfg["n_val_unl"]), train_prior, s_va)
-    te = synth(1, int(cfg["n_test"]), test_prior, s_te)
+    tr = synth_from_mixture(mix, int(cfg["n_train_pos"]), int(cfg["n_train_unl"]), train_prior, s_tr)
+    va = synth_from_mixture(mix, int(cfg["n_val_pos"]), int(cfg["n_val_unl"]), train_prior, s_va)
+    te = synth_from_mixture(mix, 1, int(cfg["n_test"]), test_prior, s_te)
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -281,23 +280,24 @@ def _run_sweep(args, cfg) -> int:
 
     The effective config (defaults + config file + flags) is written out and
     handed to every child, with only the seed and output directory varying.
+    At most ``os.cpu_count()`` children run at a time.
     """
     n = int(args.sweep)
     base_seed = int(cfg["seed"])
     sweep_cfg = f"{cfg['out']}-sweep-config.json"
     os.makedirs(os.path.dirname(sweep_cfg) or ".", exist_ok=True)
     _write_json(sweep_cfg, cfg)
-    procs = []
-    for k in range(n):
-        seed = base_seed + k
-        cmd = [
+    cmds = [
+        [
             sys.executable, "-m", "pushift.cli", args.command,
             "--config", sweep_cfg,
             "--seed", str(seed),
             "--out", f"{cfg['out']}-seed{seed}",
         ]
-        procs.append(subprocess.Popen(cmd))
-    codes = [p.wait() for p in procs]
+        for seed in range(base_seed, base_seed + n)
+    ]
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        codes = list(pool.map(subprocess.call, cmds))
     bad = [c for c in codes if c != 0]
     print(f"sweep: {n - len(bad)}/{n} runs succeeded")
     return max(bad) if bad else EXIT_OK
@@ -358,7 +358,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --adapted or --theta")
 
     scores = model.predict(X)
-    preds = np.where(scores >= theta, 1, -1)
+    preds = threshold_decisions(scores, theta)
     pos, neg = scores[labels == 1], scores[labels == -1]
     doc = {
         "theta": theta,

@@ -332,6 +332,7 @@ def load_csv(path, labeled: Optional[bool] = None):
     A leading non-numeric row is treated as a header and skipped.  When
     ``labeled`` is None the last column is taken as labels if every entry is
     exactly +1 or -1.  Returns ``(X, labels)`` with labels possibly None.
+    Non-finite cells (``nan``, ``inf``) raise ``DataError``.
     """
     try:
         with open(path) as fh:
@@ -363,6 +364,9 @@ def load_csv(path, labeled: Optional[bool] = None):
             bad = next(j for j, v in enumerate(cells) if not _is_float(v))
             raise DataError(f"{path}: non-numeric cell at row {i}, column {bad + 1}")
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite value at row {int(np.argmin(finite)) + start + 1}")
 
     if labeled is None:
         last = data[:, -1]

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
-from .classifier import ShiftSpec, cost_threshold
+from .classifier import ShiftSpec, cost_threshold, threshold_decisions
 from .data import (
     SplitDataset,
     case1_mixture,
@@ -33,7 +33,7 @@ from .errors import DegeneratePriorError
 from .generators import lsif_generator
 from .metrics import auc
 from .models import GaussianBasisLinear, gaussian_basis_linear, mlp
-from .prior import PriorEstimate, ThresholdIntervals, build_intervals, estimate_prior, estimate_test_prior, gamma_bar
+from .prior import PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior, gamma_bar
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
@@ -109,10 +109,8 @@ def fit_drpu(
             centers = centers[rng.choice(centers.shape[0], size=max_centers, replace=False)]
         model = gaussian_basis_linear(centers, bandwidth=bandwidth)
     model, report = train(model, split, gen, cfg)
-    r_pos = model.predict(split.val.positives)
-    r_unl = model.predict(split.val.unlabeled)
-    pi_hat = estimate_prior(r_pos, r_unl, gamma=gamma)
-    intervals = build_intervals(r_pos, gamma=gamma)
+    intervals = build_intervals(model.predict(split.val.positives), gamma=gamma)
+    pi_hat = estimate_test_prior(intervals, model.predict(split.val.unlabeled))
     return DrpuFit(model=model, report=report, pi_hat=pi_hat, intervals=intervals)
 
 
@@ -283,9 +281,9 @@ def shift_robustness_experiment(
         X, y = test.unlabeled, test.hidden_labels
         adapted = adapt_threshold(fit.model, fit.intervals, X, fit.pi_hat.value, cost=0.5)
         pi_primes.append(adapted.pi_prime.value)
-        acc["drpu"].append(float(np.mean(np.where(fit.model.predict(X) >= adapted.theta, 1, -1) == y)))
+        acc["drpu"].append(float(np.mean(threshold_decisions(fit.model.predict(X), adapted.theta) == y)))
         for name, dm in references.items():
-            acc[name].append(float(np.mean(np.where(dm.predict(X) >= 0, 1, -1) == y)))
+            acc[name].append(float(np.mean(threshold_decisions(dm.predict(X), 0.0) == y)))
 
     return {
         "seed": seed,

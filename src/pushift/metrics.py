@@ -1,5 +1,5 @@
-"""Evaluation metrics: empirical AUC, reweighted error rates, and the
-exact population AUC machinery behind the ranking-bound check.
+"""Evaluation metrics: empirical AUC, error rates, and the exact
+population AUC machinery behind the ranking-bound check.
 
 Empirical AUC uses the rank-sum formulation with ties counted 1/2, the
 unbiased treatment of the pairwise definition.  ``ties_present`` lets
@@ -22,7 +22,6 @@ __all__ = [
     "auc_excess_bound_check",
     "error_rate",
     "accuracy",
-    "prior_abs_error",
 ]
 
 
@@ -100,29 +99,14 @@ def auc_excess_bound_check(
     return lhs, float(rhs)
 
 
-def error_rate(labels, predictions, test_prior=None) -> float:
-    """Misclassification rate, optionally reweighted to a target prior.
-
-    With ``test_prior`` given, the per-class error rates are mixed as
-    test_prior * FNR + (1 - test_prior) * FPR; otherwise the plain rate.
-    """
+def error_rate(labels, predictions) -> float:
+    """Fraction of predictions that differ from the labels."""
     y = np.asarray(labels, dtype=int)
     d = np.asarray(predictions, dtype=int)
     if y.shape != d.shape:
         raise ValueError("labels and predictions must have equal length")
-    if test_prior is None:
-        return float(np.mean(y != d))
-    pos, neg = y == 1, y == -1
-    if not np.any(pos) or not np.any(neg):
-        raise ValueError("both classes must be present to reweight error rates")
-    fnr = float(np.mean(d[pos] == -1))
-    fpr = float(np.mean(d[neg] == 1))
-    return test_prior * fnr + (1.0 - test_prior) * fpr
+    return float(np.mean(y != d))
 
 
-def accuracy(labels, predictions, test_prior=None) -> float:
-    return 1.0 - error_rate(labels, predictions, test_prior)
-
-
-def prior_abs_error(estimate: float, truth: float) -> float:
-    return abs(float(estimate) - float(truth))
+def accuracy(labels, predictions) -> float:
+    return 1.0 - error_rate(labels, predictions)

@@ -89,7 +89,7 @@ class RatioModel:
     def _check_dim(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim_in:
-            raise ValueError(f"expected inputs of dimension {self.dim_in}, got {X.shape[1]}")
+            raise DataError(f"expected inputs of dimension {self.dim_in}, got {X.shape[1]}")
         return X
 
 
@@ -291,22 +291,33 @@ def mlp(layer_sizes, seed: int = 0, output: str = "softplus") -> MLP:
 
 
 def model_from_dict(doc: dict) -> RatioModel:
+    """Rebuild a model; missing fields and non-finite numbers raise DataError."""
     kind = doc.get("kind")
-    if kind == GaussianBasisLinear.kind:
-        return GaussianBasisLinear(
-            centers=np.asarray(doc["centers"], dtype=float),
-            bandwidth=doc["bandwidth"],
-            clamp=doc.get("clamp", True),
-            weights=np.asarray(doc["params"], dtype=float),
-        )
-    if kind == MLP.kind:
-        return MLP(
-            layer_sizes=doc["layer_sizes"],
-            seed=doc.get("seed", 0),
-            output=doc.get("output", "softplus"),
-            params=np.asarray(doc["params"], dtype=float),
-        )
+    try:
+        if kind == GaussianBasisLinear.kind:
+            return GaussianBasisLinear(
+                centers=_finite_field(doc, "centers"),
+                bandwidth=float(_finite_field(doc, "bandwidth")),
+                clamp=doc.get("clamp", True),
+                weights=_finite_field(doc, "params"),
+            )
+        if kind == MLP.kind:
+            return MLP(
+                layer_sizes=doc["layer_sizes"],
+                seed=doc.get("seed", 0),
+                output=doc.get("output", "softplus"),
+                params=_finite_field(doc, "params"),
+            )
+    except KeyError as exc:
+        raise DataError(f"model document is missing field {exc}") from exc
     raise DataError(f"unknown model kind {kind!r}")
+
+
+def _finite_field(doc: dict, key: str) -> np.ndarray:
+    values = np.asarray(doc[key], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"model field {key!r} holds non-finite values")
+    return values
 
 
 def save_model(model: RatioModel, path) -> None:

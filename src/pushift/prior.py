@@ -77,48 +77,13 @@ class PriorEstimate:
         }
 
 
-def _acceptance_counts(sorted_values, thresholds):
-    """Number of values >= each threshold, given values sorted ascending."""
-    return sorted_values.size - np.searchsorted(sorted_values, thresholds, side="left")
-
-
-def _sweep(thresholds, p_plus, p_top, gbar, n_pos, n_top):
-    admissible = p_plus > gbar
-    if not np.any(admissible):
-        raise DegeneratePriorError(gbar, n_pos, n_top)
-    ratios = np.full_like(p_plus, np.inf)
-    np.divide(p_top, p_plus, out=ratios, where=admissible)
-    k = int(np.argmin(ratios))
-    raw = float(ratios[k])
-    return PriorEstimate(
-        value=min(1.0, max(0.0, raw)),
-        raw_value=raw,
-        argmin_threshold=float(thresholds[k]),
-        gamma_bar=float(gbar),
-        n_pos_used=n_pos,
-        n_unl_used=n_top,
-    )
-
-
 def estimate_prior(r_pos, r_unl, gamma: float = 0.5) -> PriorEstimate:
     """Estimate the positive class-prior from scores on P and U samples.
 
-    Threshold candidates are every attained score value plus sentinels; both
-    acceptance rates are step functions with breakpoints there, so the
-    infimum over all real thresholds is attained on this finite set.
+    The sweep of ``estimate_test_prior`` over the lossless summary of the
+    positive scores, so training and test time run the same code.
     """
-    rp = np.sort(np.asarray(r_pos, dtype=float).reshape(-1))
-    ru = np.sort(np.asarray(r_unl, dtype=float).reshape(-1))
-    if rp.size == 0 or ru.size == 0:
-        raise ValueError("score lists must be nonempty")
-    gbar = gamma_bar(rp.size, ru.size, gamma)
-    if gbar >= 1.0:
-        raise DegeneratePriorError(gbar, rp.size, ru.size)
-
-    thresholds = np.concatenate(([-np.inf], np.unique(np.concatenate((rp, ru))), [np.inf]))
-    p_plus = _acceptance_counts(rp, thresholds) / rp.size
-    p_unl = _acceptance_counts(ru, thresholds) / ru.size
-    return _sweep(thresholds, p_plus, p_unl, gbar, rp.size, ru.size)
+    return estimate_test_prior(build_intervals(r_pos, gamma=gamma), r_unl)
 
 
 @dataclass(frozen=True)
@@ -145,6 +110,8 @@ class ThresholdIntervals:
         b, c = self.boundaries, self.accept_counts
         if b.ndim != 1 or b.shape != c.shape or b.size == 0:
             raise DataError("interval boundaries and counts must be aligned and nonempty")
+        if not np.all(np.isfinite(b)):
+            raise DataError("interval boundaries must be finite")
         if np.any(np.diff(b) <= 0):
             raise DataError("interval boundaries must be strictly increasing")
         if np.any(np.diff(c) >= 0):
@@ -207,22 +174,37 @@ def build_intervals(r_pos, gamma: float = 0.5) -> ThresholdIntervals:
 
 
 def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl, gamma: float = None) -> PriorEstimate:
-    """Estimate a shifted class-prior from test scores and a saved summary.
+    """Estimate a class-prior from unlabeled scores and a positive summary.
 
-    Runs the same sweep as ``estimate_prior`` with the positive acceptance
-    rate read from ``intervals``; the raw positive scores are not needed.
+    Threshold candidates are every attained score value plus sentinels; both
+    acceptance rates are step functions with breakpoints there, so the
+    infimum over all real thresholds is attained on this finite set.  The
+    positive acceptance rate is read from ``intervals``, so the raw positive
+    scores are not needed.
     """
     ru = np.sort(np.asarray(r_test_unl, dtype=float).reshape(-1))
     if ru.size == 0:
-        raise ValueError("test score list must be nonempty")
-    g = intervals.gamma if gamma is None else gamma
-    gbar = gamma_bar(intervals.n_pos, ru.size, g)
+        raise ValueError("unlabeled score list must be nonempty")
+    n_pos = intervals.n_pos
+    gbar = gamma_bar(n_pos, ru.size, intervals.gamma if gamma is None else gamma)
     if gbar >= 1.0:
-        raise DegeneratePriorError(gbar, intervals.n_pos, ru.size)
+        raise DegeneratePriorError(gbar, n_pos, ru.size)
 
     thresholds = np.concatenate(
         ([-np.inf], np.unique(np.concatenate((intervals.boundaries, ru))), [np.inf])
     )
     p_plus = intervals.reconstruct(thresholds)
-    p_test = _acceptance_counts(ru, thresholds) / ru.size
-    return _sweep(thresholds, p_plus, p_test, gbar, intervals.n_pos, ru.size)
+    admissible = p_plus > gbar  # never empty: the -inf sentinel has p_plus = 1 > gbar
+    p_unl = (ru.size - np.searchsorted(ru, thresholds, side="left")) / ru.size
+    ratios = np.full_like(p_plus, np.inf)
+    np.divide(p_unl, p_plus, out=ratios, where=admissible)
+    k = int(np.argmin(ratios))
+    raw = float(ratios[k])
+    return PriorEstimate(
+        value=min(1.0, max(0.0, raw)),
+        raw_value=raw,
+        argmin_threshold=float(thresholds[k]),
+        gamma_bar=float(gbar),
+        n_pos_used=n_pos,
+        n_unl_used=ru.size,
+    )

@@ -4,9 +4,6 @@ import pytest
 from pushift.classifier import (
     ShiftSpec,
     bound_constant,
-    classify,
-    classify_batch,
-    cost_sensitive_risk,
     cost_threshold,
     excess_risk_bound_check,
     finite_support_bayes_risk,
@@ -57,56 +54,34 @@ class TestCostThreshold:
 
 
 class TestClassify:
+    """``threshold_decisions`` is the one score -> label rule."""
+
     def test_zero_score_yields_negative(self):
         model = gaussian_basis_linear(np.zeros((3, 1)))
-        decision = classify(model, ShiftSpec(0.4, 0.6, 0.5), np.array([0.5]))
-        assert decision.label == -1
-        assert decision.score == 0.0
+        _, theta = cost_threshold(ShiftSpec(0.4, 0.6, 0.5))
+        score = model.predict(np.array([[0.5]]))
+        assert score[0] == 0.0 and theta > 0
+        np.testing.assert_array_equal(threshold_decisions(score, theta), [-1])
 
     def test_tie_resolves_positive(self):
-        spec = ShiftSpec(0.5, 0.5, 0.5)  # theta = 1.0
+        _, theta = cost_threshold(ShiftSpec(0.5, 0.5, 0.5))
+        assert theta == 1.0
         model = gaussian_basis_linear(np.array([[0.0]]), bandwidth=1.0)
         model.params = np.array([1.0])  # predict(0) == 1.0 exactly
-        decision = classify(model, spec, np.array([0.0]))
-        assert decision.score == decision.threshold_used == 1.0
-        assert decision.label == 1
+        score = model.predict(np.array([[0.0]]))
+        assert score[0] == theta
+        np.testing.assert_array_equal(threshold_decisions(score, theta), [1])
+        np.testing.assert_array_equal(threshold_decisions([np.nextafter(theta, 0.0)], theta), [-1])
 
     def test_batch_agrees_with_threshold(self):
         rng = np.random.default_rng(1)
         model = gaussian_basis_linear(rng.normal(size=(5, 2)))
         model.params = rng.normal(size=5)
-        spec = ShiftSpec(0.4, 0.6, 0.5)
-        X = rng.normal(size=(50, 2))
-        _, theta = cost_threshold(spec)
-        expected = np.where(model.predict(X) >= theta, 1, -1)
-        np.testing.assert_array_equal(classify_batch(model, spec, X), expected)
-        for i in range(5):
-            assert classify(model, spec, X[i]).label == expected[i]
-
-
-class TestCostSensitiveRisk:
-    def test_perfect_classifier(self):
-        y = np.array([1, 1, -1, -1])
-        assert cost_sensitive_risk(y, y, prior=0.3, cost=0.4) == 0.0
-
-    def test_always_positive(self):
-        y = np.array([1, -1, -1, 1, -1])
-        d = np.ones(5, dtype=int)
-        assert cost_sensitive_risk(y, d, prior=0.3, cost=0.4) == pytest.approx(0.4 * 0.7)
-
-    def test_half_cost_is_half_weighted_error(self):
-        rng = np.random.default_rng(2)
-        y = rng.choice([-1, 1], 200)
-        d = rng.choice([-1, 1], 200)
-        pi = 0.35
-        risk = cost_sensitive_risk(y, d, prior=pi, cost=0.5)
-        fnr = np.mean(d[y == 1] == -1)
-        fpr = np.mean(d[y == -1] == 1)
-        assert risk == pytest.approx(0.5 * (pi * fnr + (1 - pi) * fpr))
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
-            cost_sensitive_risk([1, 1], [1, -1], 0.5, 0.5)
+        _, theta = cost_threshold(ShiftSpec(0.4, 0.6, 0.5))
+        scores = model.predict(rng.normal(size=(50, 2)))
+        labels = threshold_decisions(scores, theta)
+        assert labels.dtype.kind == "i"
+        assert labels.tolist() == [1 if s >= theta else -1 for s in scores]
 
 
 class TestExcessRiskBound:

@@ -1,9 +1,11 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from pushift import experiments
+from pushift import cli, experiments
 from pushift.cli import main
 from pushift.prior import build_intervals
 
@@ -117,7 +119,7 @@ class TestTrain:
         assert code == 4
 
     def test_degenerate_prior_fails_before_training(self, tmp_path, monkeypatch):
-        """Default sizes and gamma leave no admissible threshold: exit 5 with no training run."""
+        """Default sizes with gamma 0.5 leave no admissible threshold: exit 5 with no training run."""
         data = tmp_path / "defaults"
         assert main(["synth", "--out", str(data)]) == 0
 
@@ -125,8 +127,15 @@ class TestTrain:
             raise AssertionError("training ran")
 
         monkeypatch.setattr(experiments, "train", no_training)
-        assert main(["train", "--data", str(data), "--out", str(tmp_path / "r")]) == 5
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--gamma", "0.5"]) == 5
         assert not (tmp_path / "r" / "model.json").exists()
+
+    def test_default_flags_form_a_working_pipeline(self, tmp_path):
+        data = tmp_path / "defaults"
+        assert main(["synth", "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--epochs", "2"]) == 0
+        assert (tmp_path / "r" / "model.json").exists()
+        assert (tmp_path / "r" / "intervals.json").exists()
 
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
@@ -282,6 +291,55 @@ class TestAdapt:
         assert code == 3
 
 
+class TestDataFaults:
+    """Bad input files exit 3 (data error) and write nothing."""
+
+    def adapt(self, tmp_path, model, intervals, test):
+        out = tmp_path / "adapted.json"
+        code = main([
+            "adapt", "--model", str(model), "--intervals", str(intervals),
+            "--test", str(test), "--pi-hat", "0.4", "--out", str(out),
+        ])
+        return code, out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_test_row(self, dataset_dir, trained_run, tmp_path, cell):
+        test = tmp_path / "test.csv"
+        test.write_text((dataset_dir / "test_unl.csv").read_text() + cell + "\n")
+        code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
+        assert (code, wrote) == (3, False)
+
+    def test_nan_interval_boundary(self, dataset_dir, trained_run, tmp_path):
+        doc = read_json(trained_run / "intervals.json")
+        doc["boundaries"][-1] = float("nan")
+        bad = tmp_path / "intervals.json"
+        bad.write_text(json.dumps(doc))
+        code, wrote = self.adapt(tmp_path, trained_run / "model.json", bad, dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+
+    def test_nan_model_parameter(self, dataset_dir, trained_run, tmp_path):
+        doc = read_json(trained_run / "model.json")
+        doc["params"][0] = float("nan")
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code, wrote = self.adapt(tmp_path, bad, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+
+    def test_model_missing_field(self, dataset_dir, trained_run, tmp_path):
+        doc = read_json(trained_run / "model.json")
+        del doc["bandwidth"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code, wrote = self.adapt(tmp_path, bad, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+
+    def test_wrong_dimension_test_file(self, trained_run, tmp_path):
+        test = tmp_path / "test2d.csv"
+        test.write_text("0.3,0.7\n1.2,-0.4\n" * 50)
+        code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
+        assert (code, wrote) == (3, False)
+
+
 class TestEvaluate:
     def test_explicit_theta_for_baselines(self, dataset_dir, trained_run, tmp_path):
         metrics = tmp_path / "m0.json"
@@ -324,3 +382,25 @@ class TestSweep:
         assert code == 0
         for k in (3, 4):
             assert (tmp_path / f"sw-seed{k}" / "report.json").exists()
+
+    def test_sweep_runs_at_most_cpu_count_children(self, tmp_path, monkeypatch):
+        """No child process starts here: a fake launcher records how many run at once."""
+        lock = threading.Lock()
+        running, peak, launched = 0, 0, []
+
+        def fake_call(cmd):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+                launched.append(cmd[cmd.index("--seed") + 1])
+            time.sleep(0.05)
+            with lock:
+                running -= 1
+            return 0
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli.subprocess, "call", fake_call)
+        assert main(["train", "--out", str(tmp_path / "sw"), "--seed", "3", "--sweep", "3"]) == 0
+        assert peak == 1
+        assert sorted(launched) == ["3", "4", "5"]

@@ -15,7 +15,6 @@ from pushift.metrics import (
     auc_excess_bound_check,
     error_rate,
     population_auc_risk,
-    prior_abs_error,
 )
 from pushift.theory import random_distribution, random_ratio_values
 
@@ -121,22 +120,3 @@ class TestErrorRates:
         y = np.array([1, -1, 1])
         assert error_rate(y, y) == 0.0
         assert accuracy(y, y) == 1.0
-
-    def test_constant_negative_under_prior(self):
-        y = np.array([1] * 30 + [-1] * 70)
-        d = -np.ones(100, dtype=int)
-        assert error_rate(y, d, test_prior=0.6) == pytest.approx(0.6)
-
-    def test_reweighting_matches_plain_at_empirical_prior(self):
-        rng = np.random.default_rng(7)
-        y = rng.choice([-1, 1], 500)
-        d = rng.choice([-1, 1], 500)
-        empirical_prior = float(np.mean(y == 1))
-        assert error_rate(y, d, test_prior=empirical_prior) == pytest.approx(error_rate(y, d))
-
-    def test_prior_abs_error(self):
-        assert prior_abs_error(0.42, 0.40) == pytest.approx(0.02)
-
-    def test_missing_class_for_reweighting(self):
-        with pytest.raises(ValueError):
-            error_rate([1, 1], [1, -1], test_prior=0.5)

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pushift.data import case1_mixture, synth_from_mixture
 from pushift.errors import DataError, DegeneratePriorError
@@ -156,6 +159,10 @@ class TestThresholdIntervals:
             lambda d: d.update(accept_counts=[1, 2, 3][: len(d["accept_counts"])]),
             lambda d: d.update(n_pos=2),
             lambda d: d.pop("boundaries"),
+            # NaN compares false, so the ordering checks alone let it through
+            lambda d: d["boundaries"].__setitem__(-1, float("nan")),
+            lambda d: d["boundaries"].__setitem__(-1, float("inf")),
+            lambda d: d["boundaries"].__setitem__(0, -float("inf")),
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)
@@ -169,15 +176,15 @@ class TestThresholdIntervals:
 
 class TestEstimateTestPrior:
     def test_lossless_summary_equality(self):
-        """Interval-based sweep equals the raw-score sweep exactly."""
+        """Interval-based sweep equals the brute-force raw-score sweep exactly."""
         rng = np.random.default_rng(5)
         for _ in range(20):
             r_pos = np.round(rng.uniform(0, 3, 300), 2)
             r_unl = np.round(rng.uniform(0, 3, 900), 2)
-            direct = estimate_prior(r_pos, r_unl, gamma=0.7)
             via_intervals = estimate_test_prior(build_intervals(r_pos, gamma=0.7), r_unl)
-            assert via_intervals.raw_value == direct.raw_value
-            assert via_intervals.argmin_threshold == direct.argmin_threshold
+            oracle, arg = brute_force_prior_sweep(r_pos, r_unl, gamma_bar(300, 900, 0.7))
+            assert via_intervals.raw_value == oracle
+            assert via_intervals.argmin_threshold == arg
 
     def test_same_distribution_agreement(self):
         """Fresh same-distribution test data lands near the training estimate."""
@@ -240,3 +247,49 @@ class TestConsistencyTrend:
         small = median_error(100, 500)
         large = median_error(1000, 5000)
         assert large < small
+
+
+# Tie-heavy scores on a coarse grid, or arbitrary finite ones, with enough
+# points that gamma = 0.9 leaves admissible thresholds.
+grid_scores = st.integers(0, 30).map(lambda k: k / 10.0)
+any_scores = st.one_of(grid_scores, st.floats(-1e3, 1e3, allow_nan=False))
+score_arrays = arrays(np.float64, st.integers(60, 150), elements=any_scores)
+grid_arrays = arrays(np.float64, st.integers(60, 150), elements=grid_scores)
+SWEEP_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestSweepProperties:
+    @SWEEP_SETTINGS
+    @given(r_pos=score_arrays, r_unl=score_arrays)
+    def test_sweep_equals_brute_force(self, r_pos, r_unl):
+        est = estimate_prior(r_pos, r_unl, gamma=0.9)
+        oracle, arg = brute_force_prior_sweep(r_pos, r_unl, gamma_bar(r_pos.size, r_unl.size, 0.9))
+        assert est.raw_value == oracle
+        assert est.argmin_threshold == arg
+
+    @SWEEP_SETTINGS
+    @given(r_pos=grid_arrays, r_unl=grid_arrays, which=st.sampled_from(["exp", "cubic", "affine"]))
+    def test_invariant_under_increasing_transform(self, r_pos, r_unl, which):
+        transform = {"exp": np.exp, "cubic": lambda t: t**3 + 2 * t, "affine": lambda t: 5 * t - 7}[which]
+        base = estimate_prior(r_pos, r_unl, gamma=0.9)
+        moved = estimate_prior(transform(r_pos), transform(r_unl), gamma=0.9)
+        assert moved.raw_value == base.raw_value
+        assert moved.value == base.value
+
+    @SWEEP_SETTINGS
+    @given(r=arrays(np.float64, st.integers(1, 80), elements=any_scores),
+           thresholds=arrays(np.float64, st.integers(1, 40), elements=any_scores))
+    def test_reconstruct_equals_acceptance_rate(self, r, thresholds):
+        direct = (r[:, None] >= thresholds[None, :]).sum(axis=0) / r.size
+        np.testing.assert_array_equal(build_intervals(r).reconstruct(thresholds), direct)
+
+    @SWEEP_SETTINGS
+    @given(r=arrays(np.float64, st.integers(1, 80), elements=any_scores),
+           gamma=st.floats(0.01, 0.99))
+    def test_dict_round_trip(self, r, gamma):
+        iv = build_intervals(r, gamma=gamma)
+        back = ThresholdIntervals.from_dict(json.loads(json.dumps(iv.to_dict())))
+        np.testing.assert_array_equal(back.boundaries, iv.boundaries)
+        np.testing.assert_array_equal(back.accept_counts, iv.accept_counts)
+        assert back.n_pos == iv.n_pos and back.gamma == iv.gamma
+        assert back.to_dict() == iv.to_dict()

@@ -105,6 +105,8 @@ def _effective_config(defaults: dict, args, keys) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         doc = _load_json(args.config)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -343,17 +345,32 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
+def _load_adapted(path):
+    """The ``adapt`` output document and its threshold, which must be finite."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict) or "theta" not in doc:
+        raise DataError(f"{path} must be a JSON object with a theta field")
+    try:
+        theta = float(doc["theta"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: theta is not a number: {exc}") from exc
+    if not np.isfinite(theta):
+        raise DataError(f"{path}: theta must be finite, got {theta}")
+    return doc, theta
+
+
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     X, labels = load_csv(args.test)
     if labels is None:
         raise DataError("evaluate needs a labeled test file (last column +1/-1)")
     if args.adapted:
-        adapted = _load_json(args.adapted)
-        theta = float(adapted["theta"])
+        adapted, theta = _load_adapted(args.adapted)
     elif args.theta is not None:
         adapted = None
         theta = float(args.theta)
+        if not np.isfinite(theta):
+            raise ConfigError(f"--theta must be finite, got {theta}")
     else:
         raise ConfigError("evaluate needs --adapted or --theta")
 

@@ -15,6 +15,8 @@ with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
 from that same forward pass.  The training loop encodes each split once and
 calls ``forward`` once per mini-batch side.  ``predict``, ``grad_dot`` and
 ``predict_grad`` (a single point) are thin wrappers over the primitive.
+``outputs(Z, thetas)`` scores encoded rows under several parameter vectors
+at once; the training loop uses it to score a block of epochs in one call.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -68,6 +70,23 @@ class RatioModel:
         the parameters of this pass, reusing what the pass computed.
         """
         raise NotImplementedError
+
+    def outputs(self, Z, thetas) -> np.ndarray:
+        """Predictions on encoded rows ``Z`` for each column of ``thetas``.
+
+        Returns a rows x columns array whose column j equals
+        ``forward(Z)[0]`` at parameters ``thetas[:, j]``; this default runs
+        ``forward`` once per column and leaves ``params`` as it found them.
+        """
+        saved = self.params
+        try:
+            cols = []
+            for theta in thetas.T:
+                self.params = theta
+                cols.append(self.forward(Z)[0])
+        finally:
+            self.params = saved
+        return np.column_stack(cols)
 
     def predict(self, X) -> np.ndarray:
         return self.forward(self.encode(X))[0]
@@ -155,6 +174,11 @@ class GaussianBasisLinear(RatioModel):
             return phi.T @ w
 
         return (np.maximum(raw, 0.0) if self.clamp else raw), backward
+
+    def outputs(self, phi, thetas) -> np.ndarray:
+        """One matrix product for every parameter column, then the clamp."""
+        out = phi @ thetas
+        return np.maximum(out, 0.0, out=out) if self.clamp else out
 
     def to_dict(self) -> dict:
         return {
@@ -291,7 +315,9 @@ def mlp(layer_sizes, seed: int = 0, output: str = "softplus") -> MLP:
 
 
 def model_from_dict(doc: dict) -> RatioModel:
-    """Rebuild a model; missing fields and non-finite numbers raise DataError."""
+    """Rebuild a model; any malformed document raises DataError."""
+    if not isinstance(doc, dict):
+        raise DataError(f"model document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     try:
         if kind == GaussianBasisLinear.kind:
@@ -310,6 +336,8 @@ def model_from_dict(doc: dict) -> RatioModel:
             )
     except KeyError as exc:
         raise DataError(f"model document is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # the constructors' ConfigError, and DataError
+        raise DataError(f"invalid model document: {exc}") from exc
     raise DataError(f"unknown model kind {kind!r}")
 
 

@@ -138,6 +138,8 @@ class ThresholdIntervals:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ThresholdIntervals":
+        if not isinstance(doc, dict):
+            raise DataError(f"interval document must be a JSON object, got {type(doc).__name__}")
         try:
             return cls(
                 boundaries=np.asarray(doc["boundaries"], dtype=float),
@@ -147,6 +149,8 @@ class ThresholdIntervals:
             )
         except KeyError as exc:
             raise DataError(f"interval document is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # includes validate's DataError
+            raise DataError(f"invalid interval document: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -12,6 +12,15 @@ Model selection keeps the parameter snapshot from the epoch with the lowest
 validation value.  For the ratio objective that is the plain objective,
 which contains neither the class-prior nor the correction strength, so it
 needs no labels and no prior knowledge.
+
+Each epoch's train and validation objectives are scored on the whole
+splits.  The loop keeps every epoch's parameter vector and scores a block of
+``SCORE_BLOCK`` epochs (and the remainder at the end) with one
+``model.outputs`` call per split; for the kernel model that is one matrix
+product instead of one matrix-vector product per epoch.  Training steps,
+the selected epoch and its parameters do not depend on the block; a
+non-finite objective still names its epoch and is raised at the latest at
+the end of its block.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ from .errors import ConfigError, TrainingDiverged
 from .generators import BregmanGenerator
 
 __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "Objective", "ratio_objective", "train"]
+
+# Epochs scored per ``model.outputs`` call.  The block's parameter vectors and
+# outputs (rows x SCORE_BLOCK per split) are the only memory this costs.
+SCORE_BLOCK = 16
 
 
 @dataclass
@@ -145,6 +158,16 @@ def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
     )
 
 
+def _block_objectives(model, objective, splits, snapshots):
+    """(train, validation) objective per parameter snapshot, one ``outputs`` call per split."""
+    thetas = np.column_stack(snapshots)
+    tp, tu, vp, vu = (model.outputs(Z, thetas) for Z in splits)
+    return [
+        (objective.train_value(tp[:, j], tu[:, j]), objective.val_value(vp[:, j], vu[:, j]))
+        for j in range(thetas.shape[1])
+    ]
+
+
 def train(model, data, objective, cfg: TrainConfig):
     """Train ``model`` on a train/validation split of PU data.
 
@@ -176,9 +199,9 @@ def train(model, data, objective, cfg: TrainConfig):
 
     # The same rows are revisited every epoch, so each split is encoded once
     # (for kernel models this is the whole feature expansion).
-    tr_pos, tr_unl, va_pos, va_unl = (
-        model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)
-    )
+    splits = [model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)]
+    tr_pos, tr_unl = splits[:2]
+    snapshots = []  # parameters of the epochs not scored yet
 
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate
@@ -196,20 +219,26 @@ def train(model, data, objective, cfg: TrainConfig):
             if cfg.l2_reg:
                 grad = grad + cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, lr)
-
-        train_obj = objective.train_value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
-        val_obj = objective.val_value(model.forward(va_pos)[0], model.forward(va_unl)[0])
-        if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
-            raise TrainingDiverged(
-                f"non-finite objective at epoch {epoch}: train={train_obj}, val={val_obj}"
-            )
-        report.train_objective.append(float(train_obj))
-        report.val_objective.append(float(val_obj))
         report.corrected_fraction.append(n_corrected / len(batches))
-        if val_obj < best_val:
-            best_val = val_obj
-            best_params = model.params.copy()
-            report.best_epoch = epoch
+        snapshots.append(model.params.copy())
+        # Non-finite parameters end the block early, so a diverged run stops at once.
+        if len(snapshots) < SCORE_BLOCK and epoch < cfg.epochs - 1 and np.all(np.isfinite(model.params)):
+            continue
+
+        first = epoch + 1 - len(snapshots)
+        scores = _block_objectives(model, objective, splits, snapshots)
+        for j, (train_obj, val_obj) in enumerate(scores):
+            if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
+                raise TrainingDiverged(
+                    f"non-finite objective at epoch {first + j}: train={train_obj}, val={val_obj}"
+                )
+            report.train_objective.append(float(train_obj))
+            report.val_objective.append(float(val_obj))
+            if val_obj < best_val:
+                best_val = val_obj
+                best_params = snapshots[j]
+                report.best_epoch = first + j
+        snapshots = []
 
     model.params = best_params
     return model, report

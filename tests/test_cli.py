@@ -76,6 +76,12 @@ class TestSynth:
         cfg.write_text('{"cases": 1}')
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_non_object_config_rejected(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+
 
 class TestTrain:
     def test_report_contents(self, trained_run):
@@ -333,6 +339,32 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, bad, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
         assert (code, wrote) == (3, False)
 
+    @pytest.mark.parametrize("probe", ["params_one_short", "negative_bandwidth", "list_document"])
+    def test_malformed_model_document(self, dataset_dir, trained_run, tmp_path, probe):
+        doc = read_json(trained_run / "model.json")
+        if probe == "params_one_short":
+            doc["params"] = doc["params"][:-1]
+        elif probe == "negative_bandwidth":
+            doc["bandwidth"] = -1
+        else:
+            doc = [doc]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code, wrote = self.adapt(tmp_path, bad, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+
+    @pytest.mark.parametrize("probe", ["list_document", "n_pos_not_a_number"])
+    def test_malformed_interval_document(self, dataset_dir, trained_run, tmp_path, probe):
+        doc = read_json(trained_run / "intervals.json")
+        if probe == "list_document":
+            doc = [doc]
+        else:
+            doc["n_pos"] = "abc"
+        bad = tmp_path / "intervals.json"
+        bad.write_text(json.dumps(doc))
+        code, wrote = self.adapt(tmp_path, trained_run / "model.json", bad, dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+
     def test_wrong_dimension_test_file(self, trained_run, tmp_path):
         test = tmp_path / "test2d.csv"
         test.write_text("0.3,0.7\n1.2,-0.4\n" * 50)
@@ -350,6 +382,38 @@ class TestEvaluate:
         ])
         assert code == 0
         assert read_json(metrics)["theta"] == 0.5
+
+    @pytest.mark.parametrize("probe", ["nan_theta", "missing_theta", "list_document"])
+    def test_adapted_threshold_checked(self, dataset_dir, trained_run, tmp_path, probe):
+        """A NaN theta would label every point negative and still exit 0."""
+        adapted = tmp_path / "adapted.json"
+        assert main([
+            "adapt", "--model", str(trained_run / "model.json"),
+            "--intervals", str(trained_run / "intervals.json"),
+            "--test", str(dataset_dir / "test_unl.csv"),
+            "--report", str(trained_run / "report.json"), "--out", str(adapted),
+        ]) == 0
+        doc = read_json(adapted)
+        if probe == "nan_theta":
+            doc["theta"] = float("nan")
+        elif probe == "missing_theta":
+            del doc["theta"]
+        else:
+            doc = [doc]
+        adapted.write_text(json.dumps(doc))
+        metrics = tmp_path / "m.json"
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
+        ])
+        assert (code, metrics.exists()) == (3, False)
+
+    def test_non_finite_theta_flag(self, dataset_dir, trained_run, tmp_path):
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--theta", "nan",
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
 
     def test_needs_threshold_source(self, dataset_dir, trained_run, tmp_path):
         code = main([

@@ -1,11 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pushift.baselines import risk_objective, sigmoid_loss
 from pushift.data import SplitDataset, synth_case1
+from pushift.divergence import Branch
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.generators import lsif_generator
-from pushift.models import gaussian_basis_linear
-from pushift.trainer import AdamState, TrainConfig, _epoch_batches, adam_step, train
+from pushift.models import GaussianBasisLinear, gaussian_basis_linear, mlp
+from pushift.trainer import (
+    SCORE_BLOCK,
+    AdamState,
+    Objective,
+    TrainConfig,
+    TrainReport,
+    _epoch_batches,
+    adam_step,
+    ratio_objective,
+    train,
+)
 
 LSIF = lsif_generator()
 
@@ -185,3 +199,150 @@ class TestTrain:
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()
+
+
+def reference_train(model, data, objective, cfg):
+    """Score every epoch with ``forward`` right after its steps, as one loop."""
+    rng = np.random.default_rng(cfg.seed)
+    state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    report, best_val, best_params = TrainReport(), np.inf, model.params.copy()
+    tr, va = data.train, data.val
+    tr_pos, tr_unl, va_pos, va_unl = (
+        model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)
+    )
+    for epoch in range(cfg.epochs):
+        n_corrected = 0
+        batches = _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size)
+        for pos_idx, unl_idx in batches:
+            out_pos, back_pos = model.forward(tr_pos[pos_idx])
+            out_unl, back_unl = model.forward(tr_unl[unl_idx])
+            w_pos, w_unl, branch = objective.weights(out_pos, out_unl)
+            n_corrected += branch is Branch.CORRECTED
+            grad = back_pos(w_pos) + back_unl(w_unl) + cfg.l2_reg * model.params
+            model.params = model.params + adam_step(state, grad, cfg.learning_rate)
+        train_obj = objective.train_value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
+        val_obj = objective.val_value(model.forward(va_pos)[0], model.forward(va_unl)[0])
+        if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
+            raise TrainingDiverged(f"non-finite objective at epoch {epoch}")
+        report.train_objective.append(float(train_obj))
+        report.val_objective.append(float(val_obj))
+        report.corrected_fraction.append(n_corrected / len(batches))
+        if val_obj < best_val:
+            best_val, best_params, report.best_epoch = val_obj, model.params.copy(), epoch
+    model.params = best_params
+    return model, report
+
+
+NNPU = risk_objective("nnpu", sigmoid_loss(), 0.4)
+
+# (model factory, objective, whether the block scoring must be bit-equal)
+SCORED_MODELS = {
+    "kernel-clamp": (lambda s: gaussian_basis_linear(s.train.unlabeled), ratio_objective(LSIF, 0.3), False),
+    "kernel-linear": (
+        lambda s: GaussianBasisLinear(s.train.unlabeled, clamp=False), NNPU, False,
+    ),
+    "mlp-softplus": (lambda s: mlp([1, 8, 8, 1], seed=2), ratio_objective(LSIF, 0.3), True),
+    "mlp-linear": (lambda s: mlp([1, 8, 8, 1], seed=2, output="linear"), NNPU, True),
+}
+
+
+class TestBlockScoring:
+    """Scoring epochs a block at a time changes no training step and no selection."""
+
+    @pytest.mark.parametrize("epochs", [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 35])
+    @pytest.mark.parametrize("name", sorted(SCORED_MODELS))
+    def test_matches_per_epoch_reference(self, name, epochs):
+        make, objective, bit_equal = SCORED_MODELS[name]
+        split = small_split(seed=4)
+        cfg = TrainConfig(alpha=0.3, epochs=epochs, batch_size=40, learning_rate=1e-2, seed=9)
+        model, report = train(make(split), split, objective, cfg)
+        ref, ref_report = reference_train(make(split), split, objective, cfg)
+        assert report.best_epoch == ref_report.best_epoch
+        np.testing.assert_array_equal(model.params, ref.params)
+        assert report.corrected_fraction == ref_report.corrected_fraction
+        for key in ("train_objective", "val_objective"):
+            got, want = getattr(report, key), getattr(ref_report, key)
+            assert len(got) == epochs
+            if bit_equal:
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_kernel_outputs_match_forward_per_column(self, clamp):
+        rng = np.random.default_rng(3)
+        model = GaussianBasisLinear(rng.normal(size=(120, 2)), bandwidth=0.8, clamp=clamp)
+        Z = model.encode(rng.normal(size=(300, 2)))
+        thetas = rng.normal(size=(model.n_params, 7))
+        out = model.outputs(Z, thetas)
+        assert out.shape == (300, 7)
+        for j in range(7):
+            model.params = thetas[:, j]
+            want = model.forward(Z)[0]
+            np.testing.assert_allclose(out[:, j], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_default_outputs_loop_forward_and_restore_params(self):
+        rng = np.random.default_rng(4)
+        model = mlp([2, 5, 1], seed=1)
+        before = model.params.copy()
+        Z = model.encode(rng.normal(size=(40, 2)))
+        thetas = before[:, None] + rng.normal(scale=0.3, size=(model.n_params, 3))
+        out = model.outputs(Z, thetas)
+        np.testing.assert_array_equal(model.params, before)
+        for j in range(3):
+            model.params = thetas[:, j]
+            np.testing.assert_array_equal(out[:, j], model.forward(Z)[0])
+
+    def test_divergence_names_the_parent_epoch(self):
+        """The learning_rate=1e200 case still stops at epoch 0, even with a long block ahead."""
+        split = small_split()
+        cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e200, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"at epoch 0: "):
+                train(gaussian_basis_linear(split.train.unlabeled), split, LSIF, cfg)
+            with pytest.raises(TrainingDiverged, match=r"at epoch 0$"):
+                reference_train(
+                    gaussian_basis_linear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg
+                )
+
+    def test_divergence_inside_a_block_names_its_epoch(self):
+        """Finite parameters, non-finite objective at epoch 5: raised at the block's end."""
+        calls = []
+        plain = ratio_objective(LSIF, 0.0)
+
+        def val_value(r_pos, r_unl):
+            calls.append(None)
+            return np.nan if len(calls) == 6 else plain.val_value(r_pos, r_unl)
+
+        objective = Objective(plain.weights, plain.train_value, val_value)
+        split = small_split()
+        cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
+        with pytest.raises(TrainingDiverged, match=r"at epoch 5: train=[-0-9.e]+, val=nan"):
+            train(gaussian_basis_linear(split.train.unlabeled), split, objective, cfg)
+        calls.clear()
+        with pytest.raises(TrainingDiverged, match=r"at epoch 5$"):
+            reference_train(gaussian_basis_linear(split.train.unlabeled), split, objective, cfg)
+
+    def test_scoring_memory_is_bounded(self):
+        """Extra traced memory of a long run over a one-epoch run stays under one block."""
+        split = SplitDataset(
+            train=synth_case1(200, 2000, 0.4, 0), val=synth_case1(100, 1000, 0.4, 1)
+        )
+        rows = 200 + 2000 + 100 + 1000
+        centers = split.train.unlabeled[:5]  # few features, so the scoring outputs dominate
+
+        def peak(epochs):
+            model = gaussian_basis_linear(centers)
+            cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
+            tracemalloc.start()
+            try:
+                train(model, split, LSIF, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = peak(2 * SCORE_BLOCK + 3) - peak(1)
+        # one block of output columns per row, whatever the epochs, plus a
+        # quarter for the objectives' temporaries; keeping every epoch's
+        # outputs until the end would need (2 * SCORE_BLOCK + 2) columns
+        assert extra <= 1.25 * SCORE_BLOCK * rows * 8

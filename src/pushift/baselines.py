@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .divergence import Branch
 from .errors import ConfigError
+from .models import expit
 from .trainer import Objective, TrainConfig, train
 
 __all__ = [

@@ -312,14 +312,16 @@ def cmd_adapt(args) -> int:
     if labels is not None:
         raise DataError("adapt expects an unlabeled test file (no label column)")
     report = _load_json(args.report) if args.report else None
+    if report is not None and not isinstance(report, dict):
+        raise DataError(f"{args.report} must be a JSON object")
     if args.pi_hat is not None:
         pi_hat = float(args.pi_hat)
+        if not (0.0 <= pi_hat <= 1.0):
+            raise ConfigError(f"pi_hat must lie in [0, 1], got {pi_hat}")
     elif report and "pi_hat" in report:
-        pi_hat = float(report["pi_hat"]["value"])
+        pi_hat = _estimate_value(report, "pi_hat", args.report)
     else:
         raise ConfigError("adapt needs --pi-hat or --report with a pi_hat field")
-    if not (0.0 <= pi_hat <= 1.0):
-        raise ConfigError(f"pi_hat must lie in [0, 1], got {pi_hat}")
     cost = float(args.cost)
     _validate_prior("cost", cost)
 
@@ -343,6 +345,20 @@ def cmd_adapt(args) -> int:
         f"theta={adapted.theta:.4f} -> {args.out}"
     )
     return EXIT_OK
+
+
+def _estimate_value(doc, key, path) -> float:
+    """The ``value`` of the prior estimate document ``doc[key]``, a number in [0, 1]."""
+    est = doc[key]
+    if not isinstance(est, dict) or "value" not in est:
+        raise DataError(f"{path}: {key} must be a JSON object with a value field")
+    try:
+        value = float(est["value"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {key} value is not a number: {exc}") from exc
+    if not (0.0 <= value <= 1.0):
+        raise DataError(f"{path}: {key} value must lie in [0, 1], got {value}")
+    return value
 
 
 def _load_adapted(path):
@@ -389,7 +405,9 @@ def cmd_evaluate(args) -> int:
     }
     if adapted:
         doc["pi_hat"] = adapted.get("pi_hat")
-        doc["pi_prime"] = adapted.get("pi_prime", {}).get("value")
+        doc["pi_prime"] = (
+            _estimate_value(adapted, "pi_prime", args.adapted) if "pi_prime" in adapted else None
+        )
         doc["c0"] = adapted.get("c0")
         doc["seed"] = adapted.get("seed")
         doc["config_hash"] = adapted.get("config_hash")

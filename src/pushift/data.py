@@ -132,16 +132,6 @@ class GaussianMixtureSpec:
             out += weight * np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         return out
 
-    @staticmethod
-    def _cdf(comps, x):
-        from scipy.stats import norm
-
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for mean, var, weight in comps:
-            out += weight * norm.cdf(x, loc=mean, scale=math.sqrt(var))
-        return out
-
     def pdf_pos(self, x):
         return self._pdf(self.components_pos, x)
 
@@ -151,13 +141,6 @@ class GaussianMixtureSpec:
     def pdf_marginal(self, x, prior=None):
         pi = self.prior if prior is None else prior
         return pi * self.pdf_pos(x) + (1.0 - pi) * self.pdf_neg(x)
-
-    def cdf_pos(self, x):
-        return self._cdf(self.components_pos, x)
-
-    def cdf_marginal(self, x, prior=None):
-        pi = self.prior if prior is None else prior
-        return pi * self._cdf(self.components_pos, x) + (1.0 - pi) * self._cdf(self.components_neg, x)
 
     def true_ratio(self, x, prior=None):
         """p_pos / marginal, the population target of ratio fitting."""
@@ -333,37 +316,29 @@ def load_csv(path, labeled: Optional[bool] = None):
     ``labeled`` is None the last column is taken as labels if every entry is
     exactly +1 or -1.  Returns ``(X, labels)`` with labels possibly None.
     Non-finite cells (``nan``, ``inf``) raise ``DataError``.
+
+    The rows are parsed by ``np.loadtxt``.  A file it refuses is parsed again
+    row by row with ``float``, which locates the faulty row and cell and also
+    accepts the forms ``float`` takes beyond numpy's (``1_000``, non-ASCII
+    digits), so both parsers give the same array or the same error.
     """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    first = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
         raise DataError(f"{path} is empty")
 
-    start = 0
+    start = 0 if all(_is_float(v) for v in lines[first].split(",")) else 1  # else a header
+    body = lines[first + start :]
+    if start and not any(ln.strip() for ln in body):
+        raise DataError(f"{path} has a header but no data rows")
     try:
-        [float(v) for v in lines[0].split(",")]
+        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
     except ValueError:
-        start = 1
-        if len(lines) == 1:
-            raise DataError(f"{path} has a header but no data rows")
-
-    rows = []
-    width = None
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        cells = ln.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(f"{path}: ragged row {i} has {len(cells)} cells, expected {width}")
-        try:
-            rows.append([float(v) for v in cells])
-        except ValueError:
-            bad = next(j for j, v in enumerate(cells) if not _is_float(v))
-            raise DataError(f"{path}: non-numeric cell at row {i}, column {bad + 1}")
-    data = np.asarray(rows, dtype=float)
+        data = _parse_rows(path, [ln.strip() for ln in body if ln.strip()], start)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}: non-finite value at row {int(np.argmin(finite)) + start + 1}")
@@ -376,6 +351,24 @@ def load_csv(path, labeled: Optional[bool] = None):
             raise DataError(f"{path}: labeled file needs at least one feature column")
         return data[:, :-1], data[:, -1].astype(int)
     return data, None
+
+
+def _parse_rows(path, lines, start):
+    """Row-by-row ``float`` parse of the non-blank data lines; rows number from ``start + 1``."""
+    rows = []
+    width = None
+    for i, ln in enumerate(lines, start=start + 1):
+        cells = ln.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(f"{path}: ragged row {i} has {len(cells)} cells, expected {width}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            bad = next(j for j, v in enumerate(cells) if not _is_float(v))
+            raise DataError(f"{path}: non-numeric cell at row {i}, column {bad + 1}")
+    return np.asarray(rows, dtype=float)
 
 
 def load_pu_dataset(positives_path, unlabeled_path) -> PUDataset:

@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DataError
 
 __all__ = [
+    "expit",
     "RatioModel",
     "GaussianBasisLinear",
     "MLP",
@@ -40,6 +40,16 @@ __all__ = [
     "load_model",
     "model_from_dict",
 ]
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), the derivative of softplus.
+
+    scipy's formula in numpy; a large negative ``x`` overflows ``exp`` and
+    gives 0 without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 class RatioModel:

@@ -13,7 +13,7 @@ from pushift.data import SplitDataset, case1_mixture, synth_case1, synth_from_mi
 from pushift.divergence import Branch
 from pushift.errors import ConfigError
 from pushift.models import GaussianBasisLinear, mlp
-from pushift.trainer import AdamState, TrainConfig, _epoch_batches, adam_step
+from pushift.trainer import SCORE_BLOCK, AdamState, TrainConfig, _epoch_batches, adam_step
 
 
 class TestSurrogateLosses:
@@ -183,7 +183,7 @@ class TestTrainBaseline:
         ref = make_model(tr.unlabeled)
         rng = np.random.default_rng(cfg.seed)
         state = AdamState.zeros(ref.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-        best_val, best_params = np.inf, ref.params.copy()
+        snapshots = []
         for _ in range(cfg.epochs):
             for pos_idx, unl_idx in _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size):
                 xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
@@ -197,8 +197,16 @@ class TestTrainBaseline:
                     w_unl = -loss.dloss_dv(-1, gu) / gu.size
                 grad = ref.grad_dot(xp, w_pos) + ref.grad_dot(xu, w_unl) + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
-            val = upu_risk(loss, prior, ref.predict(va.positives), ref.predict(va.unlabeled))
-            if val < best_val:
-                best_val, best_params = val, ref.params.copy()
+            snapshots.append(ref.params.copy())
+        # The trainer scores each block of SCORE_BLOCK epochs with one outputs call per split.
+        va_pos, va_unl = ref.encode(va.positives), ref.encode(va.unlabeled)
+        best_val, best_params = np.inf, None
+        for start in range(0, cfg.epochs, SCORE_BLOCK):
+            thetas = np.column_stack(snapshots[start : start + SCORE_BLOCK])
+            out_pos, out_unl = ref.outputs(va_pos, thetas), ref.outputs(va_unl, thetas)
+            for j in range(thetas.shape[1]):
+                val = upu_risk(loss, prior, out_pos[:, j], out_unl[:, j])
+                if val < best_val:
+                    best_val, best_params = val, snapshots[start + j]
         np.testing.assert_array_equal(model.params, best_params)
         assert min(report.val_objective) == best_val

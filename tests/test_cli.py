@@ -371,6 +371,29 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
         assert (code, wrote) == (3, False)
 
+    @pytest.mark.parametrize("doc", [{"pi_hat": 0.4}, {"pi_hat": {"value": "abc"}}, {"pi_hat": {"value": 1.5}}, []])
+    def test_report_pi_hat_checked(self, dataset_dir, trained_run, tmp_path, doc):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "adapted.json"
+        code = main([
+            "adapt", "--model", str(trained_run / "model.json"),
+            "--intervals", str(trained_run / "intervals.json"),
+            "--test", str(dataset_dir / "test_unl.csv"), "--report", str(report), "--out", str(out),
+        ])
+        assert (code, out.exists()) == (3, False)
+
+    @pytest.mark.parametrize("pi_prime", [5, {"value": "abc"}])
+    def test_adapted_pi_prime_checked(self, dataset_dir, trained_run, tmp_path, pi_prime):
+        adapted = tmp_path / "adapted.json"
+        adapted.write_text(json.dumps({"theta": 0.5, "pi_prime": pi_prime}))
+        metrics = tmp_path / "m.json"
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
+        ])
+        assert (code, metrics.exists()) == (3, False)
+
 
 class TestEvaluate:
     def test_explicit_theta_for_baselines(self, dataset_dir, trained_run, tmp_path):

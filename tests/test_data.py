@@ -1,5 +1,10 @@
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pushift.data import (
@@ -18,6 +23,16 @@ from pushift.data import (
 from pushift.errors import ConfigError, DataError
 
 KS_CRITICAL_1PCT = 1.6276  # asymptotic one-sample Kolmogorov-Smirnov, alpha = 0.01
+
+
+def mixture_cdf(comps):
+    """CDF of a Gaussian mixture given as (mean, variance, weight) triples."""
+    return lambda x: sum(w * stats.norm.cdf(x, loc=m, scale=np.sqrt(v)) for m, v, w in comps)
+
+
+def marginal_cdf(mix):
+    pos, neg = mixture_cdf(mix.components_pos), mixture_cdf(mix.components_neg)
+    return lambda x: mix.prior * pos(x) + (1.0 - mix.prior) * neg(x)
 
 
 class TestSyntheticGenerators:
@@ -53,8 +68,8 @@ class TestSyntheticGenerators:
         ds = synth(n, n, prior, 42)
         mix = mix_fn(prior)
         crit = KS_CRITICAL_1PCT / np.sqrt(n)
-        ks_pos = stats.kstest(ds.positives.ravel(), mix.cdf_pos).statistic
-        ks_unl = stats.kstest(ds.unlabeled.ravel(), mix.cdf_marginal).statistic
+        ks_pos = stats.kstest(ds.positives.ravel(), mixture_cdf(mix.components_pos)).statistic
+        ks_unl = stats.kstest(ds.unlabeled.ravel(), marginal_cdf(mix)).statistic
         assert ks_pos < crit
         assert ks_unl < crit
 
@@ -187,6 +202,54 @@ class TestCsv:
         path.write_text("1.0\n-1.0\n1.0\n")
         X, y = load_csv(path, labeled=False)
         assert X.shape == (3, 1) and y is None
+
+    def test_undecodable_bytes_are_a_data_error(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+        with pytest.raises(DataError):
+            load_csv(path)
+
+
+def _load_outcome(path, row_parser_only):
+    """``load_csv``'s arrays, or its ``DataError`` message; optionally with ``np.loadtxt`` refusing every file."""
+    refuse = mock.patch.object(np, "loadtxt", side_effect=ValueError) if row_parser_only else nullcontext()
+    try:
+        with refuse:
+            X, y = load_csv(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", X.shape, X.tobytes(), None if y is None else y.tolist()
+
+
+# Cells that both parsers read, cells only ``float`` reads, and cells neither reads.
+csv_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1", "-1", "+1", "0", "-0", ".5", "5.", "1e5", "1E+05", "2.5e-3", "1e400", "1e-400"]),
+    st.sampled_from(["nan", "NaN", "-inf", "Infinity", "1_000", "\u0663", "#", "# 1", "abc", "", "0x10"]),
+    st.from_regex(r"-?[0-9]{1,20}\.[0-9]{0,20}(e-?[0-9]{1,3})?", fullmatch=True),
+)
+padded_cells = st.tuples(st.sampled_from(["", " ", "\t"]), csv_cells, st.sampled_from(["", " ", "  "])).map("".join)
+csv_rows = st.lists(padded_cells, min_size=1, max_size=4).map(",".join)
+csv_lines = st.lists(
+    st.one_of(csv_rows, csv_rows, csv_rows, csv_rows.map(lambda r: r + ","), st.sampled_from(["", "   "])), max_size=4
+)
+
+
+class TestCsvParsers:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from([None, "x0,x1", "a"]), lines=csv_lines, newline=st.sampled_from(["\n", "\r\n"]),
+           width=st.integers(1, 3), labels=st.booleans(), n_rows=st.integers(0, 6))
+    def test_fast_path_agrees_with_row_parser(self, tmp_path, header, lines, newline, width, labels, n_rows):
+        """On any text, np.loadtxt and the row parser give bit-equal arrays or the same DataError."""
+        rng = np.random.default_rng(len(lines) + n_rows)
+        regular = [",".join(repr(float(v)) for v in rng.normal(size=width)) for _ in range(n_rows)]
+        if labels:
+            regular = [r + "," + str(rng.choice([-1, 1])) for r in regular]
+        text = newline.join(([header] if header else []) + regular + lines)
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        assert _load_outcome(path, False) == _load_outcome(path, True)
 
 
 class TestPUDatasetValidation:

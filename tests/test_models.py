@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ from pushift.errors import ConfigError, DataError
 from pushift.models import (
     GaussianBasisLinear,
     MLP,
+    expit,
     gaussian_basis_linear,
     load_model,
     mlp,
@@ -15,6 +19,27 @@ from pushift.models import (
 )
 
 from _helpers import finite_difference, relative_error
+
+
+class TestExpit:
+    def test_matches_scipy_to_rounding(self):
+        from scipy.special import expit as scipy_expit
+
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-750.0, 750.0, 100_001), rng.normal(scale=5.0, size=100_000)])
+        ours, ref = expit(x), scipy_expit(x)
+        np.testing.assert_array_equal(ours == 0, ref == 0)
+        np.testing.assert_allclose(ours, ref, rtol=1e-15, atol=0)
+
+    def test_overflow_is_a_silent_zero(self):
+        with np.errstate(all="raise"):
+            out = expit(np.array([-1e308, -np.inf, 0.0, np.inf]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 1.0])
+
+    def test_package_imports_no_scipy(self):
+        code = "import sys, pushift, pushift.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestGaussianBasisLinear:

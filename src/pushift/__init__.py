@@ -22,11 +22,8 @@ from .data import (
     case1_mixture,
     case2_mixture,
     load_csv,
-    pu_sample,
     save_csv,
-    split_dataset,
     synth_case1,
-    synth_case2,
     synth_gaussian_pair,
 )
 from .divergence import (
@@ -35,7 +32,6 @@ from .divergence import (
     ObjectiveValue,
     corrected_objective,
     empirical_objective,
-    objective_gradient,
     population_divergence,
 )
 from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged

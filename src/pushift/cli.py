@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,9 +28,9 @@ import numpy as np
 
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
 from .classifier import threshold_decisions
-from .data import SplitDataset, load_csv, load_pu_dataset, save_csv, synth_from_mixture
+from .data import SplitDataset, load_csv, load_pu_dataset, save_csv
 from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged
-from .experiments import CASE_DEFAULTS, adapt_threshold, decision_boundary_1d, fit_drpu
+from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
 from .models import GaussianBasisLinear, load_model, save_model
@@ -85,9 +86,10 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _write_json(path, doc: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises before the file is opened."""
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path) -> dict:
@@ -135,13 +137,10 @@ def cmd_synth(args) -> int:
     _validate_prior("test_prior", test_prior)
     cfg["train_prior"], cfg["test_prior"] = train_prior, test_prior
     seed = int(cfg["seed"])
-    mix = defaults["mixture"]()
-
-    ss = np.random.SeedSequence(seed)
-    s_tr, s_va, s_te = ss.spawn(3)
-    tr = synth_from_mixture(mix, int(cfg["n_train_pos"]), int(cfg["n_train_unl"]), train_prior, s_tr)
-    va = synth_from_mixture(mix, int(cfg["n_val_pos"]), int(cfg["n_val_unl"]), train_prior, s_va)
-    te = synth_from_mixture(mix, 1, int(cfg["n_test"]), test_prior, s_te)
+    n_train = (int(cfg["n_train_pos"]), int(cfg["n_train_unl"]))
+    n_val = (int(cfg["n_val_pos"]), int(cfg["n_val_unl"]))
+    split, te = case_data(case, seed, n_train, n_val, int(cfg["n_test"]), train_prior, test_prior)
+    tr, va = split.train, split.val
 
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -231,6 +230,7 @@ def cmd_train(args) -> int:
         l2_reg=float(cfg["l2_reg"]),
         seed=seed,
     )
+    max_centers = None if cfg["max_centers"] is None else int(cfg["max_centers"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     chash = _config_hash(cfg)
@@ -243,7 +243,7 @@ def cmd_train(args) -> int:
             tcfg,
             gen=gen,
             gamma=float(cfg["gamma"]),
-            max_centers=None if cfg["max_centers"] is None else int(cfg["max_centers"]),
+            max_centers=max_centers,
             bandwidth=float(cfg["bandwidth"]),
         )
         save_model(fit.model, os.path.join(out, "model.json"))
@@ -264,7 +264,8 @@ def cmd_train(args) -> int:
         loss = {"sigmoid": sigmoid_loss, "logistic": logistic_loss}.get(str(cfg["loss"]).lower())
         if loss is None:
             raise ConfigError(f"loss must be sigmoid or logistic, got {cfg['loss']!r}")
-        model = GaussianBasisLinear(split.train.unlabeled, bandwidth=float(cfg["bandwidth"]), clamp=False)
+        centers = kernel_centers(split, seed, max_centers)
+        model = GaussianBasisLinear(centers, bandwidth=float(cfg["bandwidth"]), clamp=False)
         model, trep = train_baseline(method, loss(), prior, model, split, tcfg)
         save_model(model, os.path.join(out, "model.json"))
         report["prior"] = prior
@@ -335,9 +336,8 @@ def cmd_adapt(args) -> int:
         "gamma": args.gamma if args.gamma is not None else intervals.gamma,
         "gamma_bar": adapted.pi_prime.gamma_bar,
         "n_test": int(X.shape[0]),
-        "seed": report.get("seed") if report else None,
-        "config_hash": report.get("config_hash") if report else None,
         "inputs": {"model": args.model, "intervals": args.intervals, "test": args.test},
+        **_run_identity(report or {}, args.report),
     }
     _write_json(args.out, doc)
     print(
@@ -347,18 +347,33 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
+def _number(value, what, lo=-math.inf, hi=math.inf) -> float:
+    """``value`` as a float if it is a finite JSON number in [lo, hi]; else a ``DataError`` naming ``what``."""
+    try:
+        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise DataError(f"{what} must be a finite number in [{lo:g}, {hi:g}], got {value!r}")
+    return x
+
+
 def _estimate_value(doc, key, path) -> float:
     """The ``value`` of the prior estimate document ``doc[key]``, a number in [0, 1]."""
     est = doc[key]
     if not isinstance(est, dict) or "value" not in est:
         raise DataError(f"{path}: {key} must be a JSON object with a value field")
-    try:
-        value = float(est["value"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {key} value is not a number: {exc}") from exc
-    if not (0.0 <= value <= 1.0):
-        raise DataError(f"{path}: {key} value must lie in [0, 1], got {value}")
-    return value
+    return _number(est["value"], f"{path}: {key} value", 0.0, 1.0)
+
+
+def _run_identity(doc, path) -> dict:
+    """The ``seed`` (an integer) and ``config_hash`` (a string) that ``doc`` passes on; either may be null."""
+    seed, chash = doc.get("seed"), doc.get("config_hash")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise DataError(f"{path}: seed must be an integer or null, got {seed!r}")
+    if chash is not None and not isinstance(chash, str):
+        raise DataError(f"{path}: config_hash must be a string or null, got {chash!r}")
+    return {"seed": seed, "config_hash": chash}
 
 
 def _load_adapted(path):
@@ -366,13 +381,7 @@ def _load_adapted(path):
     doc = _load_json(path)
     if not isinstance(doc, dict) or "theta" not in doc:
         raise DataError(f"{path} must be a JSON object with a theta field")
-    try:
-        theta = float(doc["theta"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: theta is not a number: {exc}") from exc
-    if not np.isfinite(theta):
-        raise DataError(f"{path}: theta must be finite, got {theta}")
-    return doc, theta
+    return doc, _number(doc["theta"], f"{path}: theta")
 
 
 def cmd_evaluate(args) -> int:
@@ -404,13 +413,12 @@ def cmd_evaluate(args) -> int:
         "inputs": {"model": args.model, "test": args.test, "adapted": args.adapted},
     }
     if adapted:
-        doc["pi_hat"] = adapted.get("pi_hat")
-        doc["pi_prime"] = (
-            _estimate_value(adapted, "pi_prime", args.adapted) if "pi_prime" in adapted else None
-        )
-        doc["c0"] = adapted.get("c0")
-        doc["seed"] = adapted.get("seed")
-        doc["config_hash"] = adapted.get("config_hash")
+        path = args.adapted
+        pi_hat, c0 = adapted.get("pi_hat"), adapted.get("c0")
+        doc["pi_hat"] = None if pi_hat is None else _number(pi_hat, f"{path}: pi_hat", 0.0, 1.0)
+        doc["pi_prime"] = _estimate_value(adapted, "pi_prime", path) if "pi_prime" in adapted else None
+        doc["c0"] = None if c0 is None else _number(c0, f"{path}: c0")
+        doc.update(_run_identity(adapted, path))
     if X.shape[1] == 1:
         boundary = decision_boundary_1d(model.predict, theta)
         doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing

@@ -1,7 +1,10 @@
-"""Synthetic data generation, PU sampling, splitting, and CSV ingestion.
+"""Synthetic PU data and CSV ingestion.
 
-All randomness flows through seeded Philox generators (counter based), so
-every dataset is bit-reproducible across platforms.  Hidden labels on the
+The synthetic sets are the two univariate Gaussian-mixture cases and a
+``dim``-dimensional Gaussian pair; each draws positives from the positive
+class and unlabeled points from the prior-weighted marginal.  All
+randomness flows through seeded Philox generators (counter based), so every
+dataset is bit-reproducible across platforms.  Hidden labels on the
 unlabeled side exist purely for evaluation; nothing on the training path
 reads them, and the CSV writers never emit them alongside training inputs.
 """
@@ -25,10 +28,7 @@ __all__ = [
     "case2_mixture",
     "synth_from_mixture",
     "synth_case1",
-    "synth_case2",
     "synth_gaussian_pair",
-    "pu_sample",
-    "split_dataset",
     "save_csv",
     "load_csv",
     "load_pu_dataset",
@@ -78,28 +78,6 @@ class PUDataset:
 class SplitDataset:
     train: PUDataset
     val: PUDataset
-
-
-def split_dataset(ds: PUDataset, val_fraction: float = 0.2, seed: int = 0) -> SplitDataset:
-    """Split positives and unlabeled independently into train/validation."""
-    if not (0.0 < val_fraction < 1.0):
-        raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    rng = philox_rng(seed)
-
-    def _split(n):
-        n_val = max(1, int(round(n * val_fraction)))
-        if n_val >= n:
-            raise DataError(f"cannot split {n} points with val_fraction={val_fraction}")
-        order = rng.permutation(n)
-        return order[n_val:], order[:n_val]
-
-    p_tr, p_va = _split(ds.n_pos)
-    u_tr, u_va = _split(ds.n_unl)
-    hl = ds.hidden_labels
-    return SplitDataset(
-        train=PUDataset(ds.positives[p_tr], ds.unlabeled[u_tr], None if hl is None else hl[u_tr]),
-        val=PUDataset(ds.positives[p_va], ds.unlabeled[u_va], None if hl is None else hl[u_va]),
-    )
 
 
 @dataclass
@@ -228,69 +206,22 @@ def synth_case1(n_pos, n_unl, prior: float = 0.4, seed: int = 0) -> PUDataset:
     return synth_from_mixture(case1_mixture(prior), n_pos, n_unl, prior, seed)
 
 
-def synth_case2(n_pos, n_unl, prior: float = 0.6, seed: int = 0) -> PUDataset:
-    return synth_from_mixture(case2_mixture(prior), n_pos, n_unl, prior, seed)
+def synth_gaussian_pair(dim: int, n_pos: int, n_unl: int, prior: float, seed) -> PUDataset:
+    """Spherical unit-variance Gaussian pair in ``dim`` dimensions.
 
-
-def synth_gaussian_pair(
-    dim: int,
-    n_pos: int,
-    n_unl: int,
-    prior: float,
-    seed,
-    separation: float = 2.0,
-) -> PUDataset:
-    """Spherical Gaussian pair in ``dim`` dimensions, means +-m.
-
-    The class means sit at +-(separation/2) * (1,...,1)/sqrt(dim), so the
-    between-class distance is ``separation`` regardless of dimension.
+    The class means sit at +-(1,...,1)/sqrt(dim), so the between-class
+    distance is 2 regardless of dimension.
     """
     if n_pos <= 0 or n_unl <= 0:
         raise ConfigError(f"sample counts must be positive, got n_pos={n_pos}, n_unl={n_unl}")
     if not (0.0 < prior < 1.0):
         raise ConfigError(f"prior must be in (0, 1), got {prior}")
     rng = philox_rng(seed)
-    mean = (separation / 2.0) * np.ones(dim) / np.sqrt(dim)
+    mean = np.ones(dim) / np.sqrt(dim)
     pos = rng.normal(size=(n_pos, dim)) + mean
     labels = np.where(rng.random(n_unl) < prior, 1, -1)
     unl = rng.normal(size=(n_unl, dim)) + np.where(labels[:, None] == 1, mean, -mean)
     return PUDataset(pos, unl, labels)
-
-
-def pu_sample(pool_X, pool_y, n_pos, n_unl, unlabeled_prior, seed: int = 0, disjoint: bool = False) -> PUDataset:
-    """Assemble a PU dataset from a labeled pool.
-
-    Positives come from the positive class; the unlabeled set mixes both
-    classes with expected positive fraction ``unlabeled_prior``.  Hidden
-    labels are kept for evaluation.  With ``disjoint=True`` the labeled
-    positives are removed from the pool before the unlabeled draw.
-    """
-    pool_X = np.atleast_2d(np.asarray(pool_X, dtype=float))
-    pool_y = np.asarray(pool_y, dtype=int)
-    if pool_y.shape != (pool_X.shape[0],):
-        raise DataError("pool labels must align with pool rows")
-    if not (0.0 <= unlabeled_prior <= 1.0):
-        raise ConfigError(f"unlabeled_prior must be in [0, 1], got {unlabeled_prior}")
-    rng = philox_rng(seed)
-
-    pos_all = np.flatnonzero(pool_y == 1)
-    neg_all = np.flatnonzero(pool_y == -1)
-    if len(pos_all) < n_pos:
-        raise DataError(f"pool has {len(pos_all)} positives, need {n_pos}")
-    pos_idx = rng.choice(pos_all, size=n_pos, replace=False)
-
-    pos_left = np.setdiff1d(pos_all, pos_idx) if disjoint else pos_all
-    labels = np.where(rng.random(n_unl) < unlabeled_prior, 1, -1)
-    need_pos, need_neg = int(np.sum(labels == 1)), int(np.sum(labels == -1))
-    if len(pos_left) < need_pos or len(neg_all) < need_neg:
-        raise DataError(
-            f"pool too small for unlabeled draw (have {len(pos_left)} pos / "
-            f"{len(neg_all)} neg, need {need_pos} / {need_neg})"
-        )
-    unl_idx = np.empty(n_unl, dtype=int)
-    unl_idx[labels == 1] = rng.choice(pos_left, size=need_pos, replace=False)
-    unl_idx[labels == -1] = rng.choice(neg_all, size=need_neg, replace=False)
-    return PUDataset(pool_X[pos_idx], pool_X[unl_idx], labels)
 
 
 def save_csv(path, X, labels=None, header: bool = False) -> None:
@@ -302,11 +233,11 @@ def save_csv(path, X, labels=None, header: bool = False) -> None:
             if labels is not None:
                 cols.append("label")
             fh.write(",".join(cols) + "\n")
-        for i in range(X.shape[0]):
-            row = [repr(float(v)) for v in X[i]]
+        for i in range(0, X.shape[0], 4096):  # format 4096 rows at a time, so memory stays bounded
+            rows = [",".join(map(repr, row)) for row in X[i : i + 4096].tolist()]
             if labels is not None:
-                row.append(str(int(labels[i])))
-            fh.write(",".join(row) + "\n")
+                rows = [f"{row},{int(y)}" for row, y in zip(rows, labels[i : i + 4096])]
+            fh.writelines(row + "\n" for row in rows)
 
 
 def load_csv(path, labeled: Optional[bool] = None):

@@ -12,9 +12,10 @@ adds the constant back, so the two are directly comparable:
 ``corrected - plain = max(0, bracket) - bracket``, hence corrected >= plain
 with equality exactly when the bracket is nonnegative.
 
-The gradient helper applies the per-batch branch rule used by the trainer:
-descend on the plain objective while the bracket is nonnegative, otherwise
-descend on the negated bracket to push it back above zero.
+``branch_weights`` turns the per-batch branch rule of the trainer into
+per-point chain-rule weights: descend on the plain objective while the
+bracket is nonnegative, otherwise descend on the negated bracket to push it
+back above zero.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "DiscreteDistributionPair",
     "empirical_objective",
     "corrected_objective",
-    "objective_gradient",
     "population_divergence",
 ]
 
@@ -105,23 +105,6 @@ def branch_weights(gen: BregmanGenerator, alpha: float, r_pos, r_unl):
         w_unl = -ru * gen.f_prime2(ru) / n_u
         branch = Branch.CORRECTED
     return w_pos, w_unl, branch
-
-
-def objective_gradient(gen: BregmanGenerator, alpha: float, model, batch_pos, batch_unl):
-    """Parameter gradient of the corrected objective on one mini-batch.
-
-    Returns ``(grad, branch)``.  On the normal branch this is the gradient of
-    the plain objective; on the corrected branch it is the gradient of the
-    negated bracket, the defensive direction that restores nonnegativity.
-    """
-    xp = np.atleast_2d(np.asarray(batch_pos, dtype=float))
-    xu = np.atleast_2d(np.asarray(batch_unl, dtype=float))
-    if xp.shape[0] == 0 or xu.shape[0] == 0:
-        raise ValueError("batches must be nonempty")
-    r_pos, back_pos = model.forward(model.encode(xp))
-    r_unl, back_unl = model.forward(model.encode(xu))
-    w_pos, w_unl, branch = branch_weights(gen, alpha, r_pos, r_unl)
-    return back_pos(w_pos) + back_unl(w_unl), branch
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .data import (
     SplitDataset,
     case1_mixture,
     case2_mixture,
+    philox_rng,
     synth_from_mixture,
     synth_gaussian_pair,
 )
@@ -39,6 +40,8 @@ from .trainer import TrainConfig, TrainReport, train
 __all__ = [
     "DrpuFit",
     "AdaptResult",
+    "case_data",
+    "kernel_centers",
     "fit_drpu",
     "adapt_threshold",
     "decision_boundary_1d",
@@ -69,13 +72,36 @@ class AdaptResult:
     theta: float
     cost: float
 
-    def to_dict(self) -> dict:
-        return {
-            "pi_prime": self.pi_prime.to_dict(),
-            "c0": self.c0,
-            "theta": self.theta,
-            "cost": self.cost,
-        }
+
+def case_data(case: int, seed: int, n_train, n_val, n_test: int, train_prior: float, test_prior: float):
+    """Train and validation splits and a test draw of one univariate case.
+
+    ``SeedSequence(seed)`` spawns one stream each for the train, validation
+    and test draws, so a case seed always maps to the same three draws.
+    ``n_train`` and ``n_val`` are (positive, unlabeled) counts; the test draw
+    is ``n_test`` unlabeled points with hidden labels.  Returns
+    ``(split, test)``.
+    """
+    mixture = CASE_DEFAULTS[case]["mixture"]()
+    s_train, s_val, s_test = np.random.SeedSequence(seed).spawn(3)
+    split = SplitDataset(
+        train=synth_from_mixture(mixture, n_train[0], n_train[1], train_prior, s_train),
+        val=synth_from_mixture(mixture, n_val[0], n_val[1], train_prior, s_val),
+    )
+    return split, synth_from_mixture(mixture, 1, n_test, test_prior, s_test)
+
+
+def kernel_centers(split: SplitDataset, seed: int, max_centers: Optional[int] = None) -> np.ndarray:
+    """Gaussian-basis centers: the unlabeled training points.
+
+    Beyond ``max_centers`` points, ``max_centers`` of them are drawn without
+    replacement by ``philox_rng(seed)``, so the ratio model and a baseline
+    trained with the same seed share their centers.
+    """
+    centers = split.train.unlabeled
+    if max_centers is not None and centers.shape[0] > max_centers:
+        centers = centers[philox_rng(seed).choice(centers.shape[0], size=max_centers, replace=False)]
+    return centers
 
 
 def fit_drpu(
@@ -92,9 +118,9 @@ def fit_drpu(
     The validation split drives both model selection and the prior sweep;
     the interval summary is built from the same validation positive scores,
     so a later test-time sweep sees exactly the quantities used here.
-    Defaults to a Gaussian basis model centered on the unlabeled training
-    points when no model is supplied; ``max_centers`` subsamples the centers
-    for large unlabeled pools.
+    Defaults to a Gaussian basis model on ``kernel_centers`` when no model is
+    supplied; ``max_centers`` subsamples the centers for large unlabeled
+    pools.
     """
     # gamma_bar depends only on the validation sizes: fail before training
     # when no threshold can be admissible, not after it.
@@ -103,11 +129,7 @@ def fit_drpu(
         raise DegeneratePriorError(gbar, split.val.n_pos, split.val.n_unl)
     gen = gen or lsif_generator()
     if model is None:
-        centers = split.train.unlabeled
-        if max_centers is not None and centers.shape[0] > max_centers:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-            centers = centers[rng.choice(centers.shape[0], size=max_centers, replace=False)]
-        model = gaussian_basis_linear(centers, bandwidth=bandwidth)
+        model = gaussian_basis_linear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)
     model, report = train(model, split, gen, cfg)
     intervals = build_intervals(model.predict(split.val.positives), gamma=gamma)
     pi_hat = estimate_test_prior(intervals, model.predict(split.val.unlabeled))
@@ -165,9 +187,7 @@ def gaussian_case_experiment(
     n_train=(200, 1000),
     n_val=(100, 500),
     n_test: int = 1000,
-    cost: float = 0.5,
     gamma: float = 0.9,
-    alpha: float = 0.0,
     cfg: Optional[TrainConfig] = None,
     with_upu: bool = True,
     max_centers: Optional[int] = None,
@@ -175,25 +195,16 @@ def gaussian_case_experiment(
 ) -> dict:
     """One full run of a synthetic scenario, including the uPU comparison.
 
-    The uPU baseline receives this package's own prior estimate (it has no
-    prior-free training path), which the output records as
+    The threshold is placed at cost 0.5.  The uPU baseline shares the ratio
+    model's centers and receives this package's own prior estimate (it has
+    no prior-free training path), which the output records as
     ``upu_prior_source``.
     """
-    defaults = CASE_DEFAULTS[case]
-    mixture = defaults["mixture"]()
-    train_prior, test_prior = defaults["train_prior"], defaults["test_prior"]
-
-    ss = np.random.SeedSequence(seed)
-    s_train, s_val, s_test = ss.spawn(3)
-    split = SplitDataset(
-        train=synth_from_mixture(mixture, n_train[0], n_train[1], train_prior, s_train),
-        val=synth_from_mixture(mixture, n_val[0], n_val[1], train_prior, s_val),
-    )
-    test = synth_from_mixture(mixture, 1, n_test, test_prior, s_test)
-
-    cfg = cfg or TrainConfig(alpha=alpha, seed=seed)
+    train_prior, test_prior = CASE_DEFAULTS[case]["train_prior"], CASE_DEFAULTS[case]["test_prior"]
+    split, test = case_data(case, seed, n_train, n_val, n_test, train_prior, test_prior)
+    cfg = cfg or TrainConfig(seed=seed)
     fit = fit_drpu(split, cfg, gamma=gamma, max_centers=max_centers, bandwidth=bandwidth)
-    adapted = adapt_threshold(fit.model, fit.intervals, test.unlabeled, fit.pi_hat.value, cost=cost)
+    adapted = adapt_threshold(fit.model, fit.intervals, test.unlabeled, fit.pi_hat.value)
 
     boundary_drpu = decision_boundary_1d(fit.model.predict, adapted.theta)
     r_test = fit.model.predict(test.unlabeled)
@@ -217,57 +228,45 @@ def gaussian_case_experiment(
     }
 
     if with_upu:
-        upu_model = GaussianBasisLinear(split.train.unlabeled, bandwidth=bandwidth, clamp=False)
+        upu_model = GaussianBasisLinear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth, clamp=False)
         upu_model, _ = train_baseline("upu", logistic_loss(), fit.pi_hat.value, upu_model, split, cfg)
         out["boundary_upu"] = decision_boundary_1d(upu_model.predict, 0.0)
         out["upu_prior_source"] = "pushift.prior.estimate_prior"
     return out
 
 
-def shift_robustness_experiment(
-    seed: int = 0,
-    dim: int = 10,
-    train_prior: float = 0.4,
-    test_priors=(0.2, 0.4, 0.6, 0.8),
-    n_train=(500, 2500),
-    n_val=(300, 1500),
-    n_test: int = 3000,
-    hidden=(32, 32),
-    alpha: float = 0.35,
-    gamma: float = 0.9,
-    prior_error: float = 0.15,
-    epochs: int = 60,
-    batch_size: int = 250,
-    learning_rate: float = 2e-3,
-) -> dict:
+def shift_robustness_experiment(seed: int = 0) -> dict:
     """Accuracy under class-prior shift: adapted ratio model vs fixed baselines.
 
-    Trains one ratio MLP, then adapts its threshold per test prior using
-    only that prior's unlabeled sample.  Two nnPU references train once and
-    never adapt: one with the true training prior, one with an injected
-    prior error.  Returns per-prior and averaged accuracies.
+    The data are the 10-dimensional Gaussian pair at training prior 0.4:
+    500/2500 train and 300/1500 validation points, and 3000 test points at
+    each test prior 0.2, 0.4, 0.6 and 0.8.  One 10-32-32-1 ratio MLP trains
+    with alpha 0.35 for 60 epochs (batch 250, Adam at 2e-3, gamma 0.9), then
+    adapts its threshold per test prior using only that prior's unlabeled
+    sample.  Two nnPU references train once and never adapt: one with the
+    true training prior, one with a prior 0.15 too high.  Returns per-prior
+    and averaged accuracies.
     """
+    dim, train_prior, test_priors, prior_error = 10, 0.4, (0.2, 0.4, 0.6, 0.8), 0.15
     ss = np.random.SeedSequence((seed, 9001))
     s_tr, s_va, *s_tests = ss.spawn(2 + len(test_priors))
     split = SplitDataset(
-        train=synth_gaussian_pair(dim, n_train[0], n_train[1], train_prior, s_tr),
-        val=synth_gaussian_pair(dim, n_val[0], n_val[1], train_prior, s_va),
+        train=synth_gaussian_pair(dim, 500, 2500, train_prior, s_tr),
+        val=synth_gaussian_pair(dim, 300, 1500, train_prior, s_va),
     )
-    tests = [synth_gaussian_pair(dim, 1, n_test, p, s) for p, s in zip(test_priors, s_tests)]
+    tests = [synth_gaussian_pair(dim, 1, 3000, p, s) for p, s in zip(test_priors, s_tests)]
 
     cfg = TrainConfig(
-        alpha=alpha,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
+        alpha=0.35,
+        epochs=60,
+        batch_size=250,
+        learning_rate=2e-3,
         adam_beta1=0.9,
-        adam_beta2=0.999,
         l2_reg=1e-4,
         seed=seed,
     )
-    layers = [dim, *hidden, 1]
-    ratio_model = mlp(layers, seed=seed, output="softplus")
-    fit = fit_drpu(split, cfg, gamma=gamma, model=ratio_model)
+    layers = [dim, 32, 32, 1]
+    fit = fit_drpu(split, cfg, gamma=0.9, model=mlp(layers, seed=seed, output="softplus"))
 
     references = {}
     for name, prior in (("nnpu_true", train_prior), ("nnpu_misestimated", train_prior + prior_error)):

@@ -17,7 +17,6 @@ from .generators import BregmanGenerator
 __all__ = [
     "auc",
     "ties_present",
-    "auc_brute_force",
     "population_auc_risk",
     "auc_excess_bound_check",
     "error_rate",
@@ -57,14 +56,6 @@ def ties_present(scores_pos, scores_neg) -> bool:
     sp = np.unique(np.asarray(scores_pos, dtype=float))
     sn = np.unique(np.asarray(scores_neg, dtype=float))
     return bool(np.intersect1d(sp, sn).size)
-
-
-def auc_brute_force(scores_pos, scores_neg) -> float:
-    """Quadratic pairwise enumeration; the oracle for the rank-sum path."""
-    sp = np.asarray(scores_pos, dtype=float).reshape(-1)
-    sn = np.asarray(scores_neg, dtype=float).reshape(-1)
-    wins = (sp[:, None] > sn[None, :]).sum() + 0.5 * (sp[:, None] == sn[None, :]).sum()
-    return float(wins / (sp.size * sn.size))
 
 
 def population_auc_risk(dist: DiscreteDistributionPair, score_values) -> float:

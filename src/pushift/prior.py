@@ -70,7 +70,8 @@ class PriorEstimate:
         return {
             "value": self.value,
             "raw_value": self.raw_value,
-            "argmin_threshold": self.argmin_threshold,
+            # null: the -inf sentinel won the sweep, so every point is accepted
+            "argmin_threshold": self.argmin_threshold if math.isfinite(self.argmin_threshold) else None,
             "gamma_bar": self.gamma_bar,
             "n_pos_used": self.n_pos_used,
             "n_unl_used": self.n_unl_used,

@@ -1,6 +1,10 @@
-"""Shared oracles for the test suite: finite differences and brute-force sweeps."""
+"""Shared oracles for the test suite: finite differences, brute-force sweeps,
+the pairwise AUC and the mini-batch gradient of the corrected objective."""
 
 import numpy as np
+
+from pushift.divergence import branch_weights
+from pushift.generators import BregmanGenerator
 
 
 def finite_difference(fun, theta, h=1e-5):
@@ -39,3 +43,28 @@ def brute_force_prior_sweep(r_pos, r_unl, gbar):
         if ratio < best:
             best, arg = ratio, theta
     return best, arg
+
+
+def auc_brute_force(scores_pos, scores_neg) -> float:
+    """Quadratic pairwise enumeration; the oracle for the rank-sum path."""
+    sp = np.asarray(scores_pos, dtype=float).reshape(-1)
+    sn = np.asarray(scores_neg, dtype=float).reshape(-1)
+    wins = (sp[:, None] > sn[None, :]).sum() + 0.5 * (sp[:, None] == sn[None, :]).sum()
+    return float(wins / (sp.size * sn.size))
+
+
+def objective_gradient(gen: BregmanGenerator, alpha: float, model, batch_pos, batch_unl):
+    """Parameter gradient of the corrected objective on one mini-batch.
+
+    Returns ``(grad, branch)``.  On the normal branch this is the gradient of
+    the plain objective; on the corrected branch it is the gradient of the
+    negated bracket, the defensive direction that restores nonnegativity.
+    """
+    xp = np.atleast_2d(np.asarray(batch_pos, dtype=float))
+    xu = np.atleast_2d(np.asarray(batch_unl, dtype=float))
+    if xp.shape[0] == 0 or xu.shape[0] == 0:
+        raise ValueError("batches must be nonempty")
+    r_pos, back_pos = model.forward(model.encode(xp))
+    r_unl, back_unl = model.forward(model.encode(xu))
+    w_pos, w_unl, branch = branch_weights(gen, alpha, r_pos, r_unl)
+    return back_pos(w_pos) + back_unl(w_unl), branch

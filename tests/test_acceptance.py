@@ -22,16 +22,16 @@ from pushift.data import (
     synth_case1,
     synth_from_mixture,
 )
-from pushift.divergence import Branch, corrected_objective, empirical_objective, objective_gradient
+from pushift.divergence import Branch, corrected_objective, empirical_objective
 from pushift.experiments import gaussian_case_experiment, shift_robustness_experiment
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
-from pushift.metrics import auc, auc_brute_force
+from pushift.metrics import auc
 from pushift.models import GaussianBasisLinear, gaussian_basis_linear, mlp
 from pushift.prior import build_intervals, estimate_prior, estimate_test_prior, gamma_bar
 from pushift.theory import run_all
 from pushift.trainer import TrainConfig, train
 
-from _helpers import brute_force_prior_sweep, finite_difference, relative_error
+from _helpers import auc_brute_force, brute_force_prior_sweep, finite_difference, objective_gradient, relative_error
 
 X_STAR_CASE1 = math.log(2.0 / 3.0) / 2.0  # shifted-optimal boundary, case 1
 X_STAR_CASE2 = math.log(2.0) / 2.0

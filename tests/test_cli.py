@@ -10,9 +10,14 @@ from pushift.cli import main
 from pushift.prior import build_intervals
 
 
+def refuse(token):
+    raise ValueError(f"not strict JSON: bare {token}")
+
+
 def read_json(path):
+    """Parse an output document, refusing the NaN and Infinity tokens that JSON does not have."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.loads(fh.read(), parse_constant=refuse)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +147,21 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--epochs", "2"]) == 0
         assert (tmp_path / "r" / "model.json").exists()
         assert (tmp_path / "r" / "intervals.json").exists()
+
+    def test_baseline_honours_max_centers(self, tmp_path):
+        """An nnPU model takes the 50 centers that DRPU picks for the same seed."""
+        data = tmp_path / "d"
+        assert main(["synth", "--case", "1", "--seed", "7", "--out", str(data)]) == 0
+        centers = {}
+        for method in ("drpu", "nnpu"):
+            out = tmp_path / method
+            assert main([
+                "train", "--data", str(data), "--out", str(out), "--seed", "7", "--method", method,
+                "--prior", "0.4", "--max-centers", "50", "--epochs", "2",
+            ]) == 0
+            centers[method] = read_json(out / "model.json")["centers"]
+        assert len(centers["nnpu"]) == 50
+        assert centers["nnpu"] == centers["drpu"]
 
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
@@ -393,6 +413,65 @@ class TestDataFaults:
             "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
         ])
         assert (code, metrics.exists()) == (3, False)
+
+
+    def run_adapt(self, dataset_dir, trained_run, report, out):
+        return main([
+            "adapt", "--model", str(trained_run / "model.json"),
+            "--intervals", str(trained_run / "intervals.json"),
+            "--test", str(dataset_dir / "test_unl.csv"), "--report", str(report), "--out", str(out),
+        ])
+
+    def test_constant_scores_write_strict_json(self, dataset_dir, tmp_path):
+        """Untrained, every score is 0 and the -inf sentinel wins the sweep: its threshold is null."""
+        run = tmp_path / "r0"
+        assert main([
+            "train", "--data", str(dataset_dir), "--out", str(run), "--seed", "5", "--gamma", "0.9", "--epochs", "0",
+        ]) == 0
+        assert read_json(run / "report.json")["pi_hat"]["argmin_threshold"] is None
+        adapted = tmp_path / "adapted.json"
+        assert self.run_adapt(dataset_dir, run, run / "report.json", adapted) == 0
+        assert read_json(adapted)["pi_prime"]["argmin_threshold"] is None
+
+    @pytest.mark.parametrize("field,value", [("seed", float("nan")), ("seed", "7"), ("config_hash", 5)])
+    def test_report_echoed_fields_checked(self, dataset_dir, trained_run, tmp_path, field, value):
+        doc = read_json(trained_run / "report.json")
+        doc[field] = value
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "adapted.json"
+        assert (self.run_adapt(dataset_dir, trained_run, report, out), out.exists()) == (3, False)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("pi_hat", float("nan")), ("pi_hat", 1.5), ("c0", float("inf")), ("seed", float("nan")), ("config_hash", 5)],
+    )
+    def test_adapted_echoed_fields_checked(self, dataset_dir, trained_run, tmp_path, field, value):
+        adapted = tmp_path / "adapted.json"
+        assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
+        doc = read_json(adapted)
+        doc[field] = value
+        adapted.write_text(json.dumps(doc))
+        metrics = tmp_path / "m.json"
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
+        ])
+        assert (code, metrics.exists()) == (3, False)
+
+    def test_string_pi_hat_writes_nothing(self, dataset_dir, trained_run, tmp_path):
+        """A string pi_hat is a data fault found before metrics.json or the CSV row is written."""
+        adapted = tmp_path / "adapted.json"
+        assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
+        doc = read_json(adapted)
+        doc["pi_hat"] = "abc"
+        adapted.write_text(json.dumps(doc))
+        metrics, rows = tmp_path / "m.json", tmp_path / "rows.csv"
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics), "--append-csv", str(rows),
+        ])
+        assert (code, metrics.exists(), rows.exists()) == (3, False, False)
 
 
 class TestEvaluate:

@@ -13,11 +13,9 @@ from pushift.data import (
     case1_mixture,
     case2_mixture,
     load_csv,
-    pu_sample,
     save_csv,
-    split_dataset,
     synth_case1,
-    synth_case2,
+    synth_from_mixture,
     synth_gaussian_pair,
 )
 from pushift.errors import ConfigError, DataError
@@ -64,9 +62,8 @@ class TestSyntheticGenerators:
     def test_marginals_pass_ks(self, case, mix_fn, prior):
         """Sampled positives and unlabeled match the analytic CDFs."""
         n = 10_000
-        synth = synth_case1 if case == 1 else synth_case2
-        ds = synth(n, n, prior, 42)
         mix = mix_fn(prior)
+        ds = synth_from_mixture(mix, n, n, prior, 42)
         crit = KS_CRITICAL_1PCT / np.sqrt(n)
         ks_pos = stats.kstest(ds.positives.ravel(), mixture_cdf(mix.components_pos)).statistic
         ks_unl = stats.kstest(ds.unlabeled.ravel(), marginal_cdf(mix)).statistic
@@ -106,53 +103,34 @@ class TestMixtureSpec:
         np.testing.assert_allclose(eta, direct, atol=1e-14)
 
 
-class TestPuSample:
-    def _pool(self, n=2000, seed=0):
-        rng = np.random.default_rng(seed)
-        y = np.where(rng.random(n) < 0.5, 1, -1)
-        X = rng.normal(size=(n, 3)) + y[:, None]
-        return X, y
-
-    def test_all_positive_unlabeled(self):
-        X, y = self._pool()
-        ds = pu_sample(X, y, 50, 100, unlabeled_prior=1.0, seed=1)
-        assert np.all(ds.hidden_labels == 1)
-
-    def test_realized_fraction_within_binomial_noise(self):
-        X, y = self._pool(6000)
-        ds = pu_sample(X, y, 100, 2000, unlabeled_prior=0.35, seed=2)
-        frac = np.mean(ds.hidden_labels == 1)
-        assert abs(frac - 0.35) < 3 * np.sqrt(0.35 * 0.65 / 2000)
-
-    def test_disjoint_option(self):
-        X, y = self._pool(400)
-        ds = pu_sample(X, y, 50, 100, unlabeled_prior=0.5, seed=3, disjoint=True)
-        pos_rows = {tuple(r) for r in ds.positives}
-        unl_rows = {tuple(r) for r in ds.unlabeled}
-        assert not pos_rows & unl_rows
-
-    def test_insufficient_pool(self):
-        X, y = self._pool(50)
-        with pytest.raises(DataError):
-            pu_sample(X, y, 100, 10, 0.5, seed=4)
-
-
-class TestSplitDataset:
-    def test_split_sizes_and_exclusivity(self):
-        ds = synth_case1(100, 400, 0.4, 0)
-        split = split_dataset(ds, val_fraction=0.25, seed=0)
-        assert split.val.n_pos == 25 and split.train.n_pos == 75
-        assert split.val.n_unl == 100 and split.train.n_unl == 300
-        all_pos = np.vstack([split.train.positives, split.val.positives])
-        assert np.array_equal(np.sort(all_pos.ravel()), np.sort(ds.positives.ravel()))
-
-    def test_hidden_labels_carried(self):
-        ds = synth_case1(50, 200, 0.4, 1)
-        split = split_dataset(ds, seed=1)
-        assert split.train.hidden_labels.shape == (split.train.n_unl,)
+def _row_loop_save_csv(path, X, labels=None, header=False):
+    """The former row-by-row ``save_csv``, kept as the byte oracle for the list-based writer."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    with open(path, "w") as fh:
+        if header:
+            cols = [f"x{j}" for j in range(X.shape[1])]
+            if labels is not None:
+                cols.append("label")
+            fh.write(",".join(cols) + "\n")
+        for i in range(X.shape[0]):
+            row = [repr(float(v)) for v in X[i]]
+            if labels is not None:
+                row.append(str(int(labels[i])))
+            fh.write(",".join(row) + "\n")
 
 
 class TestCsv:
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_writer_bytes_match_row_loop(self, tmp_path, header, labeled):
+        """Special values, a header and labels, over more rows than one 4096-row block."""
+        rng = np.random.default_rng(8)
+        X = np.vstack([[-0.0, 5e-324, 1e300], [1 / 3, -1e-300, 2.0], rng.normal(size=(9000, 3))])
+        labels = rng.choice([-1, 1], size=X.shape[0]) if labeled else None
+        save_csv(tmp_path / "new.csv", X, labels=labels, header=header)
+        _row_loop_save_csv(tmp_path / "old.csv", X, labels=labels, header=header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_labeled_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(3, 4))

@@ -7,14 +7,13 @@ from pushift.divergence import (
     branch_weights,
     corrected_objective,
     empirical_objective,
-    objective_gradient,
     population_divergence,
 )
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import gaussian_basis_linear
 from pushift.theory import random_distribution, random_ratio_values
 
-from _helpers import finite_difference, relative_error
+from _helpers import finite_difference, objective_gradient, relative_error
 
 LSIF = lsif_generator()
 

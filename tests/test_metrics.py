@@ -11,12 +11,13 @@ from pushift.metrics import (
     _average_ranks,
     accuracy,
     auc,
-    auc_brute_force,
     auc_excess_bound_check,
     error_rate,
     population_auc_risk,
 )
 from pushift.theory import random_distribution, random_ratio_values
+
+from _helpers import auc_brute_force
 
 LSIF = lsif_generator()
 

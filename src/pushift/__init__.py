@@ -8,13 +8,7 @@ summary of the training scores.
 """
 
 from .baselines import SurrogateLoss, logistic_loss, nnpu_risk, sigmoid_loss, train_baseline, upu_risk
-from .classifier import (
-    ShiftSpec,
-    cost_threshold,
-    excess_risk_bound_check,
-    squared_loss_decomposition,
-    threshold_decisions,
-)
+from .classifier import ShiftSpec, cost_threshold, threshold_decisions
 from .data import (
     GaussianMixtureSpec,
     PUDataset,
@@ -26,14 +20,7 @@ from .data import (
     synth_case1,
     synth_gaussian_pair,
 )
-from .divergence import (
-    Branch,
-    DiscreteDistributionPair,
-    ObjectiveValue,
-    corrected_objective,
-    empirical_objective,
-    population_divergence,
-)
+from .divergence import Branch, ObjectiveValue, corrected_objective, empirical_objective
 from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged
 from .experiments import (
     adapt_threshold,
@@ -46,11 +33,10 @@ from .generators import (
     BregmanGenerator,
     exp_generator,
     generator_by_name,
-    kl_generator,
     lsif_generator,
     scaled_quadratic_generator,
 )
-from .metrics import accuracy, auc, auc_excess_bound_check, error_rate, ties_present
+from .metrics import accuracy, auc, error_rate, ties_present
 from .models import MLP, GaussianBasisLinear, gaussian_basis_linear, load_model, mlp, save_model
 from .prior import (
     PriorEstimate,
@@ -61,7 +47,13 @@ from .prior import (
     estimate_test_prior,
     gamma_bar,
 )
+from .theory import (
+    DiscreteDistributionPair,
+    auc_excess_bound_check,
+    excess_risk_bound_check,
+    population_divergence,
+    squared_loss_decomposition,
+)
 from .trainer import AdamState, TrainConfig, TrainReport, adam_step, train
-from . import theory
 
 __version__ = "0.1.0"

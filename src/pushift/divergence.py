@@ -1,4 +1,4 @@
-"""Empirical and population Bregman-divergence objectives over PU data.
+"""Empirical Bregman-divergence objectives over PU data.
 
 The plain empirical objective drops the model-free constant; the corrected
 objective clips the part whose population value is provably nonnegative and
@@ -30,10 +30,8 @@ from .generators import BregmanGenerator
 __all__ = [
     "Branch",
     "ObjectiveValue",
-    "DiscreteDistributionPair",
     "empirical_objective",
     "corrected_objective",
-    "population_divergence",
 ]
 
 
@@ -105,69 +103,3 @@ def branch_weights(gen: BregmanGenerator, alpha: float, r_pos, r_unl):
         w_unl = -ru * gen.f_prime2(ru) / n_u
         branch = Branch.CORRECTED
     return w_pos, w_unl, branch
-
-
-@dataclass(frozen=True)
-class DiscreteDistributionPair:
-    """Finite-support class-conditional pair with a mixing prior.
-
-    The marginal is prior * p_plus + (1 - prior) * p_minus.  Used as an
-    exactly computable stand-in for the population quantities in the
-    numerical bound and identity checks.
-    """
-
-    support: np.ndarray
-    p_plus_mass: np.ndarray
-    p_minus_mass: np.ndarray
-    prior: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
-        object.__setattr__(self, "p_plus_mass", np.asarray(self.p_plus_mass, dtype=float))
-        object.__setattr__(self, "p_minus_mass", np.asarray(self.p_minus_mass, dtype=float))
-        m = self.support.shape[0]
-        if self.p_plus_mass.shape != (m,) or self.p_minus_mass.shape != (m,):
-            raise ValueError("mass vectors must align with the support")
-        for name, mass in (("p_plus_mass", self.p_plus_mass), ("p_minus_mass", self.p_minus_mass)):
-            if np.any(mass < 0):
-                raise ValueError(f"{name} has negative entries")
-            if abs(mass.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} sums to {mass.sum()}, not 1")
-        if not (0.0 < self.prior < 1.0):
-            raise ValueError(f"prior must be in (0, 1), got {self.prior}")
-
-    @property
-    def marginal_mass(self) -> np.ndarray:
-        return self.prior * self.p_plus_mass + (1.0 - self.prior) * self.p_minus_mass
-
-    @property
-    def true_ratio(self) -> np.ndarray:
-        """p_plus / marginal on each support point carrying mass."""
-        p = self.marginal_mass
-        out = np.zeros_like(p)
-        np.divide(self.p_plus_mass, p, out=out, where=p > 0)
-        return out
-
-    @property
-    def posterior(self) -> np.ndarray:
-        """Probability of the positive class on each support point."""
-        return self.prior * self.true_ratio
-
-
-def population_divergence(gen: BregmanGenerator, dist: DiscreteDistributionPair, r_values) -> float:
-    """Exact Bregman divergence from the true ratio to ``r_values``.
-
-    Weighted sum over the discrete support of
-    f(r*) - f(r) - f'(r) * (r* - r) against the marginal mass.
-    """
-    r = np.asarray(r_values, dtype=float)
-    if r.shape != dist.support.shape[:1]:
-        raise ValueError(
-            f"r_values has length {r.shape}, support has {dist.support.shape[0]} points"
-        )
-    if np.any(r < 0):
-        raise ValueError("r_values contains negative entries")
-    p = dist.marginal_mass
-    r_star = dist.true_ratio
-    integrand = gen.f(r_star) - gen.f(r) - gen.f_prime(r) * (r_star - r)
-    return float(np.sum(p * integrand))

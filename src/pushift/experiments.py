@@ -30,7 +30,7 @@ from .data import (
     synth_from_mixture,
     synth_gaussian_pair,
 )
-from .errors import DegeneratePriorError
+from .errors import ConfigError, DegeneratePriorError
 from .generators import lsif_generator
 from .metrics import auc
 from .models import GaussianBasisLinear, gaussian_basis_linear, mlp
@@ -98,6 +98,8 @@ def kernel_centers(split: SplitDataset, seed: int, max_centers: Optional[int] = 
     replacement by ``philox_rng(seed)``, so the ratio model and a baseline
     trained with the same seed share their centers.
     """
+    if max_centers is not None and max_centers < 1:
+        raise ConfigError(f"max_centers must be a positive integer, got {max_centers}")
     centers = split.train.unlabeled
     if max_centers is not None and centers.shape[0] > max_centers:
         centers = centers[philox_rng(seed).choice(centers.shape[0], size=max_centers, replace=False)]

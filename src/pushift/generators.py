@@ -13,7 +13,7 @@ immutable value objects; all callables accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "lsif_generator",
     "scaled_quadratic_generator",
     "exp_generator",
-    "kl_generator",
     "generator_by_name",
 ]
 
@@ -53,15 +52,7 @@ class BregmanGenerator:
 
 def lsif_generator() -> BregmanGenerator:
     """Quadratic generator f(t) = t^2 / 2 (least-squares importance fitting)."""
-    return BregmanGenerator(
-        name="lsif",
-        f=lambda t: 0.5 * np.square(t),
-        f_prime=lambda t: np.asarray(t, dtype=float) + 0.0,
-        f_prime2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        f_conj=lambda t: 0.5 * np.square(t),
-        f_conj_at_zero=0.0,
-        mu=1.0,
-    )
+    return replace(scaled_quadratic_generator(1.0), name="lsif")
 
 
 def scaled_quadratic_generator(mu: float) -> BregmanGenerator:
@@ -94,34 +85,6 @@ def exp_generator() -> BregmanGenerator:
         f_conj=lambda t: (np.asarray(t, dtype=float) - 1.0) * np.exp(t),
         f_conj_at_zero=-1.0,
         mu=1.0,
-    )
-
-
-def kl_generator(allow_weak_convexity: bool = False) -> BregmanGenerator:
-    """Generator f(t) = t log t - t (Kullback-Leibler importance fitting).
-
-    Not strongly convex on [0, inf): f''(t) = 1/t has infimum 0, so none of
-    the classification or ranking bounds apply.  Only available for raw
-    divergence evaluation behind an explicit opt-in flag.
-    """
-    if not allow_weak_convexity:
-        raise ConfigError(
-            "kl generator is not strongly convex; pass allow_weak_convexity=True "
-            "to use it for divergence evaluation only"
-        )
-
-    def _f(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0, t * np.log(np.where(t > 0, t, 1.0)) - t, 0.0)
-
-    return BregmanGenerator(
-        name="kl",
-        f=_f,
-        f_prime=lambda t: np.log(np.asarray(t, dtype=float)),
-        f_prime2=lambda t: 1.0 / np.asarray(t, dtype=float),
-        f_conj=lambda t: np.asarray(t, dtype=float) + 0.0,
-        f_conj_at_zero=0.0,
-        mu=0.0,
     )
 
 

@@ -1,5 +1,4 @@
-"""Evaluation metrics: empirical AUC, error rates, and the exact
-population AUC machinery behind the ranking-bound check.
+"""Evaluation metrics: empirical AUC and error rates.
 
 Empirical AUC uses the rank-sum formulation with ties counted 1/2, the
 unbiased treatment of the pairwise definition.  ``ties_present`` lets
@@ -10,18 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergence import DiscreteDistributionPair, population_divergence
-from .errors import ConfigError
-from .generators import BregmanGenerator
-
-__all__ = [
-    "auc",
-    "ties_present",
-    "population_auc_risk",
-    "auc_excess_bound_check",
-    "error_rate",
-    "accuracy",
-]
+__all__ = ["auc", "ties_present", "error_rate", "accuracy"]
 
 
 def auc(scores_pos, scores_neg) -> float:
@@ -56,38 +44,6 @@ def ties_present(scores_pos, scores_neg) -> bool:
     sp = np.unique(np.asarray(scores_pos, dtype=float))
     sn = np.unique(np.asarray(scores_neg, dtype=float))
     return bool(np.intersect1d(sp, sn).size)
-
-
-def population_auc_risk(dist: DiscreteDistributionPair, score_values) -> float:
-    """Exact 1 - AUC of a score over a finite-support distribution."""
-    s = np.asarray(score_values, dtype=float)
-    if s.shape != dist.support.shape[:1]:
-        raise ValueError("score values must align with the support")
-    pp = dist.p_plus_mass
-    pm = dist.p_minus_mass
-    gt = (s[:, None] > s[None, :]).astype(float) + 0.5 * (s[:, None] == s[None, :])
-    return 1.0 - float(pp @ gt @ pm)
-
-
-def auc_excess_bound_check(
-    dist: DiscreteDistributionPair,
-    r_values,
-    gen: BregmanGenerator,
-    tol: float = 1e-10,
-):
-    """Exact AUC regret of r against its divergence bound.
-
-    The optimal score is the true ratio itself, so the regret is computed
-    against it.  Returns (lhs, rhs); raises if the bound fails.
-    """
-    if not gen.strongly_convex:
-        raise ConfigError(f"generator {gen.name} is not strongly convex (mu={gen.mu})")
-    lhs = population_auc_risk(dist, r_values) - population_auc_risk(dist, dist.true_ratio)
-    br = population_divergence(gen, dist, r_values)
-    rhs = np.sqrt(max(0.0, 2.0 * br / gen.mu)) / (1.0 - dist.prior)
-    if lhs > rhs + tol:
-        raise AssertionError(f"AUC bound violated: lhs={lhs!r} > rhs={rhs!r}")
-    return lhs, float(rhs)
 
 
 def error_rate(labels, predictions) -> float:

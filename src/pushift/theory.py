@@ -1,12 +1,17 @@
-"""Randomized numerical verification of the package's guiding inequalities.
+"""Exact finite-support population quantities and the randomized checks of
+the package's guiding inequalities.
 
-Every suite draws finite-support distribution pairs, candidate ratio
-assignments, and cost/prior settings, then compares an exactly computed
-left-hand side against its exactly computed bound (or identity partner).
-All expectations are exhaustive sums, so a failure is a genuine
-counterexample rather than sampling noise.
+On a ``DiscreteDistributionPair`` every population quantity is an
+exhaustive sum over the support: the Bregman divergence from the true ratio
+(``population_divergence``), the cost-weighted risk of fixed decisions and
+the Bayes risk (``finite_support_risk``, ``finite_support_bayes_risk``), and
+the AUC risk of a score (``population_auc_risk``).  The bound checks pair a
+left-hand side with its bound from these sums, so the bounds are verified
+to machine precision and a failure is a genuine counterexample rather than
+sampling noise.
 
-Suites:
+Every suite draws distribution pairs, candidate ratio assignments, and
+cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 
 * ``classification_bound``        threshold rule at the matched cost, no shift
 * ``shifted_classification_bound`` same with independent test prior and cost
@@ -17,9 +22,6 @@ Suites:
                                   divergence into squared-loss excess risk
 * ``threshold_perturbation``      excess risk of a perturbed threshold stays
                                   within the worst-case slope bound
-
-``flip`` inverts the pass rule of the inequality suites; it exists so the
-harness can verify that a violated inequality is actually reported.
 """
 
 from __future__ import annotations
@@ -28,24 +30,197 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (
-    ShiftSpec,
-    bound_constant,
-    cost_threshold,
-    excess_risk_bound_check,
-    finite_support_bayes_risk,
-    finite_support_risk,
-    squared_loss_decomposition,
-    threshold_decisions,
-)
-from .divergence import DiscreteDistributionPair, population_divergence
-from .generators import exp_generator, lsif_generator, scaled_quadratic_generator
-from .metrics import auc_excess_bound_check
+from .classifier import ShiftSpec, cost_threshold, threshold_decisions
+from .errors import ConfigError
+from .generators import BregmanGenerator, exp_generator, lsif_generator, scaled_quadratic_generator
 
-__all__ = ["SuiteResult", "random_distribution", "random_ratio_values", "run_suite", "run_all", "SUITES"]
+__all__ = [
+    "DiscreteDistributionPair",
+    "population_divergence",
+    "finite_support_risk",
+    "finite_support_bayes_risk",
+    "bound_constant",
+    "excess_risk_bound_check",
+    "squared_loss_decomposition",
+    "population_auc_risk",
+    "auc_excess_bound_check",
+    "SuiteResult",
+    "random_distribution",
+    "random_ratio_values",
+    "run_suite",
+    "run_all",
+    "SUITES",
+]
 
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class DiscreteDistributionPair:
+    """Finite-support class-conditional pair with a mixing prior.
+
+    The marginal is prior * p_plus + (1 - prior) * p_minus.  Used as an
+    exactly computable stand-in for the population quantities in the
+    numerical bound and identity checks.
+    """
+
+    support: np.ndarray
+    p_plus_mass: np.ndarray
+    p_minus_mass: np.ndarray
+    prior: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
+        object.__setattr__(self, "p_plus_mass", np.asarray(self.p_plus_mass, dtype=float))
+        object.__setattr__(self, "p_minus_mass", np.asarray(self.p_minus_mass, dtype=float))
+        m = self.support.shape[0]
+        if self.p_plus_mass.shape != (m,) or self.p_minus_mass.shape != (m,):
+            raise ValueError("mass vectors must align with the support")
+        for name, mass in (("p_plus_mass", self.p_plus_mass), ("p_minus_mass", self.p_minus_mass)):
+            if np.any(mass < 0):
+                raise ValueError(f"{name} has negative entries")
+            if abs(mass.sum() - 1.0) > 1e-12:
+                raise ValueError(f"{name} sums to {mass.sum()}, not 1")
+        if not (0.0 < self.prior < 1.0):
+            raise ValueError(f"prior must be in (0, 1), got {self.prior}")
+
+    @property
+    def marginal_mass(self) -> np.ndarray:
+        return self.prior * self.p_plus_mass + (1.0 - self.prior) * self.p_minus_mass
+
+    @property
+    def true_ratio(self) -> np.ndarray:
+        """p_plus / marginal on each support point carrying mass."""
+        p = self.marginal_mass
+        out = np.zeros_like(p)
+        np.divide(self.p_plus_mass, p, out=out, where=p > 0)
+        return out
+
+    @property
+    def posterior(self) -> np.ndarray:
+        """Probability of the positive class on each support point."""
+        return self.prior * self.true_ratio
+
+
+def population_divergence(gen: BregmanGenerator, dist: DiscreteDistributionPair, r_values) -> float:
+    """Exact Bregman divergence from the true ratio to ``r_values``.
+
+    Weighted sum over the discrete support of
+    f(r*) - f(r) - f'(r) * (r* - r) against the marginal mass.
+    """
+    r = np.asarray(r_values, dtype=float)
+    if r.shape != dist.support.shape[:1]:
+        raise ValueError(
+            f"r_values has length {r.shape}, support has {dist.support.shape[0]} points"
+        )
+    if np.any(r < 0):
+        raise ValueError("r_values contains negative entries")
+    p = dist.marginal_mass
+    r_star = dist.true_ratio
+    integrand = gen.f(r_star) - gen.f(r) - gen.f_prime(r) * (r_star - r)
+    return float(np.sum(p * integrand))
+
+
+def _divergence_term(gen: BregmanGenerator, dist: DiscreteDistributionPair, r_values) -> float:
+    """sqrt(2 BR / mu), the divergence factor of every bound; needs mu > 0."""
+    if not gen.strongly_convex:
+        raise ConfigError(f"generator {gen.name} is not strongly convex (mu={gen.mu})")
+    br = population_divergence(gen, dist, r_values)
+    return float(np.sqrt(max(0.0, 2.0 * br / gen.mu)))
+
+
+def finite_support_risk(dist: DiscreteDistributionPair, decisions, prior: float, cost: float) -> float:
+    """Exact cost-weighted risk of fixed per-point decisions."""
+    d = np.asarray(decisions, dtype=int)
+    miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
+    miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
+    return float(np.sum(np.where(d == 1, miss_neg, miss_pos)))
+
+
+def finite_support_bayes_risk(dist: DiscreteDistributionPair, prior: float, cost: float) -> float:
+    """Exact Bayes risk: pick the cheaper label at every support point."""
+    miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
+    miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
+    return float(np.sum(np.minimum(miss_pos, miss_neg)))
+
+
+def _threshold_excess_risk(dist: DiscreteDistributionPair, r_values, theta: float, spec: ShiftSpec) -> float:
+    """Test-distribution risk of thresholding ``r_values`` at ``theta``, minus the Bayes risk."""
+    decisions = threshold_decisions(r_values, theta)
+    risk = finite_support_risk(dist, decisions, spec.test_prior, spec.cost)
+    return risk - finite_support_bayes_risk(dist, spec.test_prior, spec.cost)
+
+
+def bound_constant(spec: ShiftSpec) -> float:
+    """Leading constant of the shifted excess-risk bound."""
+    pi, pi_p, c = spec.train_prior, spec.test_prior, spec.cost
+    c0, _ = cost_threshold(spec)
+    return pi * (c + pi_p - 2.0 * c * pi_p) / (c0 + pi - 2.0 * c0 * pi)
+
+
+def excess_risk_bound_check(dist: DiscreteDistributionPair, r_values, spec: ShiftSpec, gen: BregmanGenerator):
+    """Exact excess risk of the matched-cost threshold rule vs its bound.
+
+    Returns (lhs, rhs).  The distribution's own mixing prior is the
+    training prior, so ``spec`` must carry the same value.
+    """
+    if abs(spec.train_prior - dist.prior) > 1e-12:
+        raise ConfigError("spec.train_prior must match the distribution prior")
+    _, theta = cost_threshold(spec)
+    lhs = _threshold_excess_risk(dist, r_values, theta, spec)
+    return lhs, bound_constant(spec) * _divergence_term(gen, dist, r_values)
+
+
+def squared_loss_decomposition(dist: DiscreteDistributionPair, r_values, mu: float = 1.0):
+    """Two independent evaluations of the squared-loss identity.
+
+    lhs = (2 pi^2 / mu) * BR(r*, r) for the quadratic generator of curvature
+    mu.  rhs = squared-loss excess risk of g_r = 2 min(pi r, 1) - 1 plus the
+    overshoot term collected on the event pi r > 1.  Both are exhaustive
+    sums over the support and must agree to machine precision.
+    """
+    gen = scaled_quadratic_generator(mu)
+    r = np.asarray(r_values, dtype=float)
+    pi = dist.prior
+    p = dist.marginal_mass
+    eta = dist.posterior
+
+    lhs = (2.0 * pi**2 / gen.mu) * population_divergence(gen, dist, r)
+
+    g = 2.0 * np.minimum(pi * r, 1.0) - 1.0
+    g_star = 2.0 * eta - 1.0
+
+    def sq_risk(gv):
+        cond = eta * (gv - 1.0) ** 2 / 4.0 + (1.0 - eta) * (gv + 1.0) ** 2 / 4.0
+        return float(np.sum(p * cond))
+
+    excess_sq = sq_risk(g) - sq_risk(g_star)
+    over = pi * r > 1.0
+    overshoot = float(np.sum(p[over] * (pi * r[over] - 1.0) * (pi * r[over] + 1.0 - 2.0 * eta[over])))
+    return lhs, excess_sq + overshoot
+
+
+def population_auc_risk(dist: DiscreteDistributionPair, score_values) -> float:
+    """Exact 1 - AUC of a score over a finite-support distribution."""
+    s = np.asarray(score_values, dtype=float)
+    if s.shape != dist.support.shape[:1]:
+        raise ValueError("score values must align with the support")
+    pp = dist.p_plus_mass
+    pm = dist.p_minus_mass
+    gt = (s[:, None] > s[None, :]).astype(float) + 0.5 * (s[:, None] == s[None, :])
+    return 1.0 - float(pp @ gt @ pm)
+
+
+def auc_excess_bound_check(dist: DiscreteDistributionPair, r_values, gen: BregmanGenerator):
+    """Exact AUC regret of r against its divergence bound.
+
+    The optimal score is the true ratio itself, so the regret is computed
+    against it.  Returns (lhs, rhs).
+    """
+    rhs = _divergence_term(gen, dist, r_values) / (1.0 - dist.prior)
+    lhs = population_auc_risk(dist, r_values) - population_auc_risk(dist, dist.true_ratio)
+    return lhs, rhs
 
 
 @dataclass
@@ -113,7 +288,7 @@ def _suite_classification_bound(rng, trials, shift: bool):
         gen = _random_generator(rng)
         test_prior = float(rng.uniform(0.1, 0.9)) if shift else dist.prior
         spec = ShiftSpec(train_prior=dist.prior, test_prior=test_prior, cost=float(rng.uniform(0.1, 0.9)))
-        records.append(excess_risk_bound_check(dist, r, spec, gen, tol=np.inf))
+        records.append(excess_risk_bound_check(dist, r, spec, gen))
     return records
 
 
@@ -123,7 +298,7 @@ def _suite_auc_bound(rng, trials):
         dist = random_distribution(rng)
         r = random_ratio_values(rng, dist)
         gen = _random_generator(rng)
-        records.append(auc_excess_bound_check(dist, r, gen, tol=np.inf))
+        records.append(auc_excess_bound_check(dist, r, gen))
     return records
 
 
@@ -163,14 +338,9 @@ def _suite_threshold_perturbation(rng, trials):
         )
         _, theta = cost_threshold(spec)
         delta = float(rng.uniform(-0.9, 1.0)) * theta
-        theta_hat = theta + delta
-        decisions = threshold_decisions(r, theta_hat)
-        lhs = finite_support_risk(dist, decisions, spec.test_prior, spec.cost) - finite_support_bayes_risk(
-            dist, spec.test_prior, spec.cost
-        )
-        br = population_divergence(gen, dist, r)
-        rhs = bound_constant(spec) * (2.0 * np.sqrt(max(0.0, 2.0 * br / gen.mu)) + abs(delta))
-        records.append((lhs, float(rhs)))
+        lhs = _threshold_excess_risk(dist, r, theta + delta, spec)
+        rhs = bound_constant(spec) * (2.0 * _divergence_term(gen, dist, r) + abs(delta))
+        records.append((lhs, rhs))
     return records
 
 
@@ -184,7 +354,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, trials: int = 100, flip: bool = False) -> SuiteResult:
+def run_suite(name: str, seed: int = 0, trials: int = 100) -> SuiteResult:
+    if trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials}")
     kind, fn = SUITES[name]
     rng = np.random.default_rng(seed)
     records = fn(rng, trials)
@@ -195,8 +367,6 @@ def run_suite(name: str, seed: int = 0, trials: int = 100, flip: bool = False) -
         worst = -float(np.max(np.abs(margins)))
         passed = -worst <= IDENTITY_TOL
     else:
-        if flip:
-            margins = -margins
         worst = float(np.min(margins))
         passed = worst >= -INEQUALITY_TOL
     return SuiteResult(
@@ -209,5 +379,5 @@ def run_suite(name: str, seed: int = 0, trials: int = 100, flip: bool = False) -
     )
 
 
-def run_all(seed: int = 0, trials: int = 100, flip: bool = False):
-    return [run_suite(name, seed=seed + i, trials=trials, flip=flip) for i, name in enumerate(SUITES)]
+def run_all(seed: int = 0, trials: int = 100):
+    return [run_suite(name, seed=seed + i, trials=trials) for i, name in enumerate(SUITES)]

@@ -61,16 +61,16 @@ class TrainConfig:
             raise ConfigError("epochs must be nonnegative")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < np.inf):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.lr_halving_period is not None and self.lr_halving_period <= 0:
             raise ConfigError("lr_halving_period must be positive when set")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not (0.0 < b < 1.0):
                 raise ConfigError(f"{name} must be in (0, 1), got {b}")
-        if self.l2_reg < 0:
-            raise ConfigError("l2_reg must be nonnegative")
+        if not (0.0 <= self.l2_reg < np.inf):
+            raise ConfigError(f"l2_reg must be finite and nonnegative, got {self.l2_reg}")
 
 
 @dataclass

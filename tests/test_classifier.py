@@ -1,21 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pushift.classifier import (
-    ShiftSpec,
+from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
+from pushift.errors import ConfigError
+from pushift.generators import lsif_generator
+from pushift.models import gaussian_basis_linear
+from pushift.theory import (
+    DiscreteDistributionPair,
     bound_constant,
-    cost_threshold,
     excess_risk_bound_check,
     finite_support_bayes_risk,
     finite_support_risk,
+    population_divergence,
+    random_distribution,
+    random_ratio_values,
     squared_loss_decomposition,
-    threshold_decisions,
 )
-from pushift.divergence import DiscreteDistributionPair, population_divergence
-from pushift.errors import ConfigError
-from pushift.generators import kl_generator, lsif_generator
-from pushift.models import gaussian_basis_linear
-from pushift.theory import random_distribution, random_ratio_values
 
 LSIF = lsif_generator()
 
@@ -115,7 +117,7 @@ class TestExcessRiskBound:
         dist = random_distribution(np.random.default_rng(6))
         spec = ShiftSpec(dist.prior, 0.5, 0.5)
         with pytest.raises(ConfigError):
-            excess_risk_bound_check(dist, dist.true_ratio, spec, kl_generator(True))
+            excess_risk_bound_check(dist, dist.true_ratio, spec, dataclasses.replace(LSIF, mu=0.0))
 
     def test_prior_mismatch_rejected(self):
         dist = random_distribution(np.random.default_rng(7))

@@ -163,6 +163,24 @@ class TestTrain:
         assert len(centers["nnpu"]) == 50
         assert centers["nnpu"] == centers["drpu"]
 
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--l2-reg", "nan")])
+    def test_non_finite_training_setting_is_config_error(self, dataset_dir, tmp_path, flag, value):
+        code = main([
+            "train", "--data", str(dataset_dir), "--out", str(tmp_path / "nf"), "--gamma", "0.9",
+            "--epochs", "2", "--batch-size", "80", flag, value,
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("method", ["drpu", "nnpu"])
+    @pytest.mark.parametrize("max_centers", ["-3", "0"])
+    def test_max_centers_below_one_named(self, dataset_dir, tmp_path, capsys, method, max_centers):
+        code = main([
+            "train", "--data", str(dataset_dir), "--out", str(tmp_path / "mc"), "--gamma", "0.9",
+            "--method", method, "--prior", "0.4", "--max-centers", max_centers, "--epochs", "2",
+        ])
+        assert code == 2
+        assert "max_centers" in capsys.readouterr().err
+
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
             "train", "--data", str(dataset_dir), "--out", str(tmp_path / "b0"),
@@ -535,6 +553,11 @@ class TestVerifyTheory:
         assert printed.count("PASS") == 6
         doc = read_json(out)
         assert all(s["passed"] for s in doc["suites"])
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_named(self, capsys, trials):
+        assert main(["verify-theory", "--trials", trials]) == 2
+        assert "trials" in capsys.readouterr().err
 
 
 class TestSweep:

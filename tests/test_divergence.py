@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from pushift.divergence import (
-    Branch,
-    DiscreteDistributionPair,
-    branch_weights,
-    corrected_objective,
-    empirical_objective,
-    population_divergence,
-)
+from pushift.divergence import Branch, branch_weights, corrected_objective, empirical_objective
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import gaussian_basis_linear
-from pushift.theory import random_distribution, random_ratio_values
+from pushift.theory import (
+    DiscreteDistributionPair,
+    population_divergence,
+    random_distribution,
+    random_ratio_values,
+)
 
 from _helpers import finite_difference, objective_gradient, relative_error
 

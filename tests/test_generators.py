@@ -5,7 +5,6 @@ from pushift.errors import ConfigError
 from pushift.generators import (
     exp_generator,
     generator_by_name,
-    kl_generator,
     lsif_generator,
     scaled_quadratic_generator,
 )
@@ -72,16 +71,6 @@ def test_big_f_nondecreasing(gen):
 def test_convexity_monotone_first_derivative(gen):
     t = np.sort(np.random.default_rng(11).uniform(0.0, 10.0, 500))
     assert np.all(np.diff(gen.f_prime(t)) >= -1e-12)
-
-
-def test_kl_generator_gated():
-    with pytest.raises(ConfigError):
-        kl_generator()
-    g = kl_generator(allow_weak_convexity=True)
-    assert g.mu == 0.0
-    assert not g.strongly_convex
-    t = np.linspace(0.1, 5, 50)
-    np.testing.assert_allclose(g.f_conj(t), t, atol=1e-12)
 
 
 def test_generator_by_name():

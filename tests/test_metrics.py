@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,16 +7,9 @@ import numpy as np
 import pytest
 
 from pushift.errors import ConfigError
-from pushift.generators import exp_generator, kl_generator, lsif_generator
-from pushift.metrics import (
-    _average_ranks,
-    accuracy,
-    auc,
-    auc_excess_bound_check,
-    error_rate,
-    population_auc_risk,
-)
-from pushift.theory import random_distribution, random_ratio_values
+from pushift.generators import exp_generator, lsif_generator
+from pushift.metrics import _average_ranks, accuracy, auc, error_rate
+from pushift.theory import auc_excess_bound_check, population_auc_risk, random_distribution, random_ratio_values
 
 from _helpers import auc_brute_force
 
@@ -108,7 +102,7 @@ class TestAucBound:
     def test_weak_convexity_rejected(self):
         dist = random_distribution(np.random.default_rng(5))
         with pytest.raises(ConfigError):
-            auc_excess_bound_check(dist, dist.true_ratio, kl_generator(True))
+            auc_excess_bound_check(dist, dist.true_ratio, dataclasses.replace(LSIF, mu=0.0))
 
     def test_alignment_error(self):
         dist = random_distribution(np.random.default_rng(6))

@@ -15,11 +15,6 @@ import pushift
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Names exported without a caller in the program, each with its reason.
-ALLOWED = {
-    "kl_generator": "backs the tests that the bound checks refuse a weakly convex generator",
-}
-
 
 def used_names(path):
     """NAME tokens of ``path`` outside import statements and def/class names."""
@@ -42,5 +37,4 @@ def test_every_export_has_a_caller():
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*(used_names(p) for p in files))
     exported = {n for n, obj in vars(pushift).items() if not n.startswith("_") and not inspect.ismodule(obj)}
-    assert sorted(exported - used - set(ALLOWED)) == []
-    assert set(ALLOWED) <= exported
+    assert sorted(exported - used) == []

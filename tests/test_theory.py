@@ -20,14 +20,13 @@ class TestSuites:
         assert res.passed
         assert -res.worst_margin < 1e-10
 
-    def test_flip_reports_failures(self):
-        """Reversing the inequality direction must be caught, not absorbed."""
-        flipped = run_all(seed=0, trials=100, flip=True)
-        for r in flipped:
-            if r.kind == "inequality":
-                assert not r.passed, f"{r.name} still passed after flip"
-            else:
-                assert r.passed  # identities are unaffected by direction
+    def test_violations_reported(self, monkeypatch):
+        """A violated inequality and a mismatched identity must be caught, not absorbed."""
+        monkeypatch.setitem(SUITES, "violated", ("inequality", lambda rng, n: [(1e-9, 0.0)] * n))
+        monkeypatch.setitem(SUITES, "mismatched", ("identity", lambda rng, n: [(1.0, 1.0 + 1e-9)] * n))
+        results = {r.name: r for r in run_all(seed=0, trials=5)}
+        assert not results["violated"].passed and not results["mismatched"].passed
+        assert all(results[name].passed for name in results if name not in ("violated", "mismatched"))
 
     def test_reproducible(self):
         a = run_suite("shifted_classification_bound", seed=3, trials=50)

@@ -196,6 +196,10 @@ class TestTrain:
             dict(adam_beta1=1.0),
             dict(l2_reg=-0.1),
             dict(lr_halving_period=0),
+            dict(learning_rate=np.nan),
+            dict(learning_rate=np.inf),
+            dict(l2_reg=np.nan),
+            dict(l2_reg=np.inf),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).validate()

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-# Walk through the building blocks: convex generators, the two empirical
-# objectives, and the exact divergence on a small discrete distribution.
+# Walk through the building blocks: convex generators, the ratio objective
+# (clipped and plain), and the exact divergence on a small discrete distribution.
 
 import numpy as np
 
 from pushift import (
     DiscreteDistributionPair,
-    corrected_objective,
-    empirical_objective,
     exp_generator,
     lsif_generator,
     population_divergence,
+    ratio_objective,
     scaled_quadratic_generator,
 )
 
@@ -24,11 +23,12 @@ print("  strong convexity mu =", lsif.mu)
 # scores that overshoot on the positives it does.
 r_pos = np.array([2.0, 1.8, 2.2])
 r_unl = np.array([0.1, 0.3, 0.2, 0.1])
-plain = empirical_objective(lsif, r_pos, r_unl)
 for alpha in (0.0, 0.5, 0.9):
-    ov = corrected_objective(lsif, alpha, r_pos, r_unl)
-    print(f"alpha={alpha}: corrected={ov.value:+.4f} plain={plain:+.4f} "
-          f"bracket={ov.bracket:+.4f} branch={ov.branch.value}")
+    objective = ratio_objective(lsif, alpha)
+    _, _, branch = objective.weights(r_pos, r_unl)
+    print(f"alpha={alpha}: corrected={objective.value(r_pos, r_unl):+.4f} "
+          f"plain={objective.plain(r_pos, r_unl):+.4f} "
+          f"bracket={objective.bracket_value(r_pos, r_unl):+.4f} branch={branch.value}")
 
 # Exact divergences on a three-point distribution.  The curvature-matched
 # quadratic generator always gives the smallest divergence.

@@ -7,7 +7,7 @@ threshold that adapts to test-time class-prior shift using only a compact
 summary of the training scores.
 """
 
-from .baselines import SurrogateLoss, logistic_loss, nnpu_risk, sigmoid_loss, train_baseline, upu_risk
+from .baselines import SurrogateLoss, logistic_loss, risk_objective, sigmoid_loss, train_baseline
 from .classifier import ShiftSpec, cost_threshold, threshold_decisions
 from .data import (
     GaussianMixtureSpec,
@@ -20,7 +20,7 @@ from .data import (
     synth_case1,
     synth_gaussian_pair,
 )
-from .divergence import Branch, ObjectiveValue, corrected_objective, empirical_objective
+from .divergence import Branch, Objective, ratio_objective
 from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged
 from .experiments import (
     adapt_threshold,

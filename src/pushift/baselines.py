@@ -9,23 +9,20 @@ and descends on the negated bracket whenever a mini-batch lands below zero.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .divergence import Branch
+from .divergence import Objective
 from .errors import ConfigError
 from .models import expit
-from .trainer import Objective, TrainConfig, train
+from .trainer import TrainConfig, train
 
 __all__ = [
     "SurrogateLoss",
     "logistic_loss",
     "sigmoid_loss",
-    "upu_risk",
-    "nnpu_risk",
     "risk_objective",
     "train_baseline",
 ]
@@ -58,64 +55,22 @@ def sigmoid_loss() -> SurrogateLoss:
     )
 
 
-def _check(prior, g_pos, g_unl):
-    if not (0.0 <= prior <= 1.0):
-        raise ValueError(f"prior must be in [0, 1], got {prior}")
-    gp = np.asarray(g_pos, dtype=float).reshape(-1)
-    gu = np.asarray(g_unl, dtype=float).reshape(-1)
-    if gp.size == 0 or gu.size == 0:
-        raise ValueError("decision value lists must be nonempty")
-    return gp, gu
-
-
-def upu_risk(loss: SurrogateLoss, prior: float, g_pos, g_unl) -> float:
-    """Unbiased plug-in risk; may be negative under overfitting."""
-    gp, gu = _check(prior, g_pos, g_unl)
-    return float(
-        prior * np.mean(loss.loss(1, gp))
-        - prior * np.mean(loss.loss(-1, gp))
-        + np.mean(loss.loss(-1, gu))
-    )
-
-
-def nnpu_risk(loss: SurrogateLoss, prior: float, g_pos, g_unl):
-    """Non-negative plug-in risk with its branch flag."""
-    gp, gu = _check(prior, g_pos, g_unl)
-    pos_term = prior * np.mean(loss.loss(1, gp))
-    bracket = float(np.mean(loss.loss(-1, gu)) - prior * np.mean(loss.loss(-1, gp)))
-    branch = Branch.NORMAL if bracket >= 0 else Branch.CORRECTED
-    return float(pos_term + max(0.0, bracket)), branch
-
-
-def risk_weights(method, loss, prior, g_pos, g_unl):
-    """Per-point chain-rule weights for the uPU or nnPU batch gradient."""
-    gp = np.asarray(g_pos, dtype=float)
-    gu = np.asarray(g_unl, dtype=float)
-    n_p, n_u = gp.size, gu.size
-    bracket = float(np.mean(loss.loss(-1, gu)) - prior * np.mean(loss.loss(-1, gp)))
-    if method == "upu" or bracket >= 0:
-        w_pos = prior * (loss.dloss_dv(1, gp) - loss.dloss_dv(-1, gp)) / n_p
-        w_unl = loss.dloss_dv(-1, gu) / n_u
-        branch = Branch.NORMAL
-    else:
-        w_pos = prior * loss.dloss_dv(-1, gp) / n_p
-        w_unl = -loss.dloss_dv(-1, gu) / n_u
-        branch = Branch.CORRECTED
-    return w_pos, w_unl, branch
-
-
 def risk_objective(method: str, loss: SurrogateLoss, prior: float) -> Objective:
-    """uPU or nnPU training objective; validation uses the unbiased risk."""
+    """uPU or nnPU risk: pos = prior (l(+1) - l(-1)), bracket = l(-1), clipped for nnPU.
 
-    def train_value(g_pos, g_unl):
-        if method == "upu":
-            return upu_risk(loss, prior, g_pos, g_unl)
-        return nnpu_risk(loss, prior, g_pos, g_unl)[0]
-
+    The selection value is the unbiased risk either way.
+    """
+    if method not in ("upu", "nnpu"):
+        raise ConfigError(f"unknown baseline method {method!r}")
+    if not (0.0 <= prior <= 1.0):
+        raise ConfigError(f"prior must be in [0, 1], got {prior}")
     return Objective(
-        weights=functools.partial(risk_weights, method, loss, prior),
-        train_value=train_value,
-        val_value=functools.partial(upu_risk, loss, prior),
+        pos=lambda g: prior * (loss.loss(1, g) - loss.loss(-1, g)),
+        d_pos=lambda g: prior * (loss.dloss_dv(1, g) - loss.dloss_dv(-1, g)),
+        bracket=lambda g: loss.loss(-1, g),
+        d_bracket=lambda g: loss.dloss_dv(-1, g),
+        kappa=prior,
+        clip=method == "nnpu",
     )
 
 
@@ -126,9 +81,6 @@ def train_baseline(method: str, loss: SurrogateLoss, prior: float, model, data, 
     nnPU, and a best-validation snapshot.  The validation criterion is the
     unbiased risk (computable from PU data alone, given the prior).
     """
-    method = method.lower()
-    if method not in ("upu", "nnpu"):
-        raise ConfigError(f"unknown baseline method {method!r}")
     if not (0.0 < prior < 1.0):
         raise ConfigError(f"baselines need a prior in (0, 1), got {prior}")
-    return train(model, data, risk_objective(method, loss, prior), cfg)
+    return train(model, data, risk_objective(method.lower(), loss, prior), cfg)

@@ -56,9 +56,9 @@ def lsif_generator() -> BregmanGenerator:
 
 
 def scaled_quadratic_generator(mu: float) -> BregmanGenerator:
-    """Generator f(t) = mu * t^2 / 2 for a given curvature mu > 0."""
-    if not (mu > 0):
-        raise ConfigError(f"scaled quadratic generator needs mu > 0, got {mu}")
+    """Generator f(t) = mu * t^2 / 2 for a given finite curvature mu > 0."""
+    if not (0 < mu < np.inf):
+        raise ConfigError(f"scaled quadratic generator needs a finite mu > 0, got {mu}")
     mu = float(mu)
     return BregmanGenerator(
         name=f"quadratic:{mu:g}",

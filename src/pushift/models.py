@@ -13,8 +13,8 @@ rows the model consumes (kernel features, or the checked inputs for the
 MLP), and ``forward(Z)`` returns the predictions on encoded rows together
 with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
 from that same forward pass.  The training loop encodes each split once and
-calls ``forward`` once per mini-batch side.  ``predict``, ``grad_dot`` and
-``predict_grad`` (a single point) are thin wrappers over the primitive.
+calls ``forward`` once per mini-batch side.  ``predict`` and ``predict_grad``
+(a single point) are thin wrappers over the primitive.
 ``outputs(Z, thetas)`` scores encoded rows under several parameter vectors
 at once; the training loop uses it to score a block of epochs in one call.
 
@@ -101,9 +101,6 @@ class RatioModel:
     def predict(self, X) -> np.ndarray:
         return self.forward(self.encode(X))[0]
 
-    def grad_dot(self, X, weights) -> np.ndarray:
-        return self.forward(self.encode(X))[1](weights)
-
     def predict_grad(self, x):
         """Value and parameter gradient at a single input point."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -136,8 +133,8 @@ class GaussianBasisLinear(RatioModel):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.shape[0] == 0:
             raise ConfigError("at least one basis center is required")
-        if not (bandwidth > 0):
-            raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
+        if not (0 < bandwidth < np.inf):
+            raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth}")
         self.centers = centers
         self.bandwidth = float(bandwidth)
         self.clamp = bool(clamp)
@@ -359,9 +356,10 @@ def _finite_field(doc: dict, key: str) -> np.ndarray:
 
 
 def save_model(model: RatioModel, path) -> None:
+    """Write strict JSON; a non-finite value raises before the file is opened."""
+    text = json.dumps(model.to_dict(), sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> RatioModel:

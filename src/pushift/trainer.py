@@ -1,17 +1,17 @@
 """Mini-batch training on positive/unlabeled data, for every objective.
 
-One loop serves the ratio models and the PU baselines; an ``Objective``
-supplies what differs.  Each optimization step evaluates the branch rule on
-its own mini-batch: while the clipped part of the objective is nonnegative
-the step descends on the plain objective, otherwise it descends on the
-negated bracket.  Batches take ``batch_size`` unlabeled points and a
-proportional draw of positives so both empirical means are estimated every
-step; one epoch is one pass over the unlabeled set.
+One loop serves the ratio models and the PU baselines; a
+``divergence.Objective`` supplies what differs.  Each optimization step
+evaluates the branch rule on its own mini-batch: while the clipped part of
+the objective is nonnegative the step descends on the plain objective,
+otherwise it descends on the negated bracket.  Batches take ``batch_size``
+unlabeled points and a proportional draw of positives so both empirical
+means are estimated every step; one epoch is one pass over the unlabeled set.
 
 Model selection keeps the parameter snapshot from the epoch with the lowest
-validation value.  For the ratio objective that is the plain objective,
-which contains neither the class-prior nor the correction strength, so it
-needs no labels and no prior knowledge.
+plain objective on validation.  For the ratio objective that value contains
+neither the class-prior nor the correction strength, so it needs no labels
+and no prior knowledge.
 
 Each epoch's train and validation objectives are scored on the whole
 splits.  The loop keeps every epoch's parameter vector and scores a block of
@@ -25,17 +25,16 @@ the end of its block.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .divergence import Branch, branch_weights, corrected_objective, empirical_objective
+from .divergence import Branch, ratio_objective
 from .errors import ConfigError, TrainingDiverged
 from .generators import BregmanGenerator
 
-__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "Objective", "ratio_objective", "train"]
+__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
 
 # Epochs scored per ``model.outputs`` call.  The block's parameter vectors and
 # outputs (rows x SCORE_BLOCK per split) are the only memory this costs.
@@ -134,36 +133,12 @@ def _epoch_batches(rng, n_pos, n_unl, batch_size):
     return batches
 
 
-@dataclass(frozen=True)
-class Objective:
-    """What the training loop minimizes, given model outputs on P and U rows.
-
-    ``weights(out_pos, out_unl)`` returns ``(w_pos, w_unl, branch)``, the
-    per-point chain-rule weights of the active branch on one mini-batch;
-    ``train_value`` and ``val_value`` score whole splits once per epoch, and
-    the epoch with the lowest ``val_value`` is kept.
-    """
-
-    weights: Callable
-    train_value: Callable
-    val_value: Callable
-
-
-def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
-    """Bregman-divergence objective: corrected when training, plain for selection."""
-    return Objective(
-        weights=functools.partial(branch_weights, gen, alpha),
-        train_value=lambda r_pos, r_unl: corrected_objective(gen, alpha, r_pos, r_unl).value,
-        val_value=functools.partial(empirical_objective, gen),
-    )
-
-
 def _block_objectives(model, objective, splits, snapshots):
     """(train, validation) objective per parameter snapshot, one ``outputs`` call per split."""
     thetas = np.column_stack(snapshots)
     tp, tu, vp, vu = (model.outputs(Z, thetas) for Z in splits)
     return [
-        (objective.train_value(tp[:, j], tu[:, j]), objective.val_value(vp[:, j], vu[:, j]))
+        (objective.value(tp[:, j], tu[:, j]), objective.plain(vp[:, j], vu[:, j]))
         for j in range(thetas.shape[1])
     ]
 
@@ -171,10 +146,10 @@ def _block_objectives(model, objective, splits, snapshots):
 def train(model, data, objective, cfg: TrainConfig):
     """Train ``model`` on a train/validation split of PU data.
 
-    ``data`` is a ``SplitDataset``; ``objective`` is an ``Objective``, or a
-    ``BregmanGenerator`` for the ratio objective at ``cfg.alpha``.  The model
-    is mutated in place and also returned with the best-validation parameters
-    restored, together with the per-epoch ``TrainReport``.
+    ``data`` is a ``SplitDataset``; ``objective`` is a ``divergence.Objective``,
+    or a ``BregmanGenerator`` for the ratio objective at ``cfg.alpha``.  The
+    model is mutated in place and also returned with the best-validation
+    parameters restored, together with the per-epoch ``TrainReport``.
     """
     cfg.validate()
     if isinstance(objective, BregmanGenerator):

@@ -1,10 +1,8 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
-the pairwise AUC and the mini-batch gradient of the corrected objective."""
+the pairwise AUC and the mini-batch gradient of an objective's active branch."""
 
 import numpy as np
 
-from pushift.divergence import branch_weights
-from pushift.generators import BregmanGenerator
 
 
 def finite_difference(fun, theta, h=1e-5):
@@ -53,8 +51,8 @@ def auc_brute_force(scores_pos, scores_neg) -> float:
     return float(wins / (sp.size * sn.size))
 
 
-def objective_gradient(gen: BregmanGenerator, alpha: float, model, batch_pos, batch_unl):
-    """Parameter gradient of the corrected objective on one mini-batch.
+def objective_gradient(objective, model, batch_pos, batch_unl):
+    """Parameter gradient of a ``divergence.Objective`` on one mini-batch.
 
     Returns ``(grad, branch)``.  On the normal branch this is the gradient of
     the plain objective; on the corrected branch it is the gradient of the
@@ -66,5 +64,5 @@ def objective_gradient(gen: BregmanGenerator, alpha: float, model, batch_pos, ba
         raise ValueError("batches must be nonempty")
     r_pos, back_pos = model.forward(model.encode(xp))
     r_unl, back_unl = model.forward(model.encode(xu))
-    w_pos, w_unl, branch = branch_weights(gen, alpha, r_pos, r_unl)
+    w_pos, w_unl, branch = objective.weights(r_pos, r_unl)
     return back_pos(w_pos) + back_unl(w_unl), branch

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pushift.baselines import (
-    logistic_loss,
-    nnpu_risk,
-    sigmoid_loss,
-    train_baseline,
-    upu_risk,
-)
+from pushift.baselines import logistic_loss, risk_objective, sigmoid_loss, train_baseline
 from pushift.data import SplitDataset, case1_mixture, synth_case1, synth_from_mixture
 from pushift.divergence import Branch
 from pushift.errors import ConfigError
@@ -47,54 +41,41 @@ class TestSurrogateLosses:
 
 class TestRiskEstimators:
     def test_upu_sigmoid_at_zero(self):
-        assert upu_risk(sigmoid_loss(), 0.3, np.zeros(5), np.zeros(7)) == pytest.approx(0.5)
+        upu = risk_objective("upu", sigmoid_loss(), 0.3)
+        assert upu.value(np.zeros(5), np.zeros(7)) == pytest.approx(0.5)
 
     def test_prior_zero_collapse(self):
         rng = np.random.default_rng(0)
         g_pos, g_unl = rng.normal(size=10), rng.normal(size=20)
         loss = sigmoid_loss()
-        assert upu_risk(loss, 0.0, g_pos, g_unl) == pytest.approx(
+        assert risk_objective("upu", loss, 0.0).value(g_pos, g_unl) == pytest.approx(
             float(np.mean(loss.loss(-1, g_unl)))
         )
 
     def test_nnpu_sigmoid_at_zero(self):
-        value, branch = nnpu_risk(sigmoid_loss(), 0.3, np.zeros(5), np.zeros(7))
-        assert value == pytest.approx(0.5)
-        assert branch is Branch.NORMAL
-
-    def test_nnpu_equals_upu_when_bracket_nonnegative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            prior = rng.uniform(0.05, 0.95)
-            g_pos = rng.normal(size=rng.integers(1, 30))
-            g_unl = rng.normal(size=rng.integers(1, 30))
-            loss = sigmoid_loss() if rng.random() < 0.5 else logistic_loss()
-            u = upu_risk(loss, prior, g_pos, g_unl)
-            n, branch = nnpu_risk(loss, prior, g_pos, g_unl)
-            if branch is Branch.NORMAL:
-                assert n == pytest.approx(u, abs=1e-12)
-            else:
-                assert n > u and n >= 0
+        nnpu = risk_objective("nnpu", sigmoid_loss(), 0.3)
+        assert nnpu.value(np.zeros(5), np.zeros(7)) == pytest.approx(0.5)
+        assert nnpu.weights(np.zeros(5), np.zeros(7))[2] is Branch.NORMAL
 
     def test_adversarial_bracket_goes_negative(self):
         """Overconfident fits push the unbiased risk negative, nnPU clips it."""
         g_pos = np.full(20, 10.0)
         g_unl = np.full(40, -10.0)
-        loss = sigmoid_loss()
-        u = upu_risk(loss, 0.8, g_pos, g_unl)
-        n, branch = nnpu_risk(loss, 0.8, g_pos, g_unl)
-        assert u < 0
-        assert branch is Branch.CORRECTED
-        assert n >= 0
+        upu = risk_objective("upu", sigmoid_loss(), 0.8)
+        nnpu = risk_objective("nnpu", sigmoid_loss(), 0.8)
+        assert upu.value(g_pos, g_unl) < 0
+        assert nnpu.weights(g_pos, g_unl)[2] is Branch.CORRECTED
+        assert nnpu.value(g_pos, g_unl) >= 0
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
-            upu_risk(sigmoid_loss(), 0.5, [], [0.0])
+            risk_objective("upu", sigmoid_loss(), 0.5).value([], [0.0])
 
     def test_upu_unbiasedness_monte_carlo(self):
         """Mean of PU estimates matches the supervised risk by quadrature."""
         mix = case1_mixture(prior=0.4)
         loss = sigmoid_loss()
+        upu = risk_objective("upu", loss, 0.4)
 
         def g(x):
             return x - 0.2
@@ -106,9 +87,7 @@ class TestRiskEstimators:
         estimates = []
         for seed in range(1000):
             ds = synth_from_mixture(mix, 50, 250, 0.4, (seed, 123))
-            estimates.append(
-                upu_risk(loss, 0.4, g(ds.positives.ravel()), g(ds.unlabeled.ravel()))
-            )
+            estimates.append(upu.value(g(ds.positives.ravel()), g(ds.unlabeled.ravel())))
         estimates = np.asarray(estimates)
         stderr = estimates.std(ddof=1) / np.sqrt(len(estimates))
         assert abs(estimates.mean() - population) < 3 * stderr
@@ -195,17 +174,19 @@ class TestTrainBaseline:
                 else:
                     w_pos = prior * loss.dloss_dv(-1, gp) / gp.size
                     w_unl = -loss.dloss_dv(-1, gu) / gu.size
-                grad = ref.grad_dot(xp, w_pos) + ref.grad_dot(xu, w_unl) + cfg.l2_reg * ref.params
+                grad = ref.forward(ref.encode(xp))[1](w_pos) + ref.forward(ref.encode(xu))[1](w_unl)
+                grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
             snapshots.append(ref.params.copy())
         # The trainer scores each block of SCORE_BLOCK epochs with one outputs call per split.
         va_pos, va_unl = ref.encode(va.positives), ref.encode(va.unlabeled)
+        upu = risk_objective("upu", loss, prior)
         best_val, best_params = np.inf, None
         for start in range(0, cfg.epochs, SCORE_BLOCK):
             thetas = np.column_stack(snapshots[start : start + SCORE_BLOCK])
             out_pos, out_unl = ref.outputs(va_pos, thetas), ref.outputs(va_unl, thetas)
             for j in range(thetas.shape[1]):
-                val = upu_risk(loss, prior, out_pos[:, j], out_unl[:, j])
+                val = upu.value(out_pos[:, j], out_unl[:, j])
                 if val < best_val:
                     best_val, best_params = val, snapshots[start + j]
         np.testing.assert_array_equal(model.params, best_params)

@@ -163,13 +163,23 @@ class TestTrain:
         assert len(centers["nnpu"]) == 50
         assert centers["nnpu"] == centers["drpu"]
 
-    @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--l2-reg", "nan")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
+            ("--l2-reg", "nan"),
+            ("--bandwidth", "inf"),
+            ("--generator", "quadratic:inf"),
+        ],
+    )
     def test_non_finite_training_setting_is_config_error(self, dataset_dir, tmp_path, flag, value):
         code = main([
             "train", "--data", str(dataset_dir), "--out", str(tmp_path / "nf"), "--gamma", "0.9",
             "--epochs", "2", "--batch-size", "80", flag, value,
         ])
         assert code == 2
+        assert not (tmp_path / "nf" / "model.json").exists()
 
     @pytest.mark.parametrize("method", ["drpu", "nnpu"])
     @pytest.mark.parametrize("max_centers", ["-3", "0"])

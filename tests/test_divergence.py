@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pushift.divergence import Branch, branch_weights, corrected_objective, empirical_objective
+from pushift.baselines import logistic_loss, risk_objective, sigmoid_loss
+from pushift.divergence import Branch, ratio_objective
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
-from pushift.models import gaussian_basis_linear
+from pushift.models import GaussianBasisLinear, gaussian_basis_linear
 from pushift.theory import (
     DiscreteDistributionPair,
     population_divergence,
@@ -16,61 +17,125 @@ from _helpers import finite_difference, objective_gradient, relative_error
 LSIF = lsif_generator()
 
 
+def branch_of(objective, out_pos, out_unl):
+    return objective.weights(np.asarray(out_pos, float), np.asarray(out_unl, float))[2]
+
+
 class TestEmpiricalObjective:
     def test_hand_values(self):
-        assert empirical_objective(LSIF, [1], [1]) == -0.5
-        assert empirical_objective(LSIF, [0], [0]) == 0.0
-        assert empirical_objective(LSIF, [2, 2], [1, 3]) == 0.5
+        plain = ratio_objective(LSIF, 0.0).plain
+        assert plain([1], [1]) == -0.5
+        assert plain([0], [0]) == 0.0
+        assert plain([2, 2], [1, 3]) == 0.5
 
     def test_errors(self):
+        plain = ratio_objective(LSIF, 0.0).plain
         with pytest.raises(ValueError):
-            empirical_objective(LSIF, [], [1])
+            plain([], [1])
         with pytest.raises(ValueError):
-            empirical_objective(LSIF, [1], [])
+            plain([1], [])
         with pytest.raises(ValueError):
-            empirical_objective(LSIF, [1, -0.1], [1])
+            plain([1, -0.1], [1])
 
 
 class TestCorrectedObjective:
     def test_normal_branch_example(self):
-        ov = corrected_objective(LSIF, 0.0, [1], [1])
-        assert ov.value == -0.5
-        assert ov.branch is Branch.NORMAL
-        assert ov.bracket == 0.5
+        obj = ratio_objective(LSIF, 0.0)
+        assert obj.value([1], [1]) == -0.5
+        assert branch_of(obj, [1], [1]) is Branch.NORMAL
+        assert obj.bracket_value([1], [1]) == 0.5
 
     def test_corrected_branch_example(self):
-        ov = corrected_objective(LSIF, 0.9, [2], [0])
-        assert ov.branch is Branch.CORRECTED
-        assert abs(ov.bracket - (-1.8)) < 1e-12
-        assert abs(ov.value - (-0.2)) < 1e-12
+        obj = ratio_objective(LSIF, 0.9)
+        assert branch_of(obj, [2], [0]) is Branch.CORRECTED
+        assert abs(obj.bracket_value([2], [0]) - (-1.8)) < 1e-12
+        assert abs(obj.value([2], [0]) - (-0.2)) < 1e-12
 
     def test_all_zero_inputs(self):
-        ov = corrected_objective(LSIF, 0.5, [0, 0], [0, 0])
-        assert ov.value == 0.0
+        assert ratio_objective(LSIF, 0.5).value([0, 0], [0, 0]) == 0.0
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
-            corrected_objective(LSIF, 1.0, [1], [1])
+            ratio_objective(LSIF, 1.0)
         with pytest.raises(ValueError):
-            corrected_objective(LSIF, -0.1, [1], [1])
+            ratio_objective(LSIF, -0.1)
 
     @pytest.mark.parametrize("gen", [LSIF, exp_generator()], ids=lambda g: g.name)
     def test_corrected_dominates_plain(self, gen):
         """corrected >= plain, equality exactly when the bracket is nonnegative."""
         rng = np.random.default_rng(5)
         for _ in range(200):
-            alpha = rng.uniform(0.0, 0.99)
+            obj = ratio_objective(gen, rng.uniform(0.0, 0.99))
             r_pos = rng.uniform(0, 3, rng.integers(1, 20))
             r_unl = rng.uniform(0, 3, rng.integers(1, 20))
-            plain = empirical_objective(gen, r_pos, r_unl)
-            ov = corrected_objective(gen, alpha, r_pos, r_unl)
-            assert ov.value >= plain - 1e-12
-            if ov.bracket >= 0:
-                assert abs(ov.value - plain) < 1e-12
-                assert ov.branch is Branch.NORMAL
+            plain = obj.plain(r_pos, r_unl)
+            value = obj.value(r_pos, r_unl)
+            assert value >= plain - 1e-12
+            if obj.bracket_value(r_pos, r_unl) >= 0:
+                assert abs(value - plain) < 1e-12
+                assert branch_of(obj, r_pos, r_unl) is Branch.NORMAL
             else:
-                assert ov.value > plain
-                assert ov.branch is Branch.CORRECTED
+                assert value > plain
+                assert branch_of(obj, r_pos, r_unl) is Branch.CORRECTED
+
+
+# name -> (objective at a given alpha or prior, whether it scores a ratio model)
+OBJECTIVES = {
+    "lsif": (lambda k: ratio_objective(LSIF, k), True),
+    "exp": (lambda k: ratio_objective(exp_generator(), k), True),
+    "quadratic:1.7": (lambda k: ratio_objective(scaled_quadratic_generator(1.7), k), True),
+    "upu-sigmoid": (lambda k: risk_objective("upu", sigmoid_loss(), k), False),
+    "upu-logistic": (lambda k: risk_objective("upu", logistic_loss(), k), False),
+    "nnpu-sigmoid": (lambda k: risk_objective("nnpu", sigmoid_loss(), k), False),
+    "nnpu-logistic": (lambda k: risk_objective("nnpu", logistic_loss(), k), False),
+}
+
+
+class TestObjective:
+    """The clip, the branch rule and the chain-rule weights, for every objective family."""
+
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_clip_branch_and_gradient(self, name):
+        make, is_ratio = OBJECTIVES[name]
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(200):
+            obj = make(rng.uniform(0.0, 0.99) if is_ratio else rng.uniform(0.05, 0.95))
+            n_p, n_u = rng.integers(1, 20, size=2)
+            if is_ratio:
+                out_pos, out_unl = rng.uniform(0, 3, n_p), rng.uniform(0, 3, n_u)
+            else:
+                out_pos, out_unl = rng.normal(0, 3, n_p), rng.normal(0, 3, n_u)
+            b = obj.bracket_value(out_pos, out_unl)
+            gap = max(0.0, b) - b if obj.clip else 0.0
+            assert abs(obj.value(out_pos, out_unl) - obj.plain(out_pos, out_unl) - gap) <= 1e-12
+            normal = b >= 0 or not obj.clip
+            assert branch_of(obj, out_pos, out_unl) is (Branch.NORMAL if normal else Branch.CORRECTED)
+            seen.add(normal)
+        assert seen == ({True, False} if obj.clip else {True})
+
+        # Kernel model: the weights are the gradient of the active branch, on
+        # unlabeled rows near the centres (normal) and far from them (corrected).
+        branches = set()
+        for trial in range(6):
+            centers = rng.normal(size=(6, 2))
+            model = GaussianBasisLinear(centers, bandwidth=1.2, clamp=is_ratio)
+            model.params = np.abs(rng.normal(0.4, 0.3, 6)) * (3.0 if trial % 2 else 1.0)
+            xp = rng.normal(size=(5, 2))
+            xu = rng.normal(loc=4.0 if trial % 2 else 0.0, size=(8, 2))
+            obj = make(0.9)
+            grad, branch = objective_gradient(obj, model, xp, xu)
+            branches.add(branch)
+
+            def active(theta):
+                m = GaussianBasisLinear(centers, bandwidth=1.2, clamp=is_ratio, weights=theta)
+                out_pos, out_unl = m.predict(xp), m.predict(xu)
+                if branch is Branch.NORMAL:
+                    return obj.plain(out_pos, out_unl)
+                return -obj.bracket_value(out_pos, out_unl)
+
+            assert relative_error(grad, finite_difference(active, model.params.copy())) < 1e-4
+        assert branches == ({Branch.NORMAL, Branch.CORRECTED} if obj.clip else {Branch.NORMAL})
 
 
 class TestDistributionPair:
@@ -154,7 +219,7 @@ class TestObjectiveGradient:
     def test_linear_normal_branch_closed_form(self):
         """For the linear model the plain-branch gradient has a closed form."""
         model, centers, xp, xu = self._linear_setup(0)
-        grad, branch = objective_gradient(LSIF, 0.0, model, xp, xu)
+        grad, branch = objective_gradient(ratio_objective(LSIF, 0.0), model, xp, xu)
         assert branch is Branch.NORMAL
         phi_p, phi_u = model.features(xp), model.features(xu)
         expected = -phi_p.mean(axis=0) + phi_u.T @ (phi_u @ model.params) / len(xu)
@@ -166,7 +231,7 @@ class TestObjectiveGradient:
         model, centers, xp, xu = self._linear_setup(seed)
         gen = [LSIF, exp_generator(), scaled_quadratic_generator(1.7)][seed % 3]
         alpha = [0.0, 0.5, 0.95][seed % 3]
-        grad, branch = objective_gradient(gen, alpha, model, xp, xu)
+        grad, branch = objective_gradient(ratio_objective(gen, alpha), model, xp, xu)
 
         def branch_objective(theta):
             m = gaussian_basis_linear(centers, bandwidth=1.2)
@@ -184,13 +249,13 @@ class TestObjectiveGradient:
         # positives scoring high, unlabeled far outside the basis support
         model.params = np.abs(model.params) * 3
         far = np.full((4, 2), 100.0)
-        grad, branch = objective_gradient(LSIF, 0.99, model, xp, far)
+        grad, branch = objective_gradient(ratio_objective(LSIF, 0.99), model, xp, far)
         assert branch is Branch.CORRECTED
 
     def test_empty_batch_error(self):
         model, centers, xp, xu = self._linear_setup(1)
         with pytest.raises(ValueError):
-            objective_gradient(LSIF, 0.0, model, np.empty((0, 2)), xu)
+            objective_gradient(ratio_objective(LSIF, 0.0), model, np.empty((0, 2)), xu)
 
     def test_branch_weights_match_bracket_sign(self):
         rng = np.random.default_rng(9)
@@ -199,5 +264,5 @@ class TestObjectiveGradient:
             ru = rng.uniform(0, 3, 9)
             alpha = rng.uniform(0, 0.99)
             bracket = np.mean(LSIF.big_f(ru)) - alpha * np.mean(LSIF.big_f(rp))
-            _, _, branch = branch_weights(LSIF, alpha, rp, ru)
+            branch = branch_of(ratio_objective(LSIF, alpha), rp, ru)
             assert branch is (Branch.NORMAL if bracket >= 0 else Branch.CORRECTED)

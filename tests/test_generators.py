@@ -37,6 +37,8 @@ def test_scaled_quadratic_values_and_precondition():
         scaled_quadratic_generator(0.0)
     with pytest.raises(ConfigError):
         scaled_quadratic_generator(-1.0)
+    with pytest.raises(ConfigError):
+        generator_by_name("quadratic:inf")
 
 
 def test_exp_generator_values():

@@ -89,6 +89,8 @@ class TestGaussianBasisLinear:
             gaussian_basis_linear(np.empty((0, 2)))
         with pytest.raises(ConfigError):
             gaussian_basis_linear(np.zeros((3, 2)), bandwidth=0.0)
+        with pytest.raises(ConfigError):
+            gaussian_basis_linear(np.zeros((3, 2)), bandwidth=np.inf)
 
     def test_dimension_mismatch(self):
         model = gaussian_basis_linear(np.zeros((3, 2)))
@@ -151,7 +153,7 @@ class TestFusedForward:
         w = rng.normal(size=25)
         out, backward = model.forward(model.encode(X)[idx])
         np.testing.assert_array_equal(out, model.predict(X[idx]))
-        np.testing.assert_array_equal(backward(w), model.grad_dot(X[idx], w))
+        np.testing.assert_array_equal(backward(w), model.forward(model.encode(X[idx]))[1](w))
 
     def test_clamped_rows_get_no_gradient(self):
         rng = np.random.default_rng(13)
@@ -234,7 +236,7 @@ class TestMLP:
         for i in range(7):
             _, g = model.predict_grad(X[i])
             acc += w[i] * g
-        np.testing.assert_allclose(model.grad_dot(X, w), acc, atol=1e-12)
+        np.testing.assert_allclose(model.forward(model.encode(X))[1](w), acc, atol=1e-12)
 
 
 class TestSerialization:
@@ -261,6 +263,14 @@ class TestSerialization:
         np.testing.assert_array_equal(back.params, model.params)
         X = np.random.default_rng(9).normal(size=(20, 4))
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
+
+    def test_non_finite_params_raise_and_write_no_file(self, tmp_path):
+        model = gaussian_basis_linear(np.zeros((3, 2)))
+        model.params = [0.5, np.nan, 1.0]
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_unknown_kind(self):
         with pytest.raises(DataError):

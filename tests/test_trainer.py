@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,19 +6,17 @@ import pytest
 
 from pushift.baselines import risk_objective, sigmoid_loss
 from pushift.data import SplitDataset, synth_case1
-from pushift.divergence import Branch
+from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.generators import lsif_generator
 from pushift.models import GaussianBasisLinear, gaussian_basis_linear, mlp
 from pushift.trainer import (
     SCORE_BLOCK,
     AdamState,
-    Objective,
     TrainConfig,
     TrainReport,
     _epoch_batches,
     adam_step,
-    ratio_objective,
     train,
 )
 
@@ -85,10 +84,8 @@ class TestTrain:
         model, report = train(model, split, LSIF, cfg)
         assert report.best_epoch == int(np.argmin(report.val_objective))
         # the returned snapshot actually attains the reported minimum
-        from pushift.divergence import empirical_objective
-
-        returned_val = empirical_objective(
-            LSIF, model.predict(split.val.positives), model.predict(split.val.unlabeled)
+        returned_val = ratio_objective(LSIF, 0.0).plain(
+            model.predict(split.val.positives), model.predict(split.val.unlabeled)
         )
         assert returned_val == pytest.approx(min(report.val_objective), abs=1e-12)
 
@@ -126,10 +123,9 @@ class TestTrain:
         for _ in range(cfg.epochs):
             for pos_idx, unl_idx in _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size):
                 xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
-                rp, ru = ref.predict(xp), ref.predict(xu)
-                grad = ref.grad_dot(xp, -LSIF.f_prime2(rp) / rp.size) + ref.grad_dot(
-                    xu, ru * LSIF.f_prime2(ru) / ru.size
-                )
+                rp, back_pos = ref.forward(ref.encode(xp))
+                ru, back_unl = ref.forward(ref.encode(xu))
+                grad = back_pos(-LSIF.f_prime2(rp) / rp.size) + back_unl(ru * LSIF.f_prime2(ru) / ru.size)
                 grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
         # trainer returns the best-validation snapshot; with monotone improvement
@@ -224,8 +220,8 @@ def reference_train(model, data, objective, cfg):
             n_corrected += branch is Branch.CORRECTED
             grad = back_pos(w_pos) + back_unl(w_unl) + cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, cfg.learning_rate)
-        train_obj = objective.train_value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
-        val_obj = objective.val_value(model.forward(va_pos)[0], model.forward(va_unl)[0])
+        train_obj = objective.value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
+        val_obj = objective.plain(model.forward(va_pos)[0], model.forward(va_unl)[0])
         if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
             raise TrainingDiverged(f"non-finite objective at epoch {epoch}")
         report.train_objective.append(float(train_obj))
@@ -312,13 +308,14 @@ class TestBlockScoring:
     def test_divergence_inside_a_block_names_its_epoch(self):
         """Finite parameters, non-finite objective at epoch 5: raised at the block's end."""
         calls = []
-        plain = ratio_objective(LSIF, 0.0)
 
-        def val_value(r_pos, r_unl):
-            calls.append(None)
-            return np.nan if len(calls) == 6 else plain.val_value(r_pos, r_unl)
+        class NanAtSixthScore(Objective):
+            def plain(self, out_pos, out_unl):
+                calls.append(None)
+                return np.nan if len(calls) == 6 else super().plain(out_pos, out_unl)
 
-        objective = Objective(plain.weights, plain.train_value, val_value)
+        base = ratio_objective(LSIF, 0.0)
+        objective = NanAtSixthScore(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
         split = small_split()
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
         with pytest.raises(TrainingDiverged, match=r"at epoch 5: train=[-0-9.e]+, val=nan"):

@@ -18,18 +18,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
-import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
 from .classifier import threshold_decisions
 from .data import SplitDataset, load_csv, load_pu_dataset, save_csv
-from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged
+from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged, json_int, json_number, json_str
 from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
@@ -44,39 +41,45 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_DEGENERATE = 5
 
-SYNTH_DEFAULTS = {
-    "case": 1,
-    "seed": 0,
-    "n_train_pos": 200,
-    "n_train_unl": 1000,
-    "n_val_pos": 100,
-    "n_val_unl": 500,
-    "n_test": 1000,
-    "train_prior": None,  # case default when absent
-    "test_prior": None,
-    "out": "data",
+# One table per config-driven command: field -> (type, default).  The flags,
+# the config-document check and the typed config all come from it.  ``int``
+# is a JSON integer >= 0, ``float`` a finite JSON number (stored as a float),
+# ``str`` a JSON string; null is allowed only where the default is None.
+SYNTH_FIELDS = {
+    "case": (int, 1),
+    "seed": (int, 0),
+    "n_train_pos": (int, 200),
+    "n_train_unl": (int, 1000),
+    "n_val_pos": (int, 100),
+    "n_val_unl": (int, 500),
+    "n_test": (int, 1000),
+    "train_prior": (float, None),  # case default when null
+    "test_prior": (float, None),
+    "out": (str, "data"),
 }
 
-TRAIN_DEFAULTS = {
-    "seed": 0,
-    "data": "data",
-    "out": "run",
-    "method": "drpu",
-    "generator": "lsif",
-    "loss": "sigmoid",
-    "prior": None,  # baselines only
-    "alpha": 0.0,
-    "epochs": 200,
-    "batch_size": 200,
-    "learning_rate": 2e-5,
-    "lr_halving_period": None,
-    "adam_beta1": 0.5,
-    "adam_beta2": 0.999,
-    "l2_reg": 0.1,
-    "gamma": 0.9,  # 0.5 leaves no admissible threshold at the default 100 validation positives
-    "bandwidth": 1.0,
-    "max_centers": None,
+TRAIN_FIELDS = {
+    "seed": (int, TrainConfig.seed),
+    "data": (str, "data"),
+    "out": (str, "run"),
+    "method": (str, "drpu"),
+    "generator": (str, "lsif"),
+    "loss": (str, "sigmoid"),
+    "prior": (float, None),  # baselines only
+    "alpha": (float, TrainConfig.alpha),
+    "epochs": (int, TrainConfig.epochs),
+    "batch_size": (int, TrainConfig.batch_size),
+    "learning_rate": (float, TrainConfig.learning_rate),
+    "l2_reg": (float, TrainConfig.l2_reg),
+    "gamma": (float, 0.9),  # 0.5 leaves no admissible threshold at the default 100 validation positives
+    "bandwidth": (float, 1.0),
+    "max_centers": (int, None),
 }
+
+READERS = {int: json_int, float: json_number, str: json_str}
+
+LOSSES = {"sigmoid": sigmoid_loss, "logistic": logistic_loss}
+
 
 def _config_hash(cfg: dict) -> str:
     """Hash of the run parameters; filesystem paths are not identity."""
@@ -102,22 +105,32 @@ def _load_json(path) -> dict:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _effective_config(defaults: dict, args, keys) -> dict:
-    """defaults < config file < command-line flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _add_fields(parser, fields: dict) -> None:
+    parser.add_argument("--config", help="JSON config document")
+    for name, (kind, _) in fields.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
+
+
+def _effective_config(fields: dict, args) -> dict:
+    """Table defaults < config file < command-line flags, each value read as its field's type."""
+    cfg = {name: default for name, (_, default) in fields.items()}
+    if args.config:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must be a JSON object, got {type(doc).__name__}")
-        unknown = set(doc) - set(defaults)
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg.update(doc)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+    cfg.update((name, getattr(args, name)) for name in fields if getattr(args, name) is not None)
+    return {name: _read_field(fields[name], name, value) for name, value in cfg.items()}
+
+
+def _read_field(field, name, value):
+    kind, default = field
+    if value is None and default is None:
+        return None
+    return READERS[kind](value, name, error=ConfigError)
 
 
 def _validate_prior(name, value):
@@ -126,20 +139,17 @@ def _validate_prior(name, value):
 
 
 def cmd_synth(args) -> int:
-    cfg = _effective_config(SYNTH_DEFAULTS, args, SYNTH_DEFAULTS.keys())
-    case = int(cfg["case"])
+    cfg = _effective_config(SYNTH_FIELDS, args)
+    case, seed = cfg["case"], cfg["seed"]
     if case not in CASE_DEFAULTS:
         raise ConfigError(f"case must be 1 or 2, got {case}")
-    defaults = CASE_DEFAULTS[case]
-    train_prior = defaults["train_prior"] if cfg["train_prior"] is None else float(cfg["train_prior"])
-    test_prior = defaults["test_prior"] if cfg["test_prior"] is None else float(cfg["test_prior"])
-    _validate_prior("train_prior", train_prior)
-    _validate_prior("test_prior", test_prior)
-    cfg["train_prior"], cfg["test_prior"] = train_prior, test_prior
-    seed = int(cfg["seed"])
-    n_train = (int(cfg["n_train_pos"]), int(cfg["n_train_unl"]))
-    n_val = (int(cfg["n_val_pos"]), int(cfg["n_val_unl"]))
-    split, te = case_data(case, seed, n_train, n_val, int(cfg["n_test"]), train_prior, test_prior)
+    for name in ("train_prior", "test_prior"):
+        if cfg[name] is None:
+            cfg[name] = CASE_DEFAULTS[case][name]
+        _validate_prior(name, cfg[name])
+    n_train = (cfg["n_train_pos"], cfg["n_train_unl"])
+    n_val = (cfg["n_val_pos"], cfg["n_val_unl"])
+    split, te = case_data(case, seed, n_train, n_val, cfg["n_test"], cfg["train_prior"], cfg["test_prior"])
     tr, va = split.train, split.val
 
     out = cfg["out"]
@@ -186,19 +196,6 @@ def _write_trace_csv(path, report) -> None:
             fh.write(f"{epoch},{tr!r},{va!r},{cf!r}\n")
 
 
-def _append_results_csv(path, tag, doc) -> None:
-    """One row per run: threshold, boundary, and metrics for seed sweeps."""
-    fields = ["tag", "theta", "boundary", "accuracy", "error_rate", "auc", "pi_hat", "pi_prime"]
-    fresh = not os.path.exists(path)
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write(",".join(fields) + "\n")
-        row = [str(tag)] + [
-            "" if doc.get(k) is None else repr(float(doc[k])) for k in fields[1:]
-        ]
-        fh.write(",".join(row) + "\n")
-
-
 def _load_split(data_dir) -> SplitDataset:
     return SplitDataset(
         train=load_pu_dataset(
@@ -211,45 +208,32 @@ def _load_split(data_dir) -> SplitDataset:
 
 
 def cmd_train(args) -> int:
-    cfg = _effective_config(TRAIN_DEFAULTS, args, TRAIN_DEFAULTS.keys())
-    if args.sweep:
-        return _run_sweep(args, cfg)
-    seed = int(cfg["seed"])
-    method = str(cfg["method"]).lower()
+    cfg = _effective_config(TRAIN_FIELDS, args)
+    seed, method = cfg["seed"], cfg["method"]
     if method not in ("drpu", "upu", "nnpu"):
         raise ConfigError(f"method must be drpu, upu, or nnpu, got {method!r}")
+    loss = LOSSES.get(cfg["loss"])
+    if loss is None:
+        raise ConfigError(f"loss must be sigmoid or logistic, got {cfg['loss']!r}")
+    prior = cfg["prior"]
+    if prior is not None:
+        _validate_prior("prior", prior)
+    elif method != "drpu":
+        raise ConfigError(f"method {method} requires an explicit prior (none given)")
     split = _load_split(cfg["data"])
-    tcfg = TrainConfig(
-        alpha=float(cfg["alpha"]),
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        lr_halving_period=None if cfg["lr_halving_period"] is None else int(cfg["lr_halving_period"]),
-        adam_beta1=float(cfg["adam_beta1"]),
-        adam_beta2=float(cfg["adam_beta2"]),
-        l2_reg=float(cfg["l2_reg"]),
-        seed=seed,
-    )
-    max_centers = None if cfg["max_centers"] is None else int(cfg["max_centers"])
+    tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     chash = _config_hash(cfg)
     report = {"config": cfg, "config_hash": chash, "seed": seed, "method": method}
 
     if method == "drpu":
-        gen = generator_by_name(str(cfg["generator"]))
-        fit = fit_drpu(
-            split,
-            tcfg,
-            gen=gen,
-            gamma=float(cfg["gamma"]),
-            max_centers=max_centers,
-            bandwidth=float(cfg["bandwidth"]),
-        )
+        gen = generator_by_name(cfg["generator"])
+        fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], max_centers=cfg["max_centers"], bandwidth=cfg["bandwidth"])
         save_model(fit.model, os.path.join(out, "model.json"))
         fit.intervals.save(os.path.join(out, "intervals.json"))
         report["pi_hat"] = fit.pi_hat.to_dict()
-        report["gamma"] = float(cfg["gamma"])
+        report["gamma"] = cfg["gamma"]
         report["train_report"] = fit.report.to_dict()
         _write_trace_csv(os.path.join(out, "trace.csv"), fit.report)
         print(
@@ -257,15 +241,8 @@ def cmd_train(args) -> int:
             f"best_epoch={fit.report.best_epoch} hash={chash}"
         )
     else:
-        if cfg["prior"] is None:
-            raise ConfigError(f"method {method} requires an explicit prior (none given)")
-        prior = float(cfg["prior"])
-        _validate_prior("prior", prior)
-        loss = {"sigmoid": sigmoid_loss, "logistic": logistic_loss}.get(str(cfg["loss"]).lower())
-        if loss is None:
-            raise ConfigError(f"loss must be sigmoid or logistic, got {cfg['loss']!r}")
-        centers = kernel_centers(split, seed, max_centers)
-        model = GaussianBasisLinear(centers, bandwidth=float(cfg["bandwidth"]), clamp=False)
+        centers = kernel_centers(split, seed, cfg["max_centers"])
+        model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=False)
         model, trep = train_baseline(method, loss(), prior, model, split, tcfg)
         save_model(model, os.path.join(out, "model.json"))
         report["prior"] = prior
@@ -278,34 +255,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(args, cfg) -> int:
-    """Re-invoke this command once per seed as independent processes.
-
-    The effective config (defaults + config file + flags) is written out and
-    handed to every child, with only the seed and output directory varying.
-    At most ``os.cpu_count()`` children run at a time.
-    """
-    n = int(args.sweep)
-    base_seed = int(cfg["seed"])
-    sweep_cfg = f"{cfg['out']}-sweep-config.json"
-    os.makedirs(os.path.dirname(sweep_cfg) or ".", exist_ok=True)
-    _write_json(sweep_cfg, cfg)
-    cmds = [
-        [
-            sys.executable, "-m", "pushift.cli", args.command,
-            "--config", sweep_cfg,
-            "--seed", str(seed),
-            "--out", f"{cfg['out']}-seed{seed}",
-        ]
-        for seed in range(base_seed, base_seed + n)
-    ]
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        codes = list(pool.map(subprocess.call, cmds))
-    bad = [c for c in codes if c != 0]
-    print(f"sweep: {n - len(bad)}/{n} runs succeeded")
-    return max(bad) if bad else EXIT_OK
-
-
 def cmd_adapt(args) -> int:
     model = load_model(args.model)
     intervals = ThresholdIntervals.load(args.intervals)
@@ -316,26 +265,26 @@ def cmd_adapt(args) -> int:
     if report is not None and not isinstance(report, dict):
         raise DataError(f"{args.report} must be a JSON object")
     if args.pi_hat is not None:
-        pi_hat = float(args.pi_hat)
+        pi_hat = args.pi_hat
         if not (0.0 <= pi_hat <= 1.0):
             raise ConfigError(f"pi_hat must lie in [0, 1], got {pi_hat}")
     elif report and "pi_hat" in report:
         pi_hat = _estimate_value(report, "pi_hat", args.report)
     else:
         raise ConfigError("adapt needs --pi-hat or --report with a pi_hat field")
-    cost = float(args.cost)
+    cost = args.cost
     _validate_prior("cost", cost)
 
-    adapted = adapt_threshold(model, intervals, X, pi_hat, cost=cost, gamma=args.gamma)
+    adapted = adapt_threshold(model, intervals, X, pi_hat, cost=cost)
     doc = {
         "pi_hat": pi_hat,
         "pi_prime": adapted.pi_prime.to_dict(),
         "c0": adapted.c0,
         "theta": adapted.theta,
         "cost": cost,
-        "gamma": args.gamma if args.gamma is not None else intervals.gamma,
+        "gamma": intervals.gamma,
         "gamma_bar": adapted.pi_prime.gamma_bar,
-        "n_test": int(X.shape[0]),
+        "n_test": X.shape[0],
         "inputs": {"model": args.model, "intervals": args.intervals, "test": args.test},
         **_run_identity(report or {}, args.report),
     }
@@ -347,33 +296,21 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _number(value, what, lo=-math.inf, hi=math.inf) -> float:
-    """``value`` as a float if it is a finite JSON number in [lo, hi]; else a ``DataError`` naming ``what``."""
-    try:
-        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        x = math.nan
-    if not (math.isfinite(x) and lo <= x <= hi):
-        raise DataError(f"{what} must be a finite number in [{lo:g}, {hi:g}], got {value!r}")
-    return x
-
-
 def _estimate_value(doc, key, path) -> float:
     """The ``value`` of the prior estimate document ``doc[key]``, a number in [0, 1]."""
     est = doc[key]
     if not isinstance(est, dict) or "value" not in est:
         raise DataError(f"{path}: {key} must be a JSON object with a value field")
-    return _number(est["value"], f"{path}: {key} value", 0.0, 1.0)
+    return json_number(est["value"], f"{path}: {key} value", 0.0, 1.0)
 
 
 def _run_identity(doc, path) -> dict:
     """The ``seed`` (an integer) and ``config_hash`` (a string) that ``doc`` passes on; either may be null."""
     seed, chash = doc.get("seed"), doc.get("config_hash")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise DataError(f"{path}: seed must be an integer or null, got {seed!r}")
-    if chash is not None and not isinstance(chash, str):
-        raise DataError(f"{path}: config_hash must be a string or null, got {chash!r}")
-    return {"seed": seed, "config_hash": chash}
+    return {
+        "seed": None if seed is None else json_int(seed, f"{path}: seed"),
+        "config_hash": None if chash is None else json_str(chash, f"{path}: config_hash"),
+    }
 
 
 def _load_adapted(path):
@@ -381,7 +318,7 @@ def _load_adapted(path):
     doc = _load_json(path)
     if not isinstance(doc, dict) or "theta" not in doc:
         raise DataError(f"{path} must be a JSON object with a theta field")
-    return doc, _number(doc["theta"], f"{path}: theta")
+    return doc, json_number(doc["theta"], f"{path}: theta")
 
 
 def cmd_evaluate(args) -> int:
@@ -393,7 +330,7 @@ def cmd_evaluate(args) -> int:
         adapted, theta = _load_adapted(args.adapted)
     elif args.theta is not None:
         adapted = None
-        theta = float(args.theta)
+        theta = args.theta
         if not np.isfinite(theta):
             raise ConfigError(f"--theta must be finite, got {theta}")
     else:
@@ -404,7 +341,7 @@ def cmd_evaluate(args) -> int:
     pos, neg = scores[labels == 1], scores[labels == -1]
     doc = {
         "theta": theta,
-        "n_test": int(X.shape[0]),
+        "n_test": X.shape[0],
         "accuracy": accuracy(labels, preds),
         "error_rate": error_rate(labels, preds),
         "auc": auc(pos, neg) if pos.size and neg.size else None,
@@ -415,24 +352,21 @@ def cmd_evaluate(args) -> int:
     if adapted:
         path = args.adapted
         pi_hat, c0 = adapted.get("pi_hat"), adapted.get("c0")
-        doc["pi_hat"] = None if pi_hat is None else _number(pi_hat, f"{path}: pi_hat", 0.0, 1.0)
+        doc["pi_hat"] = None if pi_hat is None else json_number(pi_hat, f"{path}: pi_hat", 0.0, 1.0)
         doc["pi_prime"] = _estimate_value(adapted, "pi_prime", path) if "pi_prime" in adapted else None
-        doc["c0"] = None if c0 is None else _number(c0, f"{path}: c0")
+        doc["c0"] = None if c0 is None else json_number(c0, f"{path}: c0")
         doc.update(_run_identity(adapted, path))
     if X.shape[1] == 1:
         boundary = decision_boundary_1d(model.predict, theta)
         doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing
     _write_json(args.out, doc)
-    if args.append_csv:
-        tag = args.tag if args.tag is not None else doc.get("seed", "")
-        _append_results_csv(args.append_csv, tag, doc)
     print(f"evaluate: accuracy={doc['accuracy']:.4f} auc={doc['auc']} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_verify_theory(args) -> int:
-    results = run_all(seed=int(args.seed), trials=int(args.trials))
-    doc = {"seed": int(args.seed), "trials": int(args.trials), "suites": [r.to_dict() for r in results]}
+    results = run_all(seed=json_int(args.seed, "seed", error=ConfigError), trials=args.trials)
+    doc = {"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in results]}
     all_passed = all(r.passed for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -450,38 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic Gaussian dataset directory")
-    sp.add_argument("--config", help="JSON config document")
-    sp.add_argument("--case", type=int, choices=(1, 2))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--n-train-pos", dest="n_train_pos", type=int)
-    sp.add_argument("--n-train-unl", dest="n_train_unl", type=int)
-    sp.add_argument("--n-val-pos", dest="n_val_pos", type=int)
-    sp.add_argument("--n-val-unl", dest="n_val_unl", type=int)
-    sp.add_argument("--n-test", dest="n_test", type=int)
-    sp.add_argument("--train-prior", dest="train_prior", type=float)
-    sp.add_argument("--test-prior", dest="test_prior", type=float)
-    sp.add_argument("--out")
+    _add_fields(sp, SYNTH_FIELDS)
     sp.set_defaults(func=cmd_synth)
 
     tp = sub.add_parser("train", help="train DRPU or a PU baseline from a dataset directory")
-    tp.add_argument("--config")
-    tp.add_argument("--data")
-    tp.add_argument("--out")
-    tp.add_argument("--seed", type=int)
-    tp.add_argument("--method", choices=("drpu", "upu", "nnpu"))
-    tp.add_argument("--generator")
-    tp.add_argument("--loss", choices=("sigmoid", "logistic"))
-    tp.add_argument("--prior", type=float)
-    tp.add_argument("--alpha", type=float)
-    tp.add_argument("--epochs", type=int)
-    tp.add_argument("--batch-size", dest="batch_size", type=int)
-    tp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    tp.add_argument("--lr-halving-period", dest="lr_halving_period", type=int)
-    tp.add_argument("--l2-reg", dest="l2_reg", type=float)
-    tp.add_argument("--gamma", type=float)
-    tp.add_argument("--bandwidth", type=float)
-    tp.add_argument("--max-centers", dest="max_centers", type=int)
-    tp.add_argument("--sweep", type=int, help="run N seeds as independent processes")
+    _add_fields(tp, TRAIN_FIELDS)
     tp.set_defaults(func=cmd_train)
 
     ap = sub.add_parser("adapt", help="estimate the test prior and place the threshold")
@@ -489,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--intervals", required=True)
     ap.add_argument("--test", required=True, help="unlabeled test CSV")
     ap.add_argument("--cost", type=float, default=0.5)
-    ap.add_argument("--gamma", type=float, default=None)
     ap.add_argument("--pi-hat", dest="pi_hat", type=float, default=None)
     ap.add_argument("--report", help="training report JSON carrying pi_hat")
     ap.add_argument("--out", default="adapted.json")
@@ -501,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--adapted", help="adapt output JSON")
     ep.add_argument("--theta", type=float, help="explicit threshold (baselines use 0)")
     ep.add_argument("--out", default="metrics.json")
-    ep.add_argument("--append-csv", dest="append_csv", help="append a plot-ready result row")
-    ep.add_argument("--tag", help="row label for --append-csv (defaults to the seed)")
     ep.set_defaults(func=cmd_evaluate)
 
     vp = sub.add_parser("verify-theory", help="run the randomized bound/identity suites")
@@ -531,9 +435,6 @@ def main(argv=None) -> int:
     except DegeneratePriorError as exc:
         print(f"degenerate prior estimation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -144,11 +144,10 @@ def adapt_threshold(
     test_unlabeled,
     pi_hat: float,
     cost: float = 0.5,
-    gamma: Optional[float] = None,
 ) -> AdaptResult:
     """Test-time adaptation from unlabeled data and the saved summary only."""
     r_test = model.predict(np.atleast_2d(np.asarray(test_unlabeled, dtype=float)))
-    pi_prime = estimate_test_prior(intervals, r_test, gamma=gamma)
+    pi_prime = estimate_test_prior(intervals, r_test)
     spec = ShiftSpec(
         train_prior=_interior(pi_hat),
         test_prior=_interior(pi_prime.value),

@@ -24,10 +24,11 @@ Models serialize to plain JSON documents and round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_array, json_bool, json_int, json_number, json_str
 
 __all__ = [
     "expit",
@@ -133,8 +134,8 @@ class GaussianBasisLinear(RatioModel):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.shape[0] == 0:
             raise ConfigError("at least one basis center is required")
-        if not (0 < bandwidth < np.inf):
-            raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth}")
+        if not (bandwidth > 0 and 0 < 2.0 * bandwidth * bandwidth < np.inf):  # the features divide by 2 bw^2
+            raise ConfigError(f"bandwidth must be positive with 2 bandwidth^2 finite and nonzero, got {bandwidth}")
         self.centers = centers
         self.bandwidth = float(bandwidth)
         self.clamp = bool(clamp)
@@ -321,6 +322,9 @@ def mlp(layer_sizes, seed: int = 0, output: str = "softplus") -> MLP:
     return MLP(layer_sizes, seed=seed, output=output)
 
 
+_numbers = partial(json_array, item=json_number)
+
+
 def model_from_dict(doc: dict) -> RatioModel:
     """Rebuild a model; any malformed document raises DataError."""
     if not isinstance(doc, dict):
@@ -328,31 +332,28 @@ def model_from_dict(doc: dict) -> RatioModel:
     kind = doc.get("kind")
     try:
         if kind == GaussianBasisLinear.kind:
+            centers = np.array(json_array(doc["centers"], "centers", _numbers))
+            dim_in = json_int(doc["dim_in"], "dim_in")
+            if centers.ndim != 2 or centers.shape[1] != dim_in:
+                raise DataError(f"dim_in must equal the width of centers {centers.shape}, got {dim_in}")
             return GaussianBasisLinear(
-                centers=_finite_field(doc, "centers"),
-                bandwidth=float(_finite_field(doc, "bandwidth")),
-                clamp=doc.get("clamp", True),
-                weights=_finite_field(doc, "params"),
+                centers=centers,
+                bandwidth=json_number(doc["bandwidth"], "bandwidth"),
+                clamp=json_bool(doc.get("clamp", True), "clamp"),
+                weights=_numbers(doc["params"], "params"),
             )
         if kind == MLP.kind:
             return MLP(
-                layer_sizes=doc["layer_sizes"],
-                seed=doc.get("seed", 0),
-                output=doc.get("output", "softplus"),
-                params=_finite_field(doc, "params"),
+                layer_sizes=json_array(doc["layer_sizes"], "layer_sizes", json_int),
+                seed=json_int(doc.get("seed", 0), "seed"),
+                output=json_str(doc.get("output", "softplus"), "output"),
+                params=_numbers(doc["params"], "params"),
             )
     except KeyError as exc:
         raise DataError(f"model document is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # the constructors' ConfigError, and DataError
+    except (TypeError, ValueError) as exc:  # the constructors' ConfigError, and the readers' DataError
         raise DataError(f"invalid model document: {exc}") from exc
     raise DataError(f"unknown model kind {kind!r}")
-
-
-def _finite_field(doc: dict, key: str) -> np.ndarray:
-    values = np.asarray(doc[key], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"model field {key!r} holds non-finite values")
-    return values
 
 
 def save_model(model: RatioModel, path) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegeneratePriorError
+from .errors import ConfigError, DataError, DegeneratePriorError, json_array, json_int, json_number
 
 __all__ = [
     "PriorEstimate",
@@ -53,7 +53,7 @@ def gamma_bar(n_pos: int, n_unl: int, gamma: float) -> float:
     sample sizes; callers treat that as a degenerate condition.
     """
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+        raise ConfigError(f"gamma must be in (0, 1), got {gamma}")
     return max(epsilon(n_pos, 1.0 / n_pos), epsilon(n_unl, 1.0 / n_unl)) / gamma
 
 
@@ -143,14 +143,14 @@ class ThresholdIntervals:
             raise DataError(f"interval document must be a JSON object, got {type(doc).__name__}")
         try:
             return cls(
-                boundaries=np.asarray(doc["boundaries"], dtype=float),
-                accept_counts=np.asarray(doc["accept_counts"], dtype=int),
-                n_pos=int(doc["n_pos"]),
-                gamma=float(doc.get("gamma", 0.5)),
+                boundaries=json_array(doc["boundaries"], "boundaries", json_number),
+                accept_counts=json_array(doc["accept_counts"], "accept_counts", json_int),
+                n_pos=json_int(doc["n_pos"], "n_pos"),
+                gamma=json_number(doc.get("gamma", 0.5), "gamma"),
             )
         except KeyError as exc:
             raise DataError(f"interval document is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # includes validate's DataError
+        except (TypeError, ValueError, OverflowError) as exc:  # validate's DataError; a count beyond int64
             raise DataError(f"invalid interval document: {exc}") from exc
 
     def save(self, path) -> None:
@@ -178,7 +178,7 @@ def build_intervals(r_pos, gamma: float = 0.5) -> ThresholdIntervals:
     return ThresholdIntervals(boundaries=values, accept_counts=accept, n_pos=rp.size, gamma=gamma)
 
 
-def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl, gamma: float = None) -> PriorEstimate:
+def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstimate:
     """Estimate a class-prior from unlabeled scores and a positive summary.
 
     Threshold candidates are every attained score value plus sentinels; both
@@ -191,7 +191,7 @@ def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl, gamma: float 
     if ru.size == 0:
         raise ValueError("unlabeled score list must be nonempty")
     n_pos = intervals.n_pos
-    gbar = gamma_bar(n_pos, ru.size, intervals.gamma if gamma is None else gamma)
+    gbar = gamma_bar(n_pos, ru.size, intervals.gamma)
     if gbar >= 1.0:
         raise DegeneratePriorError(gbar, n_pos, ru.size)
 

@@ -26,7 +26,6 @@ the end of its block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 200
     learning_rate: float = 2e-5
-    lr_halving_period: Optional[int] = None
     adam_beta1: float = 0.5
     adam_beta2: float = 0.999
     l2_reg: float = 0.1
@@ -62,8 +60,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be positive")
         if not (0.0 < self.learning_rate < np.inf):
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.lr_halving_period is not None and self.lr_halving_period <= 0:
-            raise ConfigError("lr_halving_period must be positive when set")
         for name in ("adam_beta1", "adam_beta2"):
             b = getattr(self, name)
             if not (0.0 < b < 1.0):
@@ -179,9 +175,6 @@ def train(model, data, objective, cfg: TrainConfig):
     snapshots = []  # parameters of the epochs not scored yet
 
     for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate
-        if cfg.lr_halving_period:
-            lr *= 0.5 ** (epoch // cfg.lr_halving_period)
         n_corrected = 0
         batches = _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size)
         for pos_idx, unl_idx in batches:
@@ -193,7 +186,7 @@ def train(model, data, objective, cfg: TrainConfig):
                 n_corrected += 1
             if cfg.l2_reg:
                 grad = grad + cfg.l2_reg * model.params
-            model.params = model.params + adam_step(state, grad, lr)
+            model.params = model.params + adam_step(state, grad, cfg.learning_rate)
         report.corrected_fraction.append(n_corrected / len(batches))
         snapshots.append(model.params.copy())
         # Non-finite parameters end the block early, so a diverged run stops at once.

@@ -1,7 +1,12 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
 the pairwise AUC and the mini-batch gradient of an objective's active branch."""
 
+import copy
+import json
+
 import numpy as np
+
+RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
 
 
 
@@ -66,3 +71,29 @@ def objective_gradient(objective, model, batch_pos, batch_unl):
     r_unl, back_unl = model.forward(model.encode(xu))
     w_pos, w_unl, branch = objective.weights(r_pos, r_unl)
     return back_pos(w_pos) + back_unl(w_unl), branch
+
+
+def refuse(token):
+    raise ValueError(f"not strict JSON: bare {token}")
+
+
+def read_json(path):
+    """Parse an output document, refusing the NaN and Infinity tokens that JSON does not have."""
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def write_doc(path, doc):
+    """Write ``doc`` as JSON, every ``RAW_1E400`` string as the bare token 1e400 (which reads back as inf)."""
+    path.write_text(json.dumps(doc).replace(f'"{RAW_1E400}"', "1e400"))
+    return path
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the entry at ``path`` (a tuple of keys and indices) set to ``value``."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc

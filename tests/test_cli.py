@@ -1,23 +1,12 @@
 import json
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from pushift import cli, experiments
+from _helpers import RAW_1E400, read_json, replaced, write_doc
+from pushift import experiments
 from pushift.cli import main
 from pushift.prior import build_intervals
-
-
-def refuse(token):
-    raise ValueError(f"not strict JSON: bare {token}")
-
-
-def read_json(path):
-    """Parse an output document, refusing the NaN and Infinity tokens that JSON does not have."""
-    with open(path) as fh:
-        return json.loads(fh.read(), parse_constant=refuse)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +69,19 @@ class TestSynth:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"cases": 1}')
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+
+    @pytest.mark.parametrize("doc", [{"n_test": None}, {"n_test": RAW_1E400}, {"case": True}, {"seed": "3"}])
+    def test_mistyped_config_field_named(self, tmp_path, capsys, doc):
+        cfg = write_doc(tmp_path / "cfg.json", doc)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+        assert f"{next(iter(doc))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "verify-theory"])
+    def test_negative_seed_named(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--seed", "-1"]) == 2
+        assert "seed must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_non_object_config_rejected(self, tmp_path, command):
@@ -171,6 +173,8 @@ class TestTrain:
             ("--l2-reg", "nan"),
             ("--bandwidth", "inf"),
             ("--generator", "quadratic:inf"),
+            ("--prior", "inf"),
+            ("--prior", "nan"),
         ],
     )
     def test_non_finite_training_setting_is_config_error(self, dataset_dir, tmp_path, flag, value):
@@ -190,6 +194,31 @@ class TestTrain:
         ])
         assert code == 2
         assert "max_centers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"epochs": None}, {"epochs": [2]}, {"epochs": RAW_1E400}, {"epochs": True},
+            {"max_centers": RAW_1E400}, {"alpha": None}, {"seed": 1.5}, {"gamma": "0.9"},
+        ],
+    )
+    def test_mistyped_config_field_named(self, dataset_dir, tmp_path, capsys, doc):
+        """A value of the wrong JSON type is refused before training; a cast would train seed 1.5 as seed 1."""
+        cfg = write_doc(tmp_path / "cfg.json", {"epochs": 2, **doc})
+        code = main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert f"{next(iter(doc))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "model.json").exists()
+
+    def test_config_integer_hashes_like_the_flag(self, dataset_dir, tmp_path):
+        """A JSON integer in a float field is read as that float: {"alpha": 0} and --alpha 0 are one run."""
+        cfg = write_doc(tmp_path / "cfg.json", {"alpha": 0, "epochs": 0})
+        base = ["train", "--data", str(dataset_dir), "--gamma", "0.9"]
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--alpha", "0", "--epochs", "0", "--out", str(tmp_path / "b")]) == 0
+        a, b = (read_json(tmp_path / run / "report.json") for run in "ab")
+        assert a["config_hash"] == b["config_hash"]
+        assert a["config"]["alpha"] == 0.0 and isinstance(a["config"]["alpha"], float)
 
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
@@ -228,12 +257,11 @@ class TestAdapt:
         assert doc["theta"] == pytest.approx(c0 / pi, abs=1e-12)
 
         metrics = tmp_path / "metrics.json"
-        metrics_csv = tmp_path / "rows.csv"
         code = main([
             "evaluate", "--model", str(trained_run / "model.json"),
             "--adapted", str(adapted),
             "--test", str(dataset_dir / "eval_test.csv"),
-            "--out", str(metrics), "--append-csv", str(metrics_csv),
+            "--out", str(metrics),
         ])
         assert code == 0
         doc = read_json(metrics)
@@ -242,9 +270,6 @@ class TestAdapt:
         assert "boundary" in doc
         # provenance flows from the training report through adapt to metrics
         assert doc["seed"] == 5 and doc["config_hash"]
-        rows = metrics_csv.read_text().strip().splitlines()
-        assert rows[0].startswith("tag,theta,boundary,accuracy")
-        assert len(rows) == 2
 
     def test_no_crossing_writes_null_boundary(self, dataset_dir, trained_run, tmp_path):
         """A threshold the scores never reach has no boundary; metrics.json stays strict JSON."""
@@ -413,6 +438,33 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", bad, dataset_dir / "test_unl.csv")
         assert (code, wrote) == (3, False)
 
+    @pytest.mark.parametrize(
+        "document, path, value, named",
+        [
+            ("intervals.json", ("n_pos",), RAW_1E400, "n_pos"),
+            ("intervals.json", ("n_pos",), 2.5, "n_pos"),
+            ("intervals.json", ("n_pos",), True, "n_pos"),
+            ("intervals.json", ("accept_counts", 1), RAW_1E400, "an entry of accept_counts"),
+            ("intervals.json", ("accept_counts", 1), 2.5, "an entry of accept_counts"),
+            ("intervals.json", ("boundaries", 0), "x", "an entry of boundaries"),
+            ("intervals.json", ("gamma",), "0.9", "gamma"),
+            ("model.json", ("clamp",), "no", "clamp"),
+            ("model.json", ("clamp",), 0, "clamp"),
+            ("model.json", ("dim_in",), 3, "dim_in"),
+            ("model.json", ("params", 0), "x", "an entry of params"),
+            ("model.json", ("centers", 0, 0), "x", "an entry of an entry of centers"),
+            ("model.json", ("params", 0), True, "an entry of params"),
+            ("model.json", ("bandwidth",), True, "bandwidth"),
+        ],
+    )
+    def test_mistyped_document_field_named(self, dataset_dir, trained_run, tmp_path, capsys, document, path, value, named):
+        """Each field is read as its JSON type: no overflow traceback, no silent cast."""
+        files = {name: trained_run / name for name in ("model.json", "intervals.json")}
+        files[document] = write_doc(tmp_path / document, replaced(read_json(files[document]), path, value))
+        code, wrote = self.adapt(tmp_path, files["model.json"], files["intervals.json"], dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+        assert f"{named} must" in capsys.readouterr().err
+
     def test_wrong_dimension_test_file(self, trained_run, tmp_path):
         test = tmp_path / "test2d.csv"
         test.write_text("0.3,0.7\n1.2,-0.4\n" * 50)
@@ -488,18 +540,18 @@ class TestDataFaults:
         assert (code, metrics.exists()) == (3, False)
 
     def test_string_pi_hat_writes_nothing(self, dataset_dir, trained_run, tmp_path):
-        """A string pi_hat is a data fault found before metrics.json or the CSV row is written."""
+        """A string pi_hat is a data fault found before metrics.json is written."""
         adapted = tmp_path / "adapted.json"
         assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
         doc = read_json(adapted)
         doc["pi_hat"] = "abc"
         adapted.write_text(json.dumps(doc))
-        metrics, rows = tmp_path / "m.json", tmp_path / "rows.csv"
+        metrics = tmp_path / "m.json"
         code = main([
             "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
-            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics), "--append-csv", str(rows),
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
         ])
-        assert (code, metrics.exists(), rows.exists()) == (3, False, False)
+        assert (code, metrics.exists()) == (3, False)
 
 
 class TestEvaluate:
@@ -569,37 +621,3 @@ class TestVerifyTheory:
         assert main(["verify-theory", "--trials", trials]) == 2
         assert "trials" in capsys.readouterr().err
 
-
-class TestSweep:
-    def test_sweep_spawns_independent_runs(self, dataset_dir, tmp_path):
-        out = tmp_path / "sw"
-        code = main([
-            "train", "--data", str(dataset_dir), "--out", str(out),
-            "--seed", "3", "--sweep", "2", "--epochs", "2",
-            "--batch-size", "80", "--gamma", "0.9",
-        ])
-        assert code == 0
-        for k in (3, 4):
-            assert (tmp_path / f"sw-seed{k}" / "report.json").exists()
-
-    def test_sweep_runs_at_most_cpu_count_children(self, tmp_path, monkeypatch):
-        """No child process starts here: a fake launcher records how many run at once."""
-        lock = threading.Lock()
-        running, peak, launched = 0, 0, []
-
-        def fake_call(cmd):
-            nonlocal running, peak
-            with lock:
-                running += 1
-                peak = max(peak, running)
-                launched.append(cmd[cmd.index("--seed") + 1])
-            time.sleep(0.05)
-            with lock:
-                running -= 1
-            return 0
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli.subprocess, "call", fake_call)
-        assert main(["train", "--out", str(tmp_path / "sw"), "--seed", "3", "--sweep", "3"]) == 0
-        assert peak == 1
-        assert sorted(launched) == ["3", "4", "5"]

@@ -163,6 +163,8 @@ class TestThresholdIntervals:
             lambda d: d["boundaries"].__setitem__(-1, float("nan")),
             lambda d: d["boundaries"].__setitem__(-1, float("inf")),
             lambda d: d["boundaries"].__setitem__(0, -float("inf")),
+            # a JSON integer beyond int64 overflows the count array
+            lambda d: d.update(n_pos=10**30, accept_counts=[10**30] + d["accept_counts"][1:]),
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)

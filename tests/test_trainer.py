@@ -147,18 +147,6 @@ class TestTrain:
         assert report.val_objective[-1] < report.val_objective[0]
         assert min(report.val_objective) == report.val_objective[report.best_epoch]
 
-    def test_lr_halving_changes_trajectory(self):
-        split = small_split()
-        cfg_flat = TrainConfig(epochs=12, batch_size=40, learning_rate=1e-3, seed=1)
-        cfg_halved = TrainConfig(
-            epochs=12, batch_size=40, learning_rate=1e-3, seed=1, lr_halving_period=4
-        )
-        m1 = gaussian_basis_linear(split.train.unlabeled)
-        m2 = gaussian_basis_linear(split.train.unlabeled)
-        train(m1, split, LSIF, cfg_flat)
-        train(m2, split, LSIF, cfg_halved)
-        assert not np.array_equal(m1.params, m2.params)
-
     def test_batch_size_exceeds_pool(self):
         split = small_split()
         model = gaussian_basis_linear(split.train.unlabeled)
@@ -191,7 +179,6 @@ class TestTrain:
             dict(learning_rate=0),
             dict(adam_beta1=1.0),
             dict(l2_reg=-0.1),
-            dict(lr_halving_period=0),
             dict(learning_rate=np.nan),
             dict(learning_rate=np.inf),
             dict(l2_reg=np.nan),

@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except DegeneratePriorError as exc:
-        print(f"degenerate prior estimation: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)  # the message starts with "degenerate prior estimation"
         return EXIT_DEGENERATE
 
 

@@ -172,9 +172,11 @@ def decision_boundary_1d(score_fn, level: float, lo: float = -6.0, hi: float = 6
     """
     x = np.linspace(lo, hi, num)
     s = np.asarray(score_fn(x[:, None]), dtype=float) - level
-    crossing_idx = np.flatnonzero(s[:-1] * s[1:] < 0)
-    upward = [i for i in crossing_idx if s[i] < 0 < s[i + 1]]
-    pick = upward[0] if upward else (crossing_idx[0] if crossing_idx.size else None)
+    neg, pos = s < 0, s > 0  # signs, not products of neighbours, which overflow or underflow
+    up = neg[:-1] & pos[1:]
+    upward = np.flatnonzero(up)
+    crossing_idx = np.flatnonzero(up | (pos[:-1] & neg[1:]))
+    pick = upward[0] if upward.size else (crossing_idx[0] if crossing_idx.size else None)
     if pick is None:
         exact = np.flatnonzero(s == 0)
         return float(x[exact[0]]) if exact.size else float("nan")

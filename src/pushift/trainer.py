@@ -188,9 +188,13 @@ def train(model, data, objective, cfg: TrainConfig):
                 grad = grad + cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, cfg.learning_rate)
         report.corrected_fraction.append(n_corrected / len(batches))
+        finite = np.all(np.isfinite(model.params))
+        # An overflowed second moment freezes finite parameters instead of making them non-finite.
+        if finite and not np.all(np.isfinite(state.v)):
+            raise TrainingDiverged(f"non-finite optimiser state at epoch {epoch}")
         snapshots.append(model.params.copy())
         # Non-finite parameters end the block early, so a diverged run stops at once.
-        if len(snapshots) < SCORE_BLOCK and epoch < cfg.epochs - 1 and np.all(np.isfinite(model.params)):
+        if len(snapshots) < SCORE_BLOCK and epoch < cfg.epochs - 1 and finite:
             continue
 
         first = epoch + 1 - len(snapshots)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestTrain:
                 "--epochs", "3", "--batch-size", "80", "--learning-rate", "1e200",
             ])
         assert code == 4
+
+    @pytest.mark.parametrize("flag", [["--generator", "quadratic:1e308"], ["--l2-reg", "1e308"]])
+    def test_overflowed_optimiser_state_exit_code(self, capsys, dataset_dir, tmp_path, flag):
+        """The squared gradient overflows and freezes finite parameters: exit 4, no model."""
+        with np.errstate(over="ignore"):
+            code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--gamma", "0.9",
+                         "--epochs", "2", *flag])
+        assert code == 4
+        assert "non-finite optimiser state at epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "model.json").exists()
 
     def test_degenerate_prior_fails_before_training(self, tmp_path, monkeypatch):
         """Default sizes with gamma 0.5 leave no admissible threshold: exit 5 with no training run."""
@@ -286,6 +297,18 @@ class TestAdapt:
         doc = json.loads(out.read_text(), parse_constant=refuse)
         assert doc["boundary"] is None
 
+    def test_huge_theta_runs_without_floating_point_warnings(self, dataset_dir, trained_run, tmp_path):
+        """The boundary search compares signs, so theta 1e308 overflows no product of neighbours."""
+        out = tmp_path / "metrics.json"
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            code = main([
+                "evaluate", "--model", str(trained_run / "model.json"), "--theta", "1e308",
+                "--test", str(dataset_dir / "eval_test.csv"), "--out", str(out),
+            ])
+        assert code == 0
+        assert read_json(out)["boundary"] is None
+
     def test_no_shift_theta_collapses(self, dataset_dir, trained_run, tmp_path):
         """Val-unlabeled as the test set gives pi_prime == pi_hat exactly."""
         adapted = tmp_path / "noshift.json"
@@ -316,7 +339,7 @@ class TestAdapt:
         assert code == 3
         assert not out.exists()
 
-    def test_degenerate_intervals_exit_code(self, dataset_dir, trained_run, tmp_path):
+    def test_degenerate_intervals_exit_code(self, capsys, dataset_dir, trained_run, tmp_path):
         tiny = tmp_path / "tiny_intervals.json"
         build_intervals(np.linspace(0.1, 0.9, 5), gamma=0.5).save(tiny)
         code = main([
@@ -326,6 +349,7 @@ class TestAdapt:
             "--pi-hat", "0.4", "--out", str(tmp_path / "deg.json"),
         ])
         assert code == 5
+        assert capsys.readouterr().err.count("degenerate prior estimation") == 1
 
     def test_isolated_adapt_matches_in_process_raw_scores(
         self, dataset_dir, trained_run, tmp_path

@@ -26,6 +26,32 @@ class TestDecisionBoundary:
     def test_no_crossing_gives_nan(self):
         assert math.isnan(decision_boundary_1d(lambda X: np.zeros(X.shape[0]), 0.5))
 
+    def test_matches_the_product_rule(self):
+        """Where no product of neighbours overflows or underflows, the sign test picks what
+        the rule ``s[i] * s[i + 1] < 0`` picked, so every boundary keeps its bits."""
+        rng = np.random.default_rng(0)
+        x = np.linspace(-6.0, 6.0, 4001)
+        for _ in range(50):
+            freq, phase, level = rng.uniform(0.1, 3.0), rng.uniform(0, 6.3), rng.uniform(-1.2, 1.2)
+            fn = lambda X: np.sin(freq * X[:, 0] + phase) * np.exp(-0.05 * X[:, 0] ** 2)
+            s = fn(x[:, None]) - level
+            crossing = np.flatnonzero(s[:-1] * s[1:] < 0)
+            upward = [i for i in crossing if s[i] < 0 < s[i + 1]]
+            boundary = decision_boundary_1d(fn, level)
+            if not crossing.size:
+                assert math.isnan(boundary)
+                continue
+            i = upward[0] if upward else crossing[0]
+            assert boundary == float(x[i] + s[i] / (s[i] - s[i + 1]) * (x[i + 1] - x[i]))
+
+    def test_tiny_and_huge_scores_raise_no_warning(self):
+        """A crossing whose product of neighbours underflows is still found; a level of
+        1e308 overflows nothing."""
+        with np.errstate(all="raise"):
+            boundary = decision_boundary_1d(lambda X: 1e-200 * X[:, 0], 0.0, num=4000)
+            assert abs(boundary) < 1e-12
+            assert math.isnan(decision_boundary_1d(lambda X: np.exp(-X[:, 0] ** 2), 1e308))
+
 
 class TestFitAndAdapt:
     def test_small_pipeline_round_trip(self):

@@ -120,8 +120,7 @@ def test_evaluate_input_field(capsys, tmp_path, chain, path):
     for i, value in enumerate(BAD_VALUES):
         adapted = write_doc(tmp_path / f"adapted{i}.json", replaced(valid, path, value))
         out = tmp_path / f"metrics{i}.json"
-        with np.errstate(all="ignore"):
-            code = run(capsys, ["evaluate", "--model", str(chain / "run" / "model.json"), "--adapted", str(adapted),
-                                "--test", str(chain / "data" / "eval_test.csv"), "--out", str(out)])
+        code = run(capsys, ["evaluate", "--model", str(chain / "run" / "model.json"), "--adapted", str(adapted),
+                            "--test", str(chain / "data" / "eval_test.csv"), "--out", str(out)])
         if code == 0 and path != ("pi_prime",):
             assert_echoed(read_json(out)[path[0]], value)

@@ -8,6 +8,7 @@ import pytest
 
 from pushift.errors import ConfigError, DataError
 from pushift.models import (
+    SCORE_ROWS,
     GaussianBasisLinear,
     MLP,
     expit,
@@ -111,12 +112,7 @@ class TestGaussianBasisLinear:
         rng = np.random.default_rng(3)
         centers, X = rng.normal(size=(40, 3)), rng.normal(size=(70, 3))
         model = gaussian_basis_linear(centers, bandwidth=0.8)
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
-        np.testing.assert_array_equal(model.features(X), np.exp(-sq / (2.0 * 0.8**2)))
+        np.testing.assert_array_equal(model.features(X), _textbook_features(X, centers, 0.8))
 
     def test_features_peak_memory_is_one_output(self):
         rng = np.random.default_rng(4)
@@ -129,6 +125,88 @@ class TestGaussianBasisLinear:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * phi.nbytes
+
+
+def _textbook_features(X, centers, bandwidth):
+    """exp(-(|x|^2 - 2 x.c + |c|^2) / (2 bw^2)) with a matrix product for the cross term:
+    the reference expansion, in the order of operations ``features`` must reproduce."""
+    sq = np.sum(X * X, axis=1)[:, None] - 2.0 * X @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+    return np.exp(-sq / (2.0 * bandwidth**2))
+
+
+PREDICT_ROWS = (0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 20000)
+ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _scoring_models():
+    """1-d kernel models, clamp on and off, and 10-32-32-1 MLPs, softplus and linear."""
+    rng = np.random.default_rng(20)
+    for n_centers in (1, 37, 100, 333, 1000):
+        for clamp in (True, False):
+            model = GaussianBasisLinear(rng.normal(scale=2.0, size=(n_centers, 1)), bandwidth=0.9, clamp=clamp)
+            model.params = rng.normal(size=n_centers)
+            yield f"kernel-{n_centers}-clamp={clamp}", model
+    for output in ("softplus", "linear"):
+        yield f"mlp-{output}", mlp([10, 32, 32, 1], seed=6, output=output)
+
+
+def blocked_mismatches():
+    """The (model, rows) cases whose blocked ``predict`` differs in any bit from one ``forward`` pass."""
+    rng = np.random.default_rng(21)
+    bad = []
+    for name, model in _scoring_models():
+        for n in PREDICT_ROWS:
+            X = rng.normal(scale=2.0, size=(n, model.dim_in))
+            if not np.array_equal(model.predict(X), model.forward(model.encode(X))[0]):
+                bad.append(f"{name} n={n}")
+    return bad
+
+
+class TestBlockedPredict:
+    """``predict`` scores ``SCORE_ROWS``-row blocks instead of one whole-batch ``forward`` pass."""
+
+    def test_bits_match_one_forward_pass_at_one_blas_thread(self):
+        """With more threads OpenBLAS splits a matrix-vector product's rows among them at
+        points that depend on the row count, so there the bits may differ (bounded below)."""
+        code = "import sys, test_models; sys.exit(', '.join(test_models.blocked_mismatches()) or None)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    def test_scores_within_a_reordered_sum(self, dim):
+        """At any thread count, and for d > 1 even at one (each block's matrix product may
+        round a cell differently), a blocked score stays within 8 eps of |phi(x)| . |w|."""
+        rng = np.random.default_rng(24 + dim)
+        for n_centers in (37, 333, 1001):
+            model = GaussianBasisLinear(rng.normal(size=(n_centers, dim)), float(rng.uniform(0.3, 7.0)), clamp=False)
+            model.params = rng.normal(size=n_centers)
+            for n in (2 * SCORE_ROWS + 1, 5000):
+                X = rng.normal(scale=2.0, size=(n, dim))
+                phi = model.features(X)
+                bound = 8 * np.finfo(float).eps * (phi @ np.abs(model.params))
+                assert np.all(np.abs(model.predict(X) - model.forward(phi)[0]) <= bound)
+
+    @pytest.mark.parametrize("bandwidth", [0.3, 0.7, 1.0, 2.5, 7.0])
+    def test_1d_features_equal_the_matrix_product_expansion(self, bandwidth):
+        rng = np.random.default_rng(22)
+        centers = np.concatenate([[0.0, -0.0, 1.0, -1.5], rng.normal(scale=3.0, size=300)])[:, None]
+        X = np.concatenate([[0.0, -0.0, 1e-300, -2.0], rng.normal(scale=3.0, size=700), rng.uniform(-40, 40, 100)])
+        model = gaussian_basis_linear(centers, bandwidth)
+        np.testing.assert_array_equal(model.features(X[:, None]), _textbook_features(X[:, None], centers, bandwidth))
+
+    def test_predict_peak_memory_is_a_block(self):
+        """20 000 rows and 100 centers: the full feature matrix would take 16 MB."""
+        rng = np.random.default_rng(23)
+        model = gaussian_basis_linear(rng.normal(size=(100, 1)))
+        X = rng.normal(size=(20_000, 1))
+        tracemalloc.start()
+        try:
+            model.predict(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 100 * 8 / 4
 
 
 def _fused_cases():

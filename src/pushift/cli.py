@@ -26,7 +26,10 @@ import numpy as np
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
 from .classifier import threshold_decisions
 from .data import SplitDataset, load_csv, load_pu_dataset, save_csv
-from .errors import ConfigError, DataError, DegeneratePriorError, TrainingDiverged, json_int, json_number, json_str
+from .errors import (
+    ConfigError, DataError, DegeneratePriorError, TrainingDiverged, json_int, json_number, json_object, json_str,
+    read_json, write_json,
+)
 from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
@@ -88,23 +91,6 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _write_json(path, doc: dict) -> None:
-    """Write strict JSON: a NaN or infinity raises before the file is opened."""
-    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _add_fields(parser, fields: dict) -> None:
     parser.add_argument("--config", help="JSON config document")
     for name, (kind, _) in fields.items():
@@ -115,9 +101,7 @@ def _effective_config(fields: dict, args) -> dict:
     """Table defaults < config file < command-line flags, each value read as its field's type."""
     cfg = {name: default for name, (_, default) in fields.items()}
     if args.config:
-        doc = _load_json(args.config)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {args.config} must be a JSON object, got {type(doc).__name__}")
+        doc = json_object(read_json(args.config), f"config {args.config}", error=ConfigError)
         unknown = set(doc) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -152,15 +136,18 @@ def cmd_synth(args) -> int:
     split, te = case_data(case, seed, n_train, n_val, cfg["n_test"], cfg["train_prior"], cfg["test_prior"])
     tr, va = split.train, split.val
 
+    files = {
+        "train_pos.csv": (tr.positives, None),
+        "train_unl.csv": (tr.unlabeled, None),
+        "val_pos.csv": (va.positives, None),
+        "val_unl.csv": (va.unlabeled, None),
+        "test_unl.csv": (te.unlabeled, None),
+        "eval_test.csv": (te.unlabeled, te.hidden_labels),  # labeled copy of the test set, for evaluation only
+    }
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    save_csv(os.path.join(out, "train_pos.csv"), tr.positives)
-    save_csv(os.path.join(out, "train_unl.csv"), tr.unlabeled)
-    save_csv(os.path.join(out, "val_pos.csv"), va.positives)
-    save_csv(os.path.join(out, "val_unl.csv"), va.unlabeled)
-    save_csv(os.path.join(out, "test_unl.csv"), te.unlabeled)
-    # labeled copy of the test set, for evaluation only
-    save_csv(os.path.join(out, "eval_test.csv"), te.unlabeled, labels=te.hidden_labels)
+    for name, (X, labels) in files.items():
+        save_csv(os.path.join(out, name), X, labels=labels)
     manifest = {
         "config": cfg,
         "config_hash": _config_hash(cfg),
@@ -173,16 +160,9 @@ def cmd_synth(args) -> int:
             "val_unl": va.n_unl,
             "test": te.n_unl,
         },
-        "files": [
-            "train_pos.csv",
-            "train_unl.csv",
-            "val_pos.csv",
-            "val_unl.csv",
-            "test_unl.csv",
-            "eval_test.csv",
-        ],
+        "files": list(files),
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    write_json(os.path.join(out, "manifest.json"), manifest, indent=1)
     print(f"synth: wrote {out}/ (case {case}, seed {seed}, hash {manifest['config_hash']})")
     return EXIT_OK
 
@@ -230,28 +210,22 @@ def cmd_train(args) -> int:
     if method == "drpu":
         gen = generator_by_name(cfg["generator"])
         fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], max_centers=cfg["max_centers"], bandwidth=cfg["bandwidth"])
-        save_model(fit.model, os.path.join(out, "model.json"))
+        model, trep = fit.model, fit.report
         fit.intervals.save(os.path.join(out, "intervals.json"))
-        report["pi_hat"] = fit.pi_hat.to_dict()
-        report["gamma"] = cfg["gamma"]
-        report["train_report"] = fit.report.to_dict()
-        _write_trace_csv(os.path.join(out, "trace.csv"), fit.report)
-        print(
-            f"train[drpu]: pi_hat={fit.pi_hat.value:.4f} "
-            f"best_epoch={fit.report.best_epoch} hash={chash}"
-        )
+        report.update(pi_hat=fit.pi_hat.to_dict(), gamma=cfg["gamma"])
+        summary = f"pi_hat={fit.pi_hat.value:.4f}"
     else:
         centers = kernel_centers(split, seed, cfg["max_centers"])
         model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=False)
         model, trep = train_baseline(method, loss(), prior, model, split, tcfg)
-        save_model(model, os.path.join(out, "model.json"))
-        report["prior"] = prior
-        report["prior_source"] = "user-supplied"
-        report["train_report"] = trep.to_dict()
-        _write_trace_csv(os.path.join(out, "trace.csv"), trep)
-        print(f"train[{method}]: prior={prior} best_epoch={trep.best_epoch} hash={chash}")
+        report.update(prior=prior, prior_source="user-supplied")
+        summary = f"prior={prior}"
 
-    _write_json(os.path.join(out, "report.json"), report)
+    save_model(model, os.path.join(out, "model.json"))
+    report["train_report"] = trep.to_dict()
+    _write_trace_csv(os.path.join(out, "trace.csv"), trep)
+    write_json(os.path.join(out, "report.json"), report, indent=1)
+    print(f"train[{method}]: {summary} best_epoch={trep.best_epoch} hash={chash}")
     return EXIT_OK
 
 
@@ -261,9 +235,7 @@ def cmd_adapt(args) -> int:
     X, labels = load_csv(args.test)
     if labels is not None:
         raise DataError("adapt expects an unlabeled test file (no label column)")
-    report = _load_json(args.report) if args.report else None
-    if report is not None and not isinstance(report, dict):
-        raise DataError(f"{args.report} must be a JSON object")
+    report = json_object(read_json(args.report), args.report) if args.report else None
     if args.pi_hat is not None:
         pi_hat = args.pi_hat
         if not (0.0 <= pi_hat <= 1.0):
@@ -288,7 +260,7 @@ def cmd_adapt(args) -> int:
         "inputs": {"model": args.model, "intervals": args.intervals, "test": args.test},
         **_run_identity(report or {}, args.report),
     }
-    _write_json(args.out, doc)
+    write_json(args.out, doc, indent=1)
     print(
         f"adapt: pi_prime={adapted.pi_prime.value:.4f} c0={adapted.c0:.4f} "
         f"theta={adapted.theta:.4f} -> {args.out}"
@@ -298,10 +270,8 @@ def cmd_adapt(args) -> int:
 
 def _estimate_value(doc, key, path) -> float:
     """The ``value`` of the prior estimate document ``doc[key]``, a number in [0, 1]."""
-    est = doc[key]
-    if not isinstance(est, dict) or "value" not in est:
-        raise DataError(f"{path}: {key} must be a JSON object with a value field")
-    return json_number(est["value"], f"{path}: {key} value", 0.0, 1.0)
+    est = json_object(doc[key], f"{path}: {key}")
+    return json_number(est.get("value"), f"{path}: {key} value", 0.0, 1.0)
 
 
 def _run_identity(doc, path) -> dict:
@@ -315,10 +285,8 @@ def _run_identity(doc, path) -> dict:
 
 def _load_adapted(path):
     """The ``adapt`` output document and its threshold, which must be finite."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "theta" not in doc:
-        raise DataError(f"{path} must be a JSON object with a theta field")
-    return doc, json_number(doc["theta"], f"{path}: theta")
+    doc = json_object(read_json(path), path)
+    return doc, json_number(doc.get("theta"), f"{path}: theta")
 
 
 def cmd_evaluate(args) -> int:
@@ -359,7 +327,7 @@ def cmd_evaluate(args) -> int:
     if X.shape[1] == 1:
         boundary = decision_boundary_1d(model.predict, theta)
         doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing
-    _write_json(args.out, doc)
+    write_json(args.out, doc, indent=1)
     print(f"evaluate: accuracy={doc['accuracy']:.4f} auc={doc['auc']} -> {args.out}")
     return EXIT_OK
 
@@ -372,7 +340,7 @@ def cmd_verify_theory(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:32s} trials={r.trials} worst_margin={r.worst_margin:+.3e} max_slack={r.max_slack:.3e}")
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc, indent=1)
     return EXIT_OK if all_passed else 1
 
 
@@ -435,6 +403,9 @@ def main(argv=None) -> int:
     except DegeneratePriorError as exc:
         print(exc, file=sys.stderr)  # the message starts with "degenerate prior estimation"
         return EXIT_DEGENERATE
+    except OSError as exc:  # reads raise DataError, so this is an output path
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and the typed JSON reads.
+"""Exception types shared across the package, and the one JSON reader and writer.
 
 The CLI maps these onto distinct exit codes, so keep the taxonomy small:
 configuration problems, data problems, diverged optimization, and
-degenerate prior estimation.  The ``json_*`` readers check one decoded JSON
-value against its type and raise ``error`` (a ``DataError`` for documents, a
-``ConfigError`` for config fields) naming ``what``: a value of the wrong
-JSON type is refused, never converted.
+degenerate prior estimation.  ``read_json`` and ``write_json`` are the only
+places a JSON document is decoded or written.  The ``json_*`` readers check
+one decoded JSON value against its type and raise ``error`` (a ``DataError``
+for documents, a ``ConfigError`` for config fields) naming ``what``: a value
+of the wrong JSON type is refused, never converted.
 """
 
+import json
 import math
 from reprlib import repr as show
 
@@ -39,6 +41,28 @@ class DegeneratePriorError(RuntimeError):
             f"degenerate prior estimation: gamma_bar={gamma_bar:.4f} >= 1 "
             f"(n_pos={n_pos}, n_unl={n_unl}); no threshold hypothesis is admissible"
         )
+
+
+def read_json(path):
+    """The decoded document at ``path``; a file that cannot be read or decoded raises DataError."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long integer
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def write_json(path, doc, indent=None) -> None:
+    """Write strict, key-sorted JSON: a NaN or infinity raises before the file is opened."""
+    text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def json_object(value, what, error=DataError) -> dict:
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got {show(value)}")
+    return value
 
 
 def json_number(value, what, lo=-math.inf, hi=math.inf, error=DataError) -> float:

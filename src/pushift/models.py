@@ -23,12 +23,13 @@ Models serialize to plain JSON documents and round-trip bit-exactly.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError, json_array, json_bool, json_int, json_number, json_str
+from .errors import (
+    ConfigError, DataError, json_array, json_bool, json_int, json_number, json_object, json_str, read_json, write_json
+)
 
 __all__ = [
     "expit",
@@ -340,10 +341,8 @@ _numbers = partial(json_array, item=json_number)
 
 
 def model_from_dict(doc: dict) -> RatioModel:
-    """Rebuild a model; any malformed document raises DataError."""
-    if not isinstance(doc, dict):
-        raise DataError(f"model document must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
+    """Rebuild a model; any malformed document, or one missing a field ``to_dict`` writes, raises DataError."""
+    kind = json_object(doc, "model document").get("kind")
     try:
         if kind == GaussianBasisLinear.kind:
             centers = np.array(json_array(doc["centers"], "centers", _numbers))
@@ -353,14 +352,14 @@ def model_from_dict(doc: dict) -> RatioModel:
             return GaussianBasisLinear(
                 centers=centers,
                 bandwidth=json_number(doc["bandwidth"], "bandwidth"),
-                clamp=json_bool(doc.get("clamp", True), "clamp"),
+                clamp=json_bool(doc["clamp"], "clamp"),
                 weights=_numbers(doc["params"], "params"),
             )
         if kind == MLP.kind:
             return MLP(
                 layer_sizes=json_array(doc["layer_sizes"], "layer_sizes", json_int),
-                seed=json_int(doc.get("seed", 0), "seed"),
-                output=json_str(doc.get("output", "softplus"), "output"),
+                seed=json_int(doc["seed"], "seed"),
+                output=json_str(doc["output"], "output"),
                 params=_numbers(doc["params"], "params"),
             )
     except KeyError as exc:
@@ -372,15 +371,8 @@ def model_from_dict(doc: dict) -> RatioModel:
 
 def save_model(model: RatioModel, path) -> None:
     """Write strict JSON; a non-finite value raises before the file is opened."""
-    text = json.dumps(model.to_dict(), sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_json(path, model.to_dict())
 
 
 def load_model(path) -> RatioModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

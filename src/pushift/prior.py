@@ -16,13 +16,14 @@ retaining any training data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegeneratePriorError, json_array, json_int, json_number
+from .errors import (
+    ConfigError, DataError, DegeneratePriorError, json_array, json_int, json_number, json_object, read_json, write_json
+)
 
 __all__ = [
     "PriorEstimate",
@@ -139,14 +140,13 @@ class ThresholdIntervals:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ThresholdIntervals":
-        if not isinstance(doc, dict):
-            raise DataError(f"interval document must be a JSON object, got {type(doc).__name__}")
+        doc = json_object(doc, "interval document")
         try:
             return cls(
                 boundaries=json_array(doc["boundaries"], "boundaries", json_number),
                 accept_counts=json_array(doc["accept_counts"], "accept_counts", json_int),
                 n_pos=json_int(doc["n_pos"], "n_pos"),
-                gamma=json_number(doc.get("gamma", 0.5), "gamma"),
+                gamma=json_number(doc["gamma"], "gamma"),
             )
         except KeyError as exc:
             raise DataError(f"interval document is missing field {exc}") from exc
@@ -154,18 +154,11 @@ class ThresholdIntervals:
             raise DataError(f"invalid interval document: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ThresholdIntervals":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read intervals file {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path))
 
 
 def build_intervals(r_pos, gamma: float = 0.5) -> ThresholdIntervals:

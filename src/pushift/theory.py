@@ -26,7 +26,7 @@ cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,14 +233,7 @@ class SuiteResult:
     max_slack: float  # max(rhs - lhs) observed
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "trials": self.trials,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "max_slack": self.max_slack,
-        }
+        return asdict(self)
 
 
 def random_distribution(rng, max_support: int = 20) -> DiscreteDistributionPair:

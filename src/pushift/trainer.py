@@ -25,7 +25,7 @@ the end of its block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,12 +76,7 @@ class TrainReport:
     best_epoch: int = -1
 
     def to_dict(self) -> dict:
-        return {
-            "train_objective": self.train_objective,
-            "val_objective": self.val_objective,
-            "corrected_fraction": self.corrected_fraction,
-            "best_epoch": self.best_epoch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,8 +99,9 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
     if grad.shape != state.m.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    with np.errstate(over="ignore"):  # an overflowed moment is caught by train's finiteness check
+        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
     m_hat = state.m / (1.0 - state.beta1**state.t)
     v_hat = state.v / (1.0 - state.beta2**state.t)
     return -lr * m_hat / (np.sqrt(v_hat) + state.eps)

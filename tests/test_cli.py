@@ -7,6 +7,7 @@ import pytest
 from _helpers import RAW_1E400, read_json, replaced, write_doc
 from pushift import experiments
 from pushift.cli import main
+from pushift.models import mlp, save_model
 from pushift.prior import build_intervals
 
 
@@ -134,8 +135,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag", [["--generator", "quadratic:1e308"], ["--l2-reg", "1e308"]])
     def test_overflowed_optimiser_state_exit_code(self, capsys, dataset_dir, tmp_path, flag):
-        """The squared gradient overflows and freezes finite parameters: exit 4, no model."""
-        with np.errstate(over="ignore"):
+        """The squared gradient overflows and freezes finite parameters: exit 4, no model, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--gamma", "0.9",
                          "--epochs", "2", *flag])
         assert code == 4
@@ -489,6 +491,50 @@ class TestDataFaults:
         assert (code, wrote) == (3, False)
         assert f"{named} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [("model.json", "clamp"), ("mlp", "output"), ("mlp", "seed"), ("intervals.json", "gamma")],
+    )
+    def test_writer_field_missing_named(self, dataset_dir, trained_run, tmp_path, capsys, document, field):
+        """Every field the writers emit is required: a model without clamp is not read as a clamped one."""
+        files = {name: trained_run / name for name in ("model.json", "intervals.json")}
+        if document == "mlp":
+            document = "model.json"
+            save_model(mlp([1, 3, 1], seed=2, output="linear"), tmp_path / "mlp.json")
+            files[document] = tmp_path / "mlp.json"
+        doc = read_json(files[document])
+        del doc[field]
+        files[document] = write_doc(tmp_path / document, doc)
+        code, wrote = self.adapt(tmp_path, files["model.json"], files["intervals.json"], dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+        assert f"missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"kind": "\xff"}', b"[" * 100_000 + b"]" * 100_000, b'{"n_pos": ' + b"1" * 5000 + b"}"],
+        ids=["non_utf8", "deep_array", "huge_integer"],
+    )
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("adapt", "--model"), ("adapt", "--intervals"), ("adapt", "--report"), ("evaluate", "--adapted"),
+         ("synth", "--config"), ("train", "--config")],
+    )
+    def test_undecodable_document(self, dataset_dir, trained_run, tmp_path, capsys, command, flag, content):
+        """Each JSON input the commands read: a file that does not decode exits 3 and writes nothing."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        valid = {
+            "adapt": ["--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
+                      "--test", str(dataset_dir / "test_unl.csv"), "--pi-hat", "0.4"],
+            "evaluate": ["--model", str(trained_run / "model.json"), "--test", str(dataset_dir / "eval_test.csv")],
+            "synth": [],
+            "train": ["--data", str(dataset_dir)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *valid, flag, str(bad), "--out", str(out)]) == 3  # the last --model / --intervals wins
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {bad}")
+        assert not out.exists()
+
     def test_wrong_dimension_test_file(self, trained_run, tmp_path):
         test = tmp_path / "test2d.csv"
         test.write_text("0.3,0.7\n1.2,-0.4\n" * 50)
@@ -628,6 +674,24 @@ class TestEvaluate:
             "--out", str(tmp_path / "m1.json"),
         ])
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])
+def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, capsys, command):
+    """An output path under a regular file exits 2 with the path named, not an OSError traceback."""
+    (tmp_path / "afile").write_text("")
+    inputs = {
+        "synth": ["--n-test", "10"],
+        "train": ["--data", str(dataset_dir), "--epochs", "1", "--gamma", "0.9"],
+        "adapt": ["--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
+                  "--test", str(dataset_dir / "test_unl.csv"), "--pi-hat", "0.4"],
+        "evaluate": ["--model", str(trained_run / "model.json"), "--test", str(dataset_dir / "eval_test.csv"),
+                     "--theta", "0.5"],
+        "verify-theory": ["--trials", "2"],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "afile" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and "afile" in err
 
 
 class TestVerifyTheory:

@@ -159,6 +159,7 @@ class TestThresholdIntervals:
             lambda d: d.update(accept_counts=[1, 2, 3][: len(d["accept_counts"])]),
             lambda d: d.update(n_pos=2),
             lambda d: d.pop("boundaries"),
+            lambda d: d.pop("gamma"),  # every field to_dict writes is required
             # NaN compares false, so the ordering checks alone let it through
             lambda d: d["boundaries"].__setitem__(-1, float("nan")),
             lambda d: d["boundaries"].__setitem__(-1, float("inf")),

@@ -1,4 +1,5 @@
-"""Every name that ``pushift`` exports is used by the package, a demo or the benchmark.
+"""Every name that ``pushift`` exports is used by the package, a demo or the benchmark,
+and only ``errors.py`` decodes or writes JSON.
 
 A use is the name as a code token (not in a string, comment or docstring) in
 ``src/pushift/*.py``, ``demos/*.py`` or ``bench/*.py``.  The package's
@@ -8,6 +9,7 @@ do not count, so a function that only its unit tests call is flagged.
 
 import inspect
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -38,3 +40,14 @@ def test_every_export_has_a_caller():
     used = set().union(*(used_names(p) for p in files))
     exported = {n for n, obj in vars(pushift).items() if not n.startswith("_") and not inspect.ismodule(obj)}
     assert sorted(exported - used) == []
+
+
+def test_json_is_read_and_written_only_in_errors():
+    """``errors.read_json`` / ``write_json`` are the one reader and writer; ``json.dumps`` may still hash."""
+    banned = re.compile(r"\bjson\.(loads?|dump)\b|\ballow_nan\b|\bfrom json import\b")
+    offenders = {
+        p.name: [m.group() for m in banned.finditer(p.read_text())]
+        for p in sorted((ROOT / "src" / "pushift").glob("*.py"))
+        if p.name != "errors.py"
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}

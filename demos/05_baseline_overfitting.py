@@ -11,6 +11,7 @@ from pushift import (
     gaussian_basis_linear,
     logistic_loss,
     lsif_generator,
+    ratio_objective,
     sigmoid_loss,
     synth_case1,
     train,
@@ -33,7 +34,7 @@ nnpu, nnpu_report = train_baseline("nnpu", sigmoid_loss(), 0.4, nnpu, split, cfg
 
 ratio = gaussian_basis_linear(split.train.unlabeled, bandwidth=0.3)
 rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
-ratio, ratio_report = train(ratio, split, lsif_generator(), rcfg)
+ratio, ratio_report = train(ratio, split, ratio_objective(lsif_generator(), rcfg.alpha), rcfg)
 
 print("epoch   uPU train risk   nnPU train risk   corrected ratio objective")
 for epoch in range(0, 150, 15):

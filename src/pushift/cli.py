@@ -117,6 +117,13 @@ def _read_field(field, name, value):
     return READERS[kind](value, name, error=ConfigError)
 
 
+def _check_out_dir(path) -> None:
+    """Refuse an output path whose directory does not exist before any work (exit 2, as a failed write)."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output: {parent} is not a directory ({path})")
+
+
 def _validate_prior(name, value):
     if not (0.0 < value < 1.0):
         raise ConfigError(f"{name} must lie in (0, 1), got {value}")
@@ -230,6 +237,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.model)
     intervals = ThresholdIntervals.load(args.intervals)
     X, labels = load_csv(args.test)
@@ -290,6 +298,7 @@ def _load_adapted(path):
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dir(args.out)
     model = load_model(args.model)
     X, labels = load_csv(args.test)
     if labels is None:
@@ -333,6 +342,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     results = run_all(seed=json_int(args.seed, "seed", error=ConfigError), trials=args.trials)
     doc = {"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in results]}
     all_passed = all(r.passed for r in results)

@@ -116,39 +116,12 @@ class GaussianMixtureSpec:
     def pdf_neg(self, x):
         return self._pdf(self.components_neg, x)
 
-    def pdf_marginal(self, x, prior=None):
-        pi = self.prior if prior is None else prior
-        return pi * self.pdf_pos(x) + (1.0 - pi) * self.pdf_neg(x)
+    def pdf_marginal(self, x):
+        return self.prior * self.pdf_pos(x) + (1.0 - self.prior) * self.pdf_neg(x)
 
-    def true_ratio(self, x, prior=None):
+    def true_ratio(self, x):
         """p_pos / marginal, the population target of ratio fitting."""
-        return self.pdf_pos(x) / self.pdf_marginal(x, prior=prior)
-
-    def max_mixture_proportion(self) -> float:
-        """Largest kappa with marginal = kappa * p_pos + (1 - kappa) * q.
-
-        Equals inf_x p(x) / p_pos(x) = prior + (1 - prior) * inf_x p_neg/p_pos.
-        For these constructions the negative-to-positive density ratio is
-        monotone toward the upper tail, where it tends to 0 when the positive
-        class has the dominant rightmost component, and to the ratio of
-        component weights when both classes share that component.  Falls back
-        to the grid infimum when neither closed form applies.
-        """
-        key = lambda c: (c[0], c[1])  # larger mean wins the tail; variance breaks ties
-        pos_top = max(self.components_pos, key=key)
-        neg_top = max(self.components_neg, key=key)
-        if key(neg_top) < key(pos_top):
-            tail = 0.0
-        elif key(neg_top) == key(pos_top):
-            tail = neg_top[2] / pos_top[2]
-        else:
-            return self.grid_infimum_ratio(lo=-40.0, hi=40.0, num=800001)
-        return self.prior + (1.0 - self.prior) * tail
-
-    def grid_infimum_ratio(self, lo=-12.0, hi=12.0, num=200001) -> float:
-        """Fine-grid infimum of p(x) / p_pos(x), the numeric counterpart."""
-        x = np.linspace(lo, hi, num)
-        return float(np.min(self.pdf_marginal(x) / self.pdf_pos(x)))
+        return self.pdf_pos(x) / self.pdf_marginal(x)
 
     def _sample_class(self, rng, comps, n):
         weights = np.array([c[2] for c in comps])

@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .generators import BregmanGenerator
 
 __all__ = ["Branch", "Objective", "ratio_objective"]
@@ -94,7 +95,7 @@ def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
     the bracket is a mean of nonnegative terms and the clip never engages.
     """
     if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+        raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
 
     def ratios(r):
         r = np.asarray(r, dtype=float)

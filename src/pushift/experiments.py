@@ -30,6 +30,7 @@ from .data import (
     synth_from_mixture,
     synth_gaussian_pair,
 )
+from .divergence import ratio_objective
 from .errors import ConfigError, DegeneratePriorError
 from .generators import lsif_generator
 from .metrics import auc
@@ -132,7 +133,7 @@ def fit_drpu(
     gen = gen or lsif_generator()
     if model is None:
         model = gaussian_basis_linear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)
-    model, report = train(model, split, gen, cfg)
+    model, report = train(model, split, ratio_objective(gen, cfg.alpha), cfg)
     intervals = build_intervals(model.predict(split.val.positives), gamma=gamma)
     pi_hat = estimate_test_prior(intervals, model.predict(split.val.unlabeled))
     return DrpuFit(model=model, report=report, pi_hat=pi_hat, intervals=intervals)

@@ -7,8 +7,9 @@ derivatives and the induced quantities used by the divergence objectives:
     big_f(t)  = f_conj(t) - f_conj(0)   (nonnegative, vanishes at 0)
 
 ``mu`` is the strong-convexity constant inf_{t>=0} f''(t), declared by each
-constructor because every generator here is closed form.  Generators are
-immutable value objects; all callables accept scalars or numpy arrays.
+constructor because every generator here is closed form; ``f_conj(0)`` and
+``big_f`` are derived from ``f_conj``.  Generators are immutable value
+objects; all callables accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ class BregmanGenerator:
     f_prime: Callable
     f_prime2: Callable
     f_conj: Callable
-    f_conj_at_zero: float
     mu: float
+    f_conj_at_zero: float = field(init=False)
     big_f: Callable = field(init=False)
 
     def __post_init__(self):
-        c0 = self.f_conj_at_zero
+        c0 = float(self.f_conj(0.0))
         conj = self.f_conj
+        object.__setattr__(self, "f_conj_at_zero", c0)
         object.__setattr__(self, "big_f", lambda t: conj(t) - c0)
 
     @property
@@ -66,7 +68,6 @@ def scaled_quadratic_generator(mu: float) -> BregmanGenerator:
         f_prime=lambda t: mu * np.asarray(t, dtype=float),
         f_prime2=lambda t: np.full_like(np.asarray(t, dtype=float), mu),
         f_conj=lambda t: 0.5 * mu * np.square(t),
-        f_conj_at_zero=0.0,
         mu=mu,
     )
 
@@ -83,7 +84,6 @@ def exp_generator() -> BregmanGenerator:
         f_prime=lambda t: np.exp(t),
         f_prime2=lambda t: np.exp(t),
         f_conj=lambda t: (np.asarray(t, dtype=float) - 1.0) * np.exp(t),
-        f_conj_at_zero=-1.0,
         mu=1.0,
     )
 

@@ -14,9 +14,11 @@ MLP), and ``forward(Z)`` returns the predictions on encoded rows together
 with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
 from that same forward pass.  The training loop encodes each split once and
 calls ``forward`` once per mini-batch side.  ``predict`` runs the primitive on
-blocks of ``SCORE_ROWS`` rows and ``predict_grad`` on a single point.
+blocks of ``SCORE_ROWS`` rows.  ``RatioModel`` owns the flat parameter
+vector; each family's forward pass takes the vector as an argument, so
 ``outputs(Z, thetas)`` scores encoded rows under several parameter vectors
-at once; the training loop uses it to score a block of epochs in one call.
+at once without assigning ``params``; the training loop uses it to score a
+block of epochs in one call.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -60,21 +62,32 @@ def expit(x):
 
 
 class RatioModel:
-    """Common interface for parametric score models."""
+    """Common interface for parametric score models; owns the flat parameter vector.
+
+    A subclass gives the architecture, ``encode`` and ``_forward(Z, theta)``,
+    the predictions on encoded rows at parameters ``theta``.
+    """
 
     kind = "abstract"
 
+    def __init__(self, dim_in: int, params):
+        self.dim_in = dim_in
+        self._params = np.asarray(params, dtype=float).copy()
+
     @property
     def params(self) -> np.ndarray:
-        raise NotImplementedError
+        return self._params
 
     @params.setter
     def params(self, value):
-        raise NotImplementedError
+        value = np.asarray(value, dtype=float)
+        if value.shape != self._params.shape:
+            raise ConfigError(f"parameter vector must have shape {self._params.shape}, got {value.shape}")
+        self._params = value.copy()
 
     @property
     def n_params(self) -> int:
-        return self.params.size
+        return self._params.size
 
     def encode(self, X) -> np.ndarray:
         """Rows ``forward`` consumes; by default the checked inputs."""
@@ -86,6 +99,9 @@ class RatioModel:
         ``backward`` returns sum_i weights[i] * d prediction_i / d params at
         the parameters of this pass, reusing what the pass computed.
         """
+        return self._forward(Z, self._params)
+
+    def _forward(self, Z, theta):
         raise NotImplementedError
 
     def outputs(self, Z, thetas) -> np.ndarray:
@@ -93,17 +109,10 @@ class RatioModel:
 
         Returns a rows x columns array whose column j equals
         ``forward(Z)[0]`` at parameters ``thetas[:, j]``; this default runs
-        ``forward`` once per column and leaves ``params`` as it found them.
+        the forward pass once per column.  Each column is scored from a
+        contiguous copy, as ``params`` is, so the bits match ``forward``.
         """
-        saved = self.params
-        try:
-            cols = []
-            for theta in thetas.T:
-                self.params = theta
-                cols.append(self.forward(Z)[0])
-        finally:
-            self.params = saved
-        return np.column_stack(cols)
+        return np.column_stack([self._forward(Z, theta)[0] for theta in np.ascontiguousarray(thetas.T)])
 
     def predict(self, X) -> np.ndarray:
         """``forward(encode(X))[0]``, encoded and scored ``SCORE_ROWS`` rows at a time."""
@@ -113,14 +122,6 @@ class RatioModel:
         for s, e in zip(edges[:-1], edges[1:]):
             out[s:e] = self.forward(self.encode(X[s:e]))[0]
         return out
-
-    def predict_grad(self, x):
-        """Value and parameter gradient at a single input point."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != 1:
-            raise ValueError("predict_grad takes a single point")
-        value, backward = self.forward(self.encode(x))
-        return float(value[0]), backward(np.ones(1))
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -142,7 +143,7 @@ class GaussianBasisLinear(RatioModel):
 
     kind = "gaussian_basis_linear"
 
-    def __init__(self, centers, bandwidth: float = 1.0, clamp: bool = True, weights=None):
+    def __init__(self, centers, bandwidth: float = 1.0, clamp: bool = True, params=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.shape[0] == 0:
             raise ConfigError("at least one basis center is required")
@@ -151,24 +152,9 @@ class GaussianBasisLinear(RatioModel):
         self.centers = centers
         self.bandwidth = float(bandwidth)
         self.clamp = bool(clamp)
-        self.dim_in = centers.shape[1]
-        if weights is None:
-            self._w = np.zeros(centers.shape[0])
-        else:
-            self._w = np.asarray(weights, dtype=float).copy()
-            if self._w.shape != (centers.shape[0],):
-                raise ConfigError("weights length must match the number of centers")
-
-    @property
-    def params(self) -> np.ndarray:
-        return self._w
-
-    @params.setter
-    def params(self, value):
-        value = np.asarray(value, dtype=float)
-        if value.shape != self._w.shape:
-            raise ValueError(f"parameter vector must have shape {self._w.shape}")
-        self._w = value.copy()
+        super().__init__(centers.shape[1], np.zeros(centers.shape[0]))
+        if params is not None:
+            self.params = params
 
     def features(self, X) -> np.ndarray:
         """exp((2 x.c - |x|^2 - |c|^2) / (2 bw^2)), built in one rows x centers buffer.
@@ -187,8 +173,8 @@ class GaussianBasisLinear(RatioModel):
         """The kernel features; the training loop builds them once per split."""
         return self.features(X)
 
-    def forward(self, phi):
-        raw = phi @ self._w
+    def _forward(self, phi, theta):
+        raw = phi @ theta
 
         def backward(weights):
             w = np.asarray(weights, dtype=float)
@@ -210,7 +196,7 @@ class GaussianBasisLinear(RatioModel):
             "bandwidth": self.bandwidth,
             "clamp": self.clamp,
             "centers": self.centers.tolist(),
-            "params": self._w.tolist(),
+            "params": self._params.tolist(),
         }
 
 
@@ -237,19 +223,11 @@ class MLP(RatioModel):
         self.layer_sizes = layer_sizes
         self.output = output
         self.seed = int(seed)
-        self.dim_in = layer_sizes[0]
         self._shapes = [
             (layer_sizes[i + 1], layer_sizes[i]) for i in range(len(layer_sizes) - 1)
         ]
-        if params is None:
-            self._theta = self._init_params()
-        else:
-            self._theta = np.asarray(params, dtype=float).copy()
-            if self._theta.shape != (self._expected_size(),):
-                raise ConfigError("parameter vector does not match the architecture")
-
-    def _expected_size(self) -> int:
-        return sum(o * i + o for o, i in self._shapes)
+        super().__init__(layer_sizes[0], np.zeros(sum(o * i + o for o, i in self._shapes)))
+        self.params = self._init_params() if params is None else params
 
     def _init_params(self) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(self.seed))
@@ -272,20 +250,9 @@ class MLP(RatioModel):
             out.append((W, b))
         return out
 
-    @property
-    def params(self) -> np.ndarray:
-        return self._theta
-
-    @params.setter
-    def params(self, value):
-        value = np.asarray(value, dtype=float)
-        if value.shape != self._theta.shape:
-            raise ValueError(f"parameter vector must have shape {self._theta.shape}")
-        self._theta = value.copy()
-
-    def forward(self, X):
+    def _forward(self, X, theta):
         """Forward pass that keeps its activations for the backward pass."""
-        layers = self._layers(self._theta)
+        layers = self._layers(theta)
         activations = [X]
         a = X
         pres = []
@@ -324,7 +291,7 @@ class MLP(RatioModel):
             "layer_sizes": self.layer_sizes,
             "output": self.output,
             "seed": self.seed,
-            "params": self._theta.tolist(),
+            "params": self._params.tolist(),
         }
 
 
@@ -353,7 +320,7 @@ def model_from_dict(doc: dict) -> RatioModel:
                 centers=centers,
                 bandwidth=json_number(doc["bandwidth"], "bandwidth"),
                 clamp=json_bool(doc["clamp"], "clamp"),
-                weights=_numbers(doc["params"], "params"),
+                params=_numbers(doc["params"], "params"),
             )
         if kind == MLP.kind:
             return MLP(

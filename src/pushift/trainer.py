@@ -29,9 +29,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .divergence import Branch, ratio_objective
+from .divergence import Branch
 from .errors import ConfigError, TrainingDiverged
-from .generators import BregmanGenerator
 
 __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
 
@@ -138,14 +137,12 @@ def _block_objectives(model, objective, splits, snapshots):
 def train(model, data, objective, cfg: TrainConfig):
     """Train ``model`` on a train/validation split of PU data.
 
-    ``data`` is a ``SplitDataset``; ``objective`` is a ``divergence.Objective``,
-    or a ``BregmanGenerator`` for the ratio objective at ``cfg.alpha``.  The
-    model is mutated in place and also returned with the best-validation
-    parameters restored, together with the per-epoch ``TrainReport``.
+    ``data`` is a ``SplitDataset`` and ``objective`` a ``divergence.Objective``
+    (``ratio_objective(gen, cfg.alpha)`` for a ratio model).  The model is
+    mutated in place and also returned with the best-validation parameters
+    restored, together with the per-epoch ``TrainReport``.
     """
     cfg.validate()
-    if isinstance(objective, BregmanGenerator):
-        objective = ratio_objective(objective, cfg.alpha)
     tr, va = data.train, data.val
     for name, ds in (("train", tr), ("validation", va)):
         if ds.n_pos == 0 or ds.n_unl == 0:

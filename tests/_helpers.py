@@ -1,5 +1,6 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
-the pairwise AUC and the mini-batch gradient of an objective's active branch."""
+the pairwise AUC, the mini-batch gradient of an objective's active branch and
+a model's gradient at one point."""
 
 import copy
 import json
@@ -71,6 +72,12 @@ def objective_gradient(objective, model, batch_pos, batch_unl):
     r_unl, back_unl = model.forward(model.encode(xu))
     w_pos, w_unl, branch = objective.weights(r_pos, r_unl)
     return back_pos(w_pos) + back_unl(w_unl), branch
+
+
+def value_and_grad(model, x):
+    """A model's value and parameter gradient at one input point, from one forward pass."""
+    value, backward = model.forward(model.encode(x))
+    return value[0], backward(np.ones(1))
 
 
 def refuse(token):

@@ -31,7 +31,9 @@ from pushift.prior import build_intervals, estimate_prior, estimate_test_prior, 
 from pushift.theory import run_all
 from pushift.trainer import TrainConfig, train
 
-from _helpers import auc_brute_force, brute_force_prior_sweep, finite_difference, objective_gradient, relative_error
+from _helpers import (
+    auc_brute_force, brute_force_prior_sweep, finite_difference, objective_gradient, relative_error, value_and_grad
+)
 
 X_STAR_CASE1 = math.log(2.0 / 3.0) / 2.0  # shifted-optimal boundary, case 1
 X_STAR_CASE2 = math.log(2.0) / 2.0
@@ -68,10 +70,10 @@ def test_criterion_1_case1_boundary_reproduction():
 def test_criterion_2_case2_bounded_error_without_irreducibility():
     """Case 2: identifiability fails, yet the boundary error stays bounded."""
     mix = case2_mixture()
-    analytic = mix.max_mixture_proportion()
-    grid = mix.grid_infimum_ratio()
-    assert abs(analytic - grid) < 1e-6
-    assert analytic - 0.6 > 0.05  # genuine identifiability gap vs the true prior
+    x = np.linspace(-12.0, 12.0, 200001)
+    kappa = float(np.min(mix.pdf_marginal(x) / mix.pdf_pos(x)))  # grid infimum of p / p_pos
+    assert abs(kappa - (0.6 + 0.4 * 0.2 / 0.8)) < 1e-6  # the max-mixture proportion in closed form
+    assert kappa - 0.6 > 0.05  # genuine identifiability gap vs the true prior
 
     cfg_kw = dict(
         n_train=(1000, 5000), n_val=(1000, 5000), n_test=5000,
@@ -91,7 +93,7 @@ def test_criterion_2_case2_bounded_error_without_irreducibility():
     assert mean_err <= 0.5
     _report(
         "criterion 2",
-        f"max-mixture {analytic:.3f} != prior 0.6; mean boundary error {mean_err:.3f} <= 0.5",
+        f"max-mixture {kappa:.3f} != prior 0.6; mean boundary error {mean_err:.3f} <= 0.5",
     )
 
 
@@ -209,7 +211,7 @@ def test_criterion_6_gradient_checks():
         dim = int(rng.integers(1, 5))
         net = mlp([dim, 8, 6, 1], seed=trial)
         x = rng.normal(size=(1, dim))
-        _, grad = net.predict_grad(x)
+        _, grad = value_and_grad(net, x)
 
         def value(theta, dim=dim, trial=trial, x=x):
             m = mlp([dim, 8, 6, 1], seed=trial)
@@ -246,7 +248,7 @@ def test_criterion_7_nonnegative_correction_behavior():
     ratio_model = gaussian_basis_linear(split.train.unlabeled, bandwidth=0.3)
     gen = lsif_generator()
     rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
-    ratio_model, ratio_report = train(ratio_model, split, gen, rcfg)
+    ratio_model, ratio_report = train(ratio_model, split, ratio_objective(gen, rcfg.alpha), rcfg)
     assert max(ratio_report.corrected_fraction) > 0  # defensive branch exercised
     r_pos = ratio_model.predict(split.train.positives)
     r_unl = ratio_model.predict(split.train.unlabeled)

@@ -678,7 +678,8 @@ class TestEvaluate:
 
 @pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])
 def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, capsys, command):
-    """An output path under a regular file exits 2 with the path named, not an OSError traceback."""
+    """An output path under a regular file exits 2 with the path named, not an OSError traceback,
+    and before any work: nothing is printed."""
     (tmp_path / "afile").write_text("")
     inputs = {
         "synth": ["--n-test", "10"],
@@ -690,8 +691,22 @@ def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, c
         "verify-theory": ["--trials", "2"],
     }[command]
     assert main([command, *inputs, "--out", str(tmp_path / "afile" / "x")]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("config error: cannot write output:") and "afile" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["adapt", "evaluate"])
+def test_unwritable_output_is_refused_before_the_inputs_are_read(dataset_dir, tmp_path, capsys, command):
+    """A missing model would exit 3, but the output path is checked first."""
+    (tmp_path / "afile").write_text("")
+    inputs = {
+        "adapt": ["--intervals", str(tmp_path / "none.json"), "--test", str(dataset_dir / "test_unl.csv")],
+        "evaluate": ["--test", str(dataset_dir / "eval_test.csv"), "--theta", "0.5"],
+    }[command]
+    code = main([command, "--model", str(tmp_path / "missing.json"), *inputs, "--out", str(tmp_path / "afile" / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output:")
 
 
 class TestVerifyTheory:

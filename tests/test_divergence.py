@@ -128,7 +128,7 @@ class TestObjective:
             branches.add(branch)
 
             def active(theta):
-                m = GaussianBasisLinear(centers, bandwidth=1.2, clamp=is_ratio, weights=theta)
+                m = GaussianBasisLinear(centers, bandwidth=1.2, clamp=is_ratio, params=theta)
                 out_pos, out_unl = m.predict(xp), m.predict(xu)
                 if branch is Branch.NORMAL:
                     return obj.plain(out_pos, out_unl)

@@ -19,7 +19,7 @@ from pushift.models import (
     save_model,
 )
 
-from _helpers import finite_difference, relative_error
+from _helpers import finite_difference, relative_error, value_and_grad
 
 
 class TestExpit:
@@ -59,7 +59,7 @@ class TestGaussianBasisLinear:
         model = gaussian_basis_linear(np.array([[0.0]]), bandwidth=1.0)
         model.params = np.array([-3.0])
         assert model.predict(np.array([[0.0]]))[0] == 0.0
-        _, grad = model.predict_grad(np.array([0.0]))
+        _, grad = value_and_grad(model, np.array([0.0]))
         np.testing.assert_array_equal(grad, np.zeros(1))
 
     def test_gradient_is_features_when_active(self):
@@ -68,7 +68,7 @@ class TestGaussianBasisLinear:
         model = gaussian_basis_linear(centers, bandwidth=1.5)
         model.params = np.full(4, 0.5)
         x = rng.normal(size=2)
-        value, grad = model.predict_grad(x)
+        _, grad = value_and_grad(model, x)
         np.testing.assert_allclose(grad, model.features(x[None, :])[0], atol=1e-15)
 
     def test_param_count_matches_centers(self):
@@ -295,7 +295,7 @@ class TestMLP:
         dim = int(rng.integers(1, 5))
         model = mlp([dim, 8, 6, 1], seed=seed)
         x = rng.normal(size=(1, dim))
-        _, grad = model.predict_grad(x)
+        _, grad = value_and_grad(model, x)
 
         def val(theta):
             m = mlp([dim, 8, 6, 1], seed=seed)
@@ -312,7 +312,7 @@ class TestMLP:
         w = rng.normal(size=7)
         acc = np.zeros(model.n_params)
         for i in range(7):
-            _, g = model.predict_grad(X[i])
+            _, g = value_and_grad(model, X[i])
             acc += w[i] * g
         np.testing.assert_allclose(model.forward(model.encode(X))[1](w), acc, atol=1e-12)
 

@@ -1,5 +1,6 @@
-"""Every name that ``pushift`` exports is used by the package, a demo or the benchmark,
-and only ``errors.py`` decodes or writes JSON.
+"""Every name that ``pushift`` exports, and every public function, method and
+property that its modules define, is used by the package, a demo or the
+benchmark, and only ``errors.py`` decodes or writes JSON.
 
 A use is the name as a code token (not in a string, comment or docstring) in
 ``src/pushift/*.py``, ``demos/*.py`` or ``bench/*.py``.  The package's
@@ -7,6 +8,7 @@ A use is the name as a code token (not in a string, comment or docstring) in
 do not count, so a function that only its unit tests call is flagged.
 """
 
+import importlib
 import inspect
 import io
 import re
@@ -34,12 +36,39 @@ def used_names(path):
     return names
 
 
-def test_every_export_has_a_caller():
-    files = [p for p in sorted((ROOT / "src" / "pushift").glob("*.py")) if p.name != "__init__.py"]
+MODULES = sorted((ROOT / "src" / "pushift").glob("*.py"))
+
+
+def used_anywhere():
+    files = [p for p in MODULES if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    used = set().union(*(used_names(p) for p in files))
+    return set().union(*(used_names(p) for p in files))
+
+
+def defined_callables():
+    """(qualified name, name) of each public module-level function and public method or property."""
+    for path in MODULES:
+        mod = importlib.import_module(f"pushift.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{path.stem}.{name}", name
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    member = inspect.isfunction(raw) or isinstance(raw, (property, staticmethod, classmethod))
+                    if member and not attr.startswith("_"):
+                        yield f"{path.stem}.{name}.{attr}", attr
+
+
+def test_every_export_has_a_caller():
     exported = {n for n, obj in vars(pushift).items() if not n.startswith("_") and not inspect.ismodule(obj)}
-    assert sorted(exported - used) == []
+    assert sorted(exported - used_anywhere()) == []
+
+
+def test_every_public_function_and_method_has_a_caller():
+    used = used_anywhere()
+    assert sorted(qual for qual, name in defined_callables() if name not in used) == []
 
 
 def test_json_is_read_and_written_only_in_errors():

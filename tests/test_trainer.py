@@ -9,7 +9,7 @@ from pushift.data import SplitDataset, synth_case1
 from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.generators import lsif_generator
-from pushift.models import GaussianBasisLinear, gaussian_basis_linear, mlp
+from pushift.models import GaussianBasisLinear, RatioModel, gaussian_basis_linear, mlp
 from pushift.trainer import (
     SCORE_BLOCK,
     AdamState,
@@ -73,7 +73,7 @@ class TestTrain:
         split = small_split()
         model = gaussian_basis_linear(split.train.unlabeled)
         before = model.params.copy()
-        model, report = train(model, split, LSIF, TrainConfig(epochs=0))
+        model, report = train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(epochs=0))
         np.testing.assert_array_equal(model.params, before)
         assert report.train_objective == [] and report.best_epoch == -1
 
@@ -81,7 +81,7 @@ class TestTrain:
         split = small_split()
         model = gaussian_basis_linear(split.train.unlabeled)
         cfg = TrainConfig(epochs=30, batch_size=40, learning_rate=1e-3, seed=3)
-        model, report = train(model, split, LSIF, cfg)
+        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.best_epoch == int(np.argmin(report.val_objective))
         # the returned snapshot actually attains the reported minimum
         returned_val = ratio_objective(LSIF, 0.0).plain(
@@ -94,8 +94,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, batch_size=40, learning_rate=1e-3, seed=7)
         m1 = gaussian_basis_linear(split.train.unlabeled)
         m2 = gaussian_basis_linear(split.train.unlabeled)
-        _, r1 = train(m1, split, LSIF, cfg)
-        _, r2 = train(m2, split, LSIF, cfg)
+        _, r1 = train(m1, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        _, r2 = train(m2, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert r1.val_objective == r2.val_objective
         assert r1.train_objective == r2.train_objective
         np.testing.assert_array_equal(m1.params, m2.params)
@@ -104,7 +104,7 @@ class TestTrain:
         split = small_split()
         model = gaussian_basis_linear(split.train.unlabeled)
         cfg = TrainConfig(alpha=0.0, epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
-        _, report = train(model, split, LSIF, cfg)
+        _, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.corrected_fraction == [0.0] * 20
 
     def test_alpha_zero_matches_plain_descent(self):
@@ -112,7 +112,7 @@ class TestTrain:
         split = small_split()
         cfg = TrainConfig(alpha=0.0, epochs=8, batch_size=40, learning_rate=1e-3, seed=5)
         model = gaussian_basis_linear(split.train.unlabeled)
-        model, report = train(model, split, LSIF, cfg)
+        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.best_epoch == cfg.epochs - 1  # monotone improvement here
 
         # reference loop: same batches, always the plain-objective gradient
@@ -143,7 +143,7 @@ class TestTrain:
             alpha=0.0, epochs=200, batch_size=200, learning_rate=2e-5,
             adam_beta1=0.5, adam_beta2=0.999, l2_reg=0.1, seed=11,
         )
-        model, report = train(model, split, LSIF, cfg)
+        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.val_objective[-1] < report.val_objective[0]
         assert min(report.val_objective) == report.val_objective[report.best_epoch]
 
@@ -151,7 +151,7 @@ class TestTrain:
         split = small_split()
         model = gaussian_basis_linear(split.train.unlabeled)
         with pytest.raises(ConfigError):
-            train(model, split, LSIF, TrainConfig(batch_size=10_000))
+            train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(batch_size=10_000))
 
     def test_empty_split_rejected(self):
         split = small_split()
@@ -161,7 +161,7 @@ class TestTrain:
         )
         model = gaussian_basis_linear(split.train.unlabeled)
         with pytest.raises(ConfigError):
-            train(model, bad, LSIF, TrainConfig(epochs=1, batch_size=10))
+            train(model, bad, ratio_objective(LSIF, 0.0), TrainConfig(epochs=1, batch_size=10))
 
     def test_divergence_detected(self):
         split = small_split()
@@ -169,7 +169,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
-                train(model, split, LSIF, cfg)
+                train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
 
     def test_config_validation(self):
         for bad in (
@@ -268,17 +268,23 @@ class TestBlockScoring:
             want = model.forward(Z)[0]
             np.testing.assert_allclose(out[:, j], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_default_outputs_loop_forward_and_restore_params(self):
+    def test_mlp_outputs_never_assign_params_and_match_forward(self, monkeypatch):
+        """Each column equals ``forward`` at that column's parameters, bit for bit."""
         rng = np.random.default_rng(4)
         model = mlp([2, 5, 1], seed=1)
-        before = model.params.copy()
         Z = model.encode(rng.normal(size=(40, 2)))
-        thetas = before[:, None] + rng.normal(scale=0.3, size=(model.n_params, 3))
-        out = model.outputs(Z, thetas)
-        np.testing.assert_array_equal(model.params, before)
+        thetas = model.params[:, None] + rng.normal(scale=0.3, size=(model.n_params, 3))
+        want = []
         for j in range(3):
             model.params = thetas[:, j]
-            np.testing.assert_array_equal(out[:, j], model.forward(Z)[0])
+            want.append(model.forward(Z)[0])
+
+        def refuse(self, value):
+            raise AssertionError("outputs assigned params")
+
+        monkeypatch.setattr(RatioModel, "params", property(RatioModel.params.fget, refuse))
+        out = model.outputs(Z, thetas)
+        np.testing.assert_array_equal(out, np.column_stack(want))
 
     def test_divergence_names_the_parent_epoch(self):
         """The learning_rate=1e200 case still stops at epoch 0, even with a long block ahead."""
@@ -286,7 +292,7 @@ class TestBlockScoring:
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match=r"at epoch 0: "):
-                train(gaussian_basis_linear(split.train.unlabeled), split, LSIF, cfg)
+                train(gaussian_basis_linear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg)
             with pytest.raises(TrainingDiverged, match=r"at epoch 0$"):
                 reference_train(
                     gaussian_basis_linear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg
@@ -324,7 +330,7 @@ class TestBlockScoring:
             cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
             tracemalloc.start()
             try:
-                train(model, split, LSIF, cfg)
+                train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -355,22 +356,7 @@ def cmd_verify_theory(args) -> int:
     return EXIT_OK if all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pushift",
-        description="PU classification via density ratio estimation with test-time prior-shift adaptation",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="generate a synthetic Gaussian dataset directory")
-    _add_fields(sp, SYNTH_FIELDS)
-    sp.set_defaults(func=cmd_synth)
-
-    tp = sub.add_parser("train", help="train DRPU or a PU baseline from a dataset directory")
-    _add_fields(tp, TRAIN_FIELDS)
-    tp.set_defaults(func=cmd_train)
-
-    ap = sub.add_parser("adapt", help="estimate the test prior and place the threshold")
+def _adapt_arguments(ap) -> None:
     ap.add_argument("--model", required=True)
     ap.add_argument("--intervals", required=True)
     ap.add_argument("--test", required=True, help="unlabeled test CSV")
@@ -378,28 +364,54 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pi-hat", dest="pi_hat", type=float, default=None)
     ap.add_argument("--report", help="training report JSON carrying pi_hat")
     ap.add_argument("--out", default="adapted.json")
-    ap.set_defaults(func=cmd_adapt)
 
-    ep = sub.add_parser("evaluate", help="score a labeled test file with a trained model")
+
+def _evaluate_arguments(ep) -> None:
     ep.add_argument("--model", required=True)
     ep.add_argument("--test", required=True, help="labeled test CSV")
     ep.add_argument("--adapted", help="adapt output JSON")
     ep.add_argument("--theta", type=float, help="explicit threshold (baselines use 0)")
     ep.add_argument("--out", default="metrics.json")
-    ep.set_defaults(func=cmd_evaluate)
 
-    vp = sub.add_parser("verify-theory", help="run the randomized bound/identity suites")
+
+def _verify_theory_arguments(vp) -> None:
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--trials", type=int, default=100)
     vp.add_argument("--out")
-    vp.set_defaults(func=cmd_verify_theory)
 
+
+# Subcommand -> (help, handler, the function that adds its arguments).
+COMMANDS = {
+    "synth": ("generate a synthetic Gaussian dataset directory", cmd_synth, partial(_add_fields, fields=SYNTH_FIELDS)),
+    "train": (
+        "train DRPU or a PU baseline from a dataset directory", cmd_train, partial(_add_fields, fields=TRAIN_FIELDS)
+    ),
+    "adapt": ("estimate the test prior and place the threshold", cmd_adapt, _adapt_arguments),
+    "evaluate": ("score a labeled test file with a trained model", cmd_evaluate, _evaluate_arguments),
+    "verify-theory": ("run the randomized bound/identity suites", cmd_verify_theory, _verify_theory_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; only ``command``'s parser gets its arguments."""
+    p = argparse.ArgumentParser(
+        prog="pushift",
+        description="PU classification via density ratio estimation with test-time prior-shift adaptation",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        if name == command:
+            add_arguments(sp)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first non-option word names the command.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -42,6 +42,11 @@ class Branch(Enum):
     CORRECTED = "corrected"
 
 
+def _mean(x) -> float:
+    """``np.mean`` of a float64 array, bit for bit, without its Python wrapper."""
+    return x.sum() / x.size
+
+
 def _nonempty(*outs):
     if any(np.size(out) == 0 for out in outs):
         raise ValueError("model outputs on P and U must be nonempty")
@@ -67,17 +72,17 @@ class Objective:
     clip: bool = True
 
     def bracket_value(self, out_pos, out_unl) -> float:
-        return float(np.mean(self.bracket(out_unl)) - self.kappa * np.mean(self.bracket(out_pos)))
+        return float(_mean(self.bracket(out_unl)) - self.kappa * _mean(self.bracket(out_pos)))
 
     def plain(self, out_pos, out_unl) -> float:
         _nonempty(out_pos, out_unl)
-        return float(np.mean(self.pos(out_pos)) + np.mean(self.bracket(out_unl)) + self.const)
+        return float(_mean(self.pos(out_pos)) + _mean(self.bracket(out_unl)) + self.const)
 
     def value(self, out_pos, out_unl) -> float:
         if not self.clip:
             return self.plain(out_pos, out_unl)
         _nonempty(out_pos, out_unl)
-        pos_term = np.mean(self.pos(out_pos) + self.kappa * self.bracket(out_pos))
+        pos_term = _mean(self.pos(out_pos) + self.kappa * self.bracket(out_pos))
         return float(pos_term + max(0.0, self.bracket_value(out_pos, out_unl)) + self.const)
 
     def weights(self, out_pos, out_unl):

@@ -50,6 +50,13 @@ __all__ = [
 # BLAS's matrix-vector tail path and could move the last bit of its scores.
 SCORE_ROWS = 1024
 
+# Epochs the training loop scores per ``outputs`` call.  The kernel model
+# zero-pads a narrower block to this width: one column would be a
+# matrix-vector product and a narrow one another BLAS kernel, either of which
+# can round differently, so an epoch's objective would depend on how many
+# epochs share its block, and so on the run's length.
+SCORE_BLOCK = 16
+
 
 def expit(x):
     """Logistic sigmoid 1 / (1 + exp(-x)), the derivative of softplus.
@@ -185,8 +192,11 @@ class GaussianBasisLinear(RatioModel):
         return (np.maximum(raw, 0.0) if self.clamp else raw), backward
 
     def outputs(self, phi, thetas) -> np.ndarray:
-        """One matrix product for every parameter column, then the clamp."""
-        out = phi @ thetas
+        """One matrix product for every parameter column, zero-padded to ``SCORE_BLOCK`` columns, then the clamp."""
+        n = thetas.shape[1]
+        padded = np.zeros((thetas.shape[0], max(n, SCORE_BLOCK)))
+        padded[:, :n] = thetas
+        out = (phi @ padded)[:, :n]
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
     def to_dict(self) -> dict:
@@ -251,37 +261,33 @@ class MLP(RatioModel):
         return out
 
     def _forward(self, X, theta):
-        """Forward pass that keeps its activations for the backward pass."""
+        """Forward pass that keeps its activations for the backward pass.
+
+        Each layer's pre-activation is built in one buffer, and a hidden
+        layer's ReLU overwrites it, so ``activations[idx] > 0`` is the mask
+        ``pre > 0`` of the layer below (NaN and -0.0 included).
+        """
         layers = self._layers(theta)
         activations = [X]
-        a = X
-        pres = []
-        for idx, (W, b) in enumerate(layers):
-            pre = a @ W.T + b
-            pres.append(pre)
-            if idx < len(layers) - 1:
-                a = np.maximum(pre, 0.0)
-                activations.append(a)
-        z = pres[-1][:, 0]
+        for W, b in layers:
+            pre = activations[-1] @ W.T
+            pre += b
+            if len(activations) < len(layers):
+                activations.append(np.maximum(pre, 0.0, out=pre))
+        z = pre[:, 0]
         y = np.logaddexp(0.0, z) if self.output == "softplus" else z
 
         def backward(weights):
             w = np.asarray(weights, dtype=float)
-            if self.output == "softplus":
-                delta = (w * expit(z))[:, None]
-            else:
-                delta = w[:, None]
-            grads = [None] * len(layers)
-            for idx in range(len(layers) - 1, -1, -1):
-                W, _ = layers[idx]
-                grads[idx] = (delta.T @ activations[idx], delta.sum(axis=0))
+            delta = (w * expit(z))[:, None] if self.output == "softplus" else w[:, None]
+            grad = np.empty_like(theta)
+            for idx, (gW, gb) in reversed(list(enumerate(self._layers(grad)))):
+                np.matmul(delta.T, activations[idx], out=gW)
+                np.add.reduce(delta, axis=0, out=gb)  # np.sum's reduction, without its Python wrapper
                 if idx > 0:
-                    delta = (delta @ W) * (pres[idx - 1] > 0)
-            flat = []
-            for gW, gb in grads:
-                flat.append(gW.reshape(-1))
-                flat.append(gb)
-            return np.concatenate(flat)
+                    delta = delta @ layers[idx][0]
+                    delta *= activations[idx] > 0
+            return grad
 
         return y, backward
 

@@ -15,12 +15,14 @@ and no prior knowledge.
 
 Each epoch's train and validation objectives are scored on the whole
 splits.  The loop keeps every epoch's parameter vector and scores a block of
-``SCORE_BLOCK`` epochs (and the remainder at the end) with one
+``models.SCORE_BLOCK`` epochs (and the remainder at the end) with one
 ``model.outputs`` call per split; for the kernel model that is one matrix
-product instead of one matrix-vector product per epoch.  Training steps,
-the selected epoch and its parameters do not depend on the block; a
-non-finite objective still names its epoch and is raised at the latest at
-the end of its block.
+product of ``SCORE_BLOCK`` columns, zero-padded for a shorter block, instead
+of one matrix-vector product per epoch.  Training steps, the selected epoch,
+its parameters and every reported objective do not depend on the block, so
+a run's first epochs report the same values as a longer run's; a non-finite
+objective still names its epoch and is raised at the latest at the end of
+its block.
 """
 
 from __future__ import annotations
@@ -31,12 +33,9 @@ import numpy as np
 
 from .divergence import Branch
 from .errors import ConfigError, TrainingDiverged
+from .models import SCORE_BLOCK
 
 __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
-
-# Epochs scored per ``model.outputs`` call.  The block's parameter vectors and
-# outputs (rows x SCORE_BLOCK per split) are the only memory this costs.
-SCORE_BLOCK = 16
 
 
 @dataclass
@@ -93,17 +92,24 @@ class AdamState:
 
 
 def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
-    """Advance the Adam state by one step and return the parameter delta."""
+    """Advance the Adam state by one step, updating its moments in place, and return the parameter delta."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
     state.t += 1
     with np.errstate(over="ignore"):  # an overflowed moment is caught by train's finiteness check
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+        state.m *= state.beta1
+        state.m += (1.0 - state.beta1) * grad
+        state.v *= state.beta2
+        state.v += (1.0 - state.beta2) * grad * grad
+    # -lr * m_hat / (sqrt(v_hat) + eps), built in m_hat with the same rounding steps.
     m_hat = state.m / (1.0 - state.beta1**state.t)
     v_hat = state.v / (1.0 - state.beta2**state.t)
-    return -lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps
+    m_hat *= -lr
+    m_hat /= v_hat
+    return m_hat
 
 
 def _epoch_batches(rng, n_pos, n_unl, batch_size):
@@ -178,7 +184,7 @@ def train(model, data, objective, cfg: TrainConfig):
             if branch is Branch.CORRECTED:
                 n_corrected += 1
             if cfg.l2_reg:
-                grad = grad + cfg.l2_reg * model.params
+                grad += cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, cfg.learning_rate)
         report.corrected_fraction.append(n_corrected / len(batches))
         finite = np.all(np.isfinite(model.params))

@@ -1,11 +1,14 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
-the pairwise AUC, the mini-batch gradient of an objective's active branch and
-a model's gradient at one point."""
+the pairwise AUC, the mini-batch gradient of an objective's active branch,
+a model's gradient at one point, and reference implementations of the MLP
+forward and backward passes and of the Adam step."""
 
 import copy
 import json
 
 import numpy as np
+
+from pushift.models import expit
 
 RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
 
@@ -78,6 +81,55 @@ def value_and_grad(model, x):
     """A model's value and parameter gradient at one input point, from one forward pass."""
     value, backward = model.forward(model.encode(x))
     return value[0], backward(np.ones(1))
+
+
+def reference_mlp_forward(model, X, theta):
+    """``MLP._forward`` with a fresh array per operation: every pre-activation
+    kept apart from its ReLU and the gradient concatenated from its pieces."""
+    layers = model._layers(theta)
+    activations = [X]
+    a = X
+    pres = []
+    for idx, (W, b) in enumerate(layers):
+        pre = a @ W.T + b
+        pres.append(pre)
+        if idx < len(layers) - 1:
+            a = np.maximum(pre, 0.0)
+            activations.append(a)
+    z = pres[-1][:, 0]
+    y = np.logaddexp(0.0, z) if model.output == "softplus" else z
+
+    def backward(weights):
+        w = np.asarray(weights, dtype=float)
+        if model.output == "softplus":
+            delta = (w * expit(z))[:, None]
+        else:
+            delta = w[:, None]
+        grads = [None] * len(layers)
+        for idx in range(len(layers) - 1, -1, -1):
+            W, _ = layers[idx]
+            grads[idx] = (delta.T @ activations[idx], delta.sum(axis=0))
+            if idx > 0:
+                delta = (delta @ W) * (pres[idx - 1] > 0)
+        flat = []
+        for gW, gb in grads:
+            flat.append(gW.reshape(-1))
+            flat.append(gb)
+        return np.concatenate(flat)
+
+    return y, backward
+
+
+def reference_adam_step(state, grad, lr):
+    """``trainer.adam_step`` with a fresh array per operation."""
+    grad = np.asarray(grad, dtype=float)
+    state.t += 1
+    with np.errstate(over="ignore"):
+        state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+        state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**state.t)
+    v_hat = state.v / (1.0 - state.beta2**state.t)
+    return -lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def refuse(token):

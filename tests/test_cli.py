@@ -6,7 +6,7 @@ import pytest
 
 from _helpers import RAW_1E400, read_json, replaced, write_doc
 from pushift import experiments
-from pushift.cli import main
+from pushift.cli import COMMANDS, build_parser, main
 from pushift.models import mlp, save_model
 from pushift.prior import build_intervals
 
@@ -724,3 +724,38 @@ class TestVerifyTheory:
         assert main(["verify-theory", "--trials", trials]) == 2
         assert "trials" in capsys.readouterr().err
 
+
+class TestParser:
+    """Every subcommand is listed; only the invoked one's arguments are built."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        for name, (help_text, _, _) in COMMANDS.items():
+            assert name in printed and help_text in printed
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("synth", "--n-train-pos"), ("train", "--max-centers"), ("adapt", "--pi-hat"),
+         ("evaluate", "--theta"), ("verify-theory", "--trials")],
+    )
+    def test_subcommand_help_lists_its_flags(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert flag in capsys.readouterr().out
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--epochs", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fit'" in capsys.readouterr().err
+
+    def test_other_commands_get_no_arguments(self):
+        parser = build_parser("adapt")
+        sub = next(a for a in parser._actions if a.dest == "command")
+        built = {name: [o for a in sp._actions for o in a.option_strings] for name, sp in sub.choices.items()}
+        assert "--pi-hat" in built["adapt"]
+        assert all(built[name] == ["-h", "--help"] for name in COMMANDS if name != "adapt")

@@ -159,6 +159,56 @@ class TestDistributionPair:
             assert abs(dist.marginal_mass.sum() - 1.0) < 1e-12
 
 
+def mean_objective(objective, out_pos, out_unl):
+    """``plain``, ``value`` and ``weights`` of ``objective`` with every mean taken by ``np.mean``."""
+    bp, bu = objective.bracket(out_pos), objective.bracket(out_unl)
+    bracket = float(np.mean(bu) - objective.kappa * np.mean(bp))
+    plain = float(np.mean(objective.pos(out_pos)) + np.mean(bu) + objective.const)
+    value = plain
+    if objective.clip:
+        value = float(np.mean(objective.pos(out_pos) + objective.kappa * bp) + max(0.0, bracket) + objective.const)
+    n_p, n_u = out_pos.size, out_unl.size
+    if not objective.clip or bracket >= 0:
+        weights = objective.d_pos(out_pos) / n_p, objective.d_bracket(out_unl) / n_u, Branch.NORMAL
+    else:
+        weights = objective.kappa * objective.d_bracket(out_pos) / n_p, -objective.d_bracket(out_unl) / n_u, Branch.CORRECTED
+    return plain, value, weights
+
+
+class TestPlainMeans:
+    """The objective's means are ``np.mean``'s, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            ratio_objective(LSIF, 0.0),
+            ratio_objective(LSIF, 0.6),
+            ratio_objective(exp_generator(), 0.3),
+            ratio_objective(scaled_quadratic_generator(1.7), 0.9),
+            risk_objective("nnpu", sigmoid_loss(), 0.4),
+            risk_objective("upu", logistic_loss(), 0.3),
+        ],
+        ids=["lsif-0", "lsif-0.6", "exp-0.3", "quadratic-0.9", "nnpu-sigmoid", "upu-logistic"],
+    )
+    def test_plain_value_weights_match_np_mean(self, objective):
+        rng = np.random.default_rng(17)
+        branches = set()
+        for n_p, n_u in [(1, 1), (3, 250), (50, 250), (1000, 37)]:
+            for _ in range(10):
+                out_pos = rng.uniform(0, 3, n_p) * rng.uniform(0.2, 2)
+                out_unl = rng.uniform(0, 3, n_u) * rng.uniform(0.2, 2)
+                plain, value, (w_pos, w_unl, branch) = mean_objective(objective, out_pos, out_unl)
+                assert objective.plain(out_pos, out_unl) == plain
+                assert objective.value(out_pos, out_unl) == value
+                got = objective.weights(out_pos, out_unl)
+                np.testing.assert_array_equal(got[0], w_pos)
+                np.testing.assert_array_equal(got[1], w_unl)
+                assert got[2] is branch
+                branches.add(branch)
+        if objective.clip and objective.kappa >= 0.6:
+            assert branches == {Branch.NORMAL, Branch.CORRECTED}
+
+
 class TestPopulationDivergence:
     def test_zero_at_truth(self):
         rng = np.random.default_rng(1)

@@ -19,7 +19,7 @@ from pushift.models import (
     save_model,
 )
 
-from _helpers import finite_difference, relative_error, value_and_grad
+from _helpers import finite_difference, reference_mlp_forward, relative_error, value_and_grad
 
 
 class TestExpit:
@@ -315,6 +315,53 @@ class TestMLP:
             _, g = value_and_grad(model, X[i])
             acc += w[i] * g
         np.testing.assert_allclose(model.forward(model.encode(X))[1](w), acc, atol=1e-12)
+
+
+class TestInPlaceForward:
+    """``MLP._forward`` and its ``backward`` give the reference passes' bits."""
+
+    @pytest.mark.parametrize("output", ["softplus", "linear"])
+    @pytest.mark.parametrize("layers", [[1, 8, 1], [3, 16, 1], [10, 32, 32, 1], [2, 5, 4, 3, 1], [4, 1]])
+    @pytest.mark.parametrize("rows", [1, 7, 250])
+    def test_bits_match_reference(self, layers, output, rows):
+        rng = np.random.default_rng(len(layers) * 1000 + layers[0] * 10 + rows)
+        model = mlp(layers, seed=rows, output=output)
+        theta = model.params.copy()
+        W, b = model._layers(theta)[0]
+        W[0], b[0] = 0.0, 0.0  # a dead first-layer unit: pre-activation exactly 0.0 on every row
+        b[1:] = rng.normal(size=b.size - 1)
+        X = rng.normal(size=(rows, layers[0]))
+        X[0] = 0.0
+        w = rng.normal(size=rows)
+        w_before = w.copy()
+        model.params = theta
+        y, backward = model.forward(X)
+        want_y, want_backward = reference_mlp_forward(model, X, theta)
+        assert np.any(X @ W.T + b == 0.0)
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(backward(w), want_backward(w))
+        np.testing.assert_array_equal(w, w_before)
+        np.testing.assert_array_equal(backward(w), want_backward(w))  # a second call sees the same pass
+
+    @pytest.mark.parametrize("output", ["softplus", "linear"])
+    def test_nan_rows_match_reference(self, output):
+        rng = np.random.default_rng(21)
+        model = mlp([3, 8, 6, 1], seed=4, output=output)
+        X = rng.normal(size=(9, 3))
+        X[2, 1] = np.nan
+        w = rng.normal(size=9)
+        with np.errstate(invalid="ignore"):
+            y, backward = model.forward(X)
+            want_y, want_backward = reference_mlp_forward(model, X, model.params)
+        assert np.isnan(y[2]) and np.all(np.isfinite(np.delete(y, 2)))
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(backward(w), want_backward(w))
+
+    def test_relu_in_place_keeps_the_pre_activation_mask(self):
+        """``max(pre, 0) > 0`` is ``pre > 0`` at 0.0, -0.0, NaN and the infinities."""
+        pre = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.0, -2.0])
+        relu = np.maximum(pre.copy(), 0.0, out=pre.copy())
+        np.testing.assert_array_equal(relu > 0, pre > 0)
 
 
 class TestSerialization:

@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _helpers import reference_adam_step
+
 from pushift.baselines import risk_objective, sigmoid_loss
 from pushift.data import SplitDataset, synth_case1
 from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
+from pushift.experiments import case_data, kernel_centers
 from pushift.generators import lsif_generator
 from pushift.models import GaussianBasisLinear, RatioModel, gaussian_basis_linear, mlp
 from pushift.trainer import (
@@ -45,6 +48,24 @@ class TestAdam:
             delta = adam_step(state, g, lr)
         np.testing.assert_allclose(np.abs(delta), lr, rtol=1e-3)
         np.testing.assert_array_equal(np.sign(delta), -np.sign(g))
+
+    @pytest.mark.parametrize("beta1, beta2, lr", [(0.9, 0.999, 1e-3), (0.5, 0.999, 2e-5), (0.3, 0.7, 1.5)])
+    def test_bits_match_reference(self, beta1, beta2, lr):
+        """Moments and deltas equal the reference step's, including an overflowed second moment."""
+        rng = np.random.default_rng(int(beta2 * 1000))
+        state = AdamState.zeros(40, beta1=beta1, beta2=beta2)
+        ref = AdamState.zeros(40, beta1=beta1, beta2=beta2)
+        with np.errstate(invalid="ignore"):
+            for step in range(30):
+                grad = rng.normal(scale=10.0 ** rng.integers(-8, 8), size=40)
+                grad[step % 40] = 0.0
+                if step == 25:
+                    grad[:3] = 1e300
+                np.testing.assert_array_equal(adam_step(state, grad, lr), reference_adam_step(ref, grad, lr))
+                np.testing.assert_array_equal(state.m, ref.m)
+                np.testing.assert_array_equal(state.v, ref.v)
+                assert state.t == ref.t
+        assert np.isinf(state.v[:3]).all()
 
     def test_dimension_mismatch(self):
         state = AdamState.zeros(3)
@@ -254,6 +275,23 @@ class TestBlockScoring:
                 assert got == want
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_reported_objectives_do_not_depend_on_the_run_length(self, clamp):
+        """A short final block scores its epochs as bits of a full block would."""
+        split, _ = case_data(2, 0, (200, 1000), (100, 500), 1, 0.6, 0.4)
+        centers = kernel_centers(split, 0, 100)
+        objective = ratio_objective(LSIF, 0.3) if clamp else NNPU
+
+        def run(epochs):
+            cfg = TrainConfig(alpha=0.3, epochs=epochs, batch_size=200, learning_rate=1e-3, seed=0)
+            return train(GaussianBasisLinear(centers, clamp=clamp), split, objective, cfg)[1]
+
+        full = run(2 * SCORE_BLOCK)
+        for epochs in (SCORE_BLOCK + 1, SCORE_BLOCK + 2):
+            short = run(epochs)
+            for key in ("train_objective", "val_objective", "corrected_fraction"):
+                assert getattr(short, key) == getattr(full, key)[:epochs], key
 
     @pytest.mark.parametrize("clamp", [True, False])
     def test_kernel_outputs_match_forward_per_column(self, clamp):

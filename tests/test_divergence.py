@@ -171,7 +171,8 @@ def mean_objective(objective, out_pos, out_unl):
     if not objective.clip or bracket >= 0:
         weights = objective.d_pos(out_pos) / n_p, objective.d_bracket(out_unl) / n_u, Branch.NORMAL
     else:
-        weights = objective.kappa * objective.d_bracket(out_pos) / n_p, -objective.d_bracket(out_unl) / n_u, Branch.CORRECTED
+        w_pos = objective.kappa * objective.d_bracket(out_pos) / n_p
+        weights = w_pos, -objective.d_bracket(out_unl) / n_u, Branch.CORRECTED
     return plain, value, weights
 
 

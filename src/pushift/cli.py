@@ -241,9 +241,7 @@ def cmd_adapt(args) -> int:
     _check_out_dir(args.out)
     model = load_model(args.model)
     intervals = ThresholdIntervals.load(args.intervals)
-    X, labels = load_csv(args.test)
-    if labels is not None:
-        raise DataError("adapt expects an unlabeled test file (no label column)")
+    X, _ = load_csv(args.test, labeled=False)
     report = json_object(read_json(args.report), args.report) if args.report else None
     if args.pi_hat is not None:
         pi_hat = args.pi_hat
@@ -301,9 +299,7 @@ def _load_adapted(path):
 def cmd_evaluate(args) -> int:
     _check_out_dir(args.out)
     model = load_model(args.model)
-    X, labels = load_csv(args.test)
-    if labels is None:
-        raise DataError("evaluate needs a labeled test file (last column +1/-1)")
+    X, labels = load_csv(args.test, labeled=True)
     if args.adapted:
         adapted, theta = _load_adapted(args.adapted)
     elif args.theta is not None:
@@ -368,7 +364,7 @@ def _adapt_arguments(ap) -> None:
 
 def _evaluate_arguments(ep) -> None:
     ep.add_argument("--model", required=True)
-    ep.add_argument("--test", required=True, help="labeled test CSV")
+    ep.add_argument("--test", required=True, help="labeled test CSV, labels +1 or -1 in the last column")
     ep.add_argument("--adapted", help="adapt output JSON")
     ep.add_argument("--theta", type=float, help="explicit threshold (baselines use 0)")
     ep.add_argument("--out", default="metrics.json")

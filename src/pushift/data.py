@@ -213,12 +213,12 @@ def save_csv(path, X, labels=None, header: bool = False) -> None:
             fh.writelines(row + "\n" for row in rows)
 
 
-def load_csv(path, labeled: Optional[bool] = None):
+def load_csv(path, labeled: bool):
     """Read a numeric CSV written by ``save_csv`` or compatible tools.
 
-    A leading non-numeric row is treated as a header and skipped.  When
-    ``labeled`` is None the last column is taken as labels if every entry is
-    exactly +1 or -1.  Returns ``(X, labels)`` with labels possibly None.
+    A leading non-numeric row is treated as a header and skipped.  A
+    ``labeled`` file carries its labels, each +1 or -1, in the last column;
+    returns ``(X, labels)``, with labels None for an unlabeled file.
     Non-finite cells (``nan``, ``inf``) raise ``DataError``.
 
     The rows are parsed by ``np.loadtxt``.  A file it refuses is parsed again
@@ -247,14 +247,14 @@ def load_csv(path, labeled: Optional[bool] = None):
     if not finite.all():
         raise DataError(f"{path}: non-finite value at row {int(np.argmin(finite)) + start + 1}")
 
-    if labeled is None:
-        last = data[:, -1]
-        labeled = data.shape[1] > 1 and bool(np.all(np.isin(last, (-1.0, 1.0))))
-    if labeled:
-        if data.shape[1] < 2:
-            raise DataError(f"{path}: labeled file needs at least one feature column")
-        return data[:, :-1], data[:, -1].astype(int)
-    return data, None
+    if not labeled:
+        return data, None
+    if data.shape[1] < 2:
+        raise DataError(f"{path}: labeled file needs at least one feature column")
+    valid = np.isin(data[:, -1], (-1.0, 1.0))
+    if not valid.all():
+        raise DataError(f"{path}: label at row {int(np.argmin(valid)) + start + 1} is not +1 or -1")
+    return data[:, :-1], data[:, -1].astype(int)
 
 
 def _parse_rows(path, lines, start):
@@ -277,13 +277,7 @@ def _parse_rows(path, lines, start):
 
 def load_pu_dataset(positives_path, unlabeled_path) -> PUDataset:
     """Assemble a PU dataset from two feature-only CSV files."""
-    out = []
-    for path in (positives_path, unlabeled_path):
-        X, labels = load_csv(path)
-        if labels is not None:
-            raise DataError(f"{path} unexpectedly carries a label column")
-        out.append(X)
-    return PUDataset(out[0], out[1])
+    return PUDataset(load_csv(positives_path, labeled=False)[0], load_csv(unlabeled_path, labeled=False)[0])
 
 
 def _is_float(v: str) -> bool:

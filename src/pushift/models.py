@@ -12,13 +12,13 @@ Both expose the same primitive: ``encode(X)`` turns raw inputs into the
 rows the model consumes (kernel features, or the checked inputs for the
 MLP), and ``forward(Z)`` returns the predictions on encoded rows together
 with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
-from that same forward pass.  The training loop encodes each split once and
-calls ``forward`` once per mini-batch side.  ``predict`` runs the primitive on
-blocks of ``SCORE_ROWS`` rows.  ``RatioModel`` owns the flat parameter
-vector; each family's forward pass takes the vector as an argument, so
-``outputs(Z, thetas)`` scores encoded rows under several parameter vectors
-at once without assigning ``params``; the training loop uses it to score a
-block of epochs in one call.
+from that same forward pass.  The training loop encodes each training split
+once and calls ``forward`` once per mini-batch side.  ``RatioModel`` owns the
+flat parameter vector; each family's forward pass takes the vector as an
+argument, so ``outputs(Z, thetas)`` scores encoded rows under several
+parameter vectors at once without assigning ``params``.  ``predict`` and
+``block_outputs`` encode raw inputs and run ``forward`` or ``outputs`` on
+blocks of ``SCORE_ROWS`` rows.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -45,17 +45,10 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Rows ``predict`` encodes and scores at a time, so no rows x centers matrix is
-# built.  The last block takes the remainder: a short tail block would take
+# Rows ``predict`` and ``block_outputs`` encode and score at a time, so no rows x centers
+# matrix is built.  The last block takes the remainder: a short tail block would take
 # BLAS's matrix-vector tail path and could move the last bit of its scores.
 SCORE_ROWS = 1024
-
-# Epochs the training loop scores per ``outputs`` call.  The kernel model
-# zero-pads a narrower block to this width: one column would be a
-# matrix-vector product and a narrow one another BLAS kernel, either of which
-# can round differently, so an epoch's objective would depend on how many
-# epochs share its block, and so on the run's length.
-SCORE_BLOCK = 16
 
 
 def expit(x):
@@ -76,6 +69,8 @@ class RatioModel:
     """
 
     kind = "abstract"
+    # Epochs the training loop scores per ``outputs`` call.
+    SCORE_BLOCK = 16
 
     def __init__(self, dim_in: int, params):
         self.dim_in = dim_in
@@ -123,11 +118,19 @@ class RatioModel:
 
     def predict(self, X) -> np.ndarray:
         """``forward(encode(X))[0]``, encoded and scored ``SCORE_ROWS`` rows at a time."""
+        return self._in_row_blocks(X, lambda Z: self.forward(Z)[0])
+
+    def block_outputs(self, X, thetas) -> np.ndarray:
+        """``outputs(encode(X), thetas)``, encoded and scored ``SCORE_ROWS`` rows at a time."""
+        return self._in_row_blocks(X, lambda Z: self.outputs(Z, thetas), thetas.shape[1])
+
+    def _in_row_blocks(self, X, score, *columns):
+        """``score(encode(X[s:e]))`` stacked over row blocks whose edges sit at multiples of ``SCORE_ROWS``."""
         X = self._check_dim(X)
         edges = [i * SCORE_ROWS for i in range(max(1, len(X) // SCORE_ROWS))] + [len(X)]
-        out = np.empty(len(X))
+        out = np.empty((len(X), *columns))
         for s, e in zip(edges[:-1], edges[1:]):
-            out[s:e] = self.forward(self.encode(X[s:e]))[0]
+            out[s:e] = score(self.encode(X[s:e]))
         return out
 
     def to_dict(self) -> dict:
@@ -149,6 +152,12 @@ class GaussianBasisLinear(RatioModel):
     """
 
     kind = "gaussian_basis_linear"
+    # ``outputs`` zero-pads a narrower block to this width: one column would be
+    # a matrix-vector product and a narrow one another BLAS kernel, either of
+    # which can round differently, so an epoch's objective would depend on how
+    # many epochs share its block, and so on the run's length.  64 columns
+    # amortise re-encoding the validation split at every block.
+    SCORE_BLOCK = 64
 
     def __init__(self, centers, bandwidth: float = 1.0, clamp: bool = True, params=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -194,7 +203,7 @@ class GaussianBasisLinear(RatioModel):
     def outputs(self, phi, thetas) -> np.ndarray:
         """One matrix product for every parameter column, zero-padded to ``SCORE_BLOCK`` columns, then the clamp."""
         n = thetas.shape[1]
-        padded = np.zeros((thetas.shape[0], max(n, SCORE_BLOCK)))
+        padded = np.zeros((thetas.shape[0], max(n, self.SCORE_BLOCK)))
         padded[:, :n] = thetas
         out = (phi @ padded)[:, :n]
         return np.maximum(out, 0.0, out=out) if self.clamp else out

@@ -37,11 +37,11 @@ __all__ = [
 
 
 def epsilon(n: int, delta: float) -> float:
-    """Confidence radius for an empirical acceptance rate at sample size n."""
+    """Confidence radius for an empirical acceptance rate at sample size n; finite at delta = 1 (n = 1 in ``gamma_bar``)."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not (0.0 < delta <= 1.0):
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
     return math.sqrt(4.0 * math.log(math.e * n / 2.0) / n) + math.sqrt(
         math.log(2.0 / delta) / (2.0 * n)
     )

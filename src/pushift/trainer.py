@@ -15,14 +15,15 @@ and no prior knowledge.
 
 Each epoch's train and validation objectives are scored on the whole
 splits.  The loop keeps every epoch's parameter vector and scores a block of
-``models.SCORE_BLOCK`` epochs (and the remainder at the end) with one
-``model.outputs`` call per split; for the kernel model that is one matrix
-product of ``SCORE_BLOCK`` columns, zero-padded for a shorter block, instead
-of one matrix-vector product per epoch.  Training steps, the selected epoch,
-its parameters and every reported objective do not depend on the block, so
-a run's first epochs report the same values as a longer run's; a non-finite
-objective still names its epoch and is raised at the latest at the end of
-its block.
+``model.SCORE_BLOCK`` epochs (and the remainder at the end) with one call
+per split; for the kernel model that is one matrix product of
+``SCORE_BLOCK`` columns, zero-padded for a shorter block, instead of one
+matrix-vector product per epoch.  The validation split is encoded again at
+each block, ``SCORE_ROWS`` rows at a time (``block_outputs``), so its kernel
+features are never held.  Training steps, the selected epoch, its parameters
+and every reported objective do not depend on the block, so a run's first
+epochs report the same values as a longer run's; a non-finite objective
+still names its epoch and is raised at the latest at the end of its block.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .divergence import Branch
 from .errors import ConfigError, TrainingDiverged
-from .models import SCORE_BLOCK
 
 __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
 
@@ -130,10 +130,11 @@ def _epoch_batches(rng, n_pos, n_unl, batch_size):
     return batches
 
 
-def _block_objectives(model, objective, splits, snapshots):
-    """(train, validation) objective per parameter snapshot, one ``outputs`` call per split."""
+def _block_objectives(model, objective, tr_pos, tr_unl, val, snapshots):
+    """(train, validation) objective per parameter snapshot, one call per split."""
     thetas = np.column_stack(snapshots)
-    tp, tu, vp, vu = (model.outputs(Z, thetas) for Z in splits)
+    tp, tu = model.outputs(tr_pos, thetas), model.outputs(tr_unl, thetas)
+    vp, vu = model.block_outputs(val.positives, thetas), model.block_outputs(val.unlabeled, thetas)
     return [
         (objective.value(tp[:, j], tu[:, j]), objective.plain(vp[:, j], vu[:, j]))
         for j in range(thetas.shape[1])
@@ -167,10 +168,9 @@ def train(model, data, objective, cfg: TrainConfig):
     best_val = np.inf
     best_params = model.params.copy()
 
-    # The same rows are revisited every epoch, so each split is encoded once
+    # Every step gathers rows of the training splits, so they are encoded once
     # (for kernel models this is the whole feature expansion).
-    splits = [model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)]
-    tr_pos, tr_unl = splits[:2]
+    tr_pos, tr_unl = model.encode(tr.positives), model.encode(tr.unlabeled)
     snapshots = []  # parameters of the epochs not scored yet
 
     for epoch in range(cfg.epochs):
@@ -193,11 +193,11 @@ def train(model, data, objective, cfg: TrainConfig):
             raise TrainingDiverged(f"non-finite optimiser state at epoch {epoch}")
         snapshots.append(model.params.copy())
         # Non-finite parameters end the block early, so a diverged run stops at once.
-        if len(snapshots) < SCORE_BLOCK and epoch < cfg.epochs - 1 and finite:
+        if len(snapshots) < model.SCORE_BLOCK and epoch < cfg.epochs - 1 and finite:
             continue
 
         first = epoch + 1 - len(snapshots)
-        scores = _block_objectives(model, objective, splits, snapshots)
+        scores = _block_objectives(model, objective, tr_pos, tr_unl, va, snapshots)
         for j, (train_obj, val_obj) in enumerate(scores):
             if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
                 raise TrainingDiverged(

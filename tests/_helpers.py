@@ -1,16 +1,30 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
 the pairwise AUC, the mini-batch gradient of an objective's active branch,
 a model's gradient at one point, and reference implementations of the MLP
-forward and backward passes and of the Adam step."""
+forward and backward passes and of the Adam step; and a runner for checks
+whose bits hold only at one BLAS thread."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from pushift.models import expit
 
 RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
+ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_at_one_blas_thread(call):
+    """Run ``call``, a ``module.function()`` expression of a test module that returns the names of
+    its failing cases, in a fresh interpreter at one BLAS thread; it exits nonzero naming them."""
+    module = call.split(".", 1)[0]
+    code = f"import sys, {module}; sys.exit(', '.join({call}) or None)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
 
 
 

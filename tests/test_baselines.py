@@ -7,7 +7,7 @@ from pushift.data import SplitDataset, case1_mixture, synth_case1, synth_from_mi
 from pushift.divergence import Branch
 from pushift.errors import ConfigError
 from pushift.models import GaussianBasisLinear, mlp
-from pushift.trainer import SCORE_BLOCK, AdamState, TrainConfig, _epoch_batches, adam_step
+from pushift.trainer import AdamState, TrainConfig, _epoch_batches, adam_step
 
 
 class TestSurrogateLosses:
@@ -178,12 +178,12 @@ class TestTrainBaseline:
                 grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
             snapshots.append(ref.params.copy())
-        # The trainer scores each block of SCORE_BLOCK epochs with one outputs call per split.
+        # The trainer scores each block of the model's SCORE_BLOCK epochs with one call per split.
         va_pos, va_unl = ref.encode(va.positives), ref.encode(va.unlabeled)
         upu = risk_objective("upu", loss, prior)
         best_val, best_params = np.inf, None
-        for start in range(0, cfg.epochs, SCORE_BLOCK):
-            thetas = np.column_stack(snapshots[start : start + SCORE_BLOCK])
+        for start in range(0, cfg.epochs, ref.SCORE_BLOCK):
+            thetas = np.column_stack(snapshots[start : start + ref.SCORE_BLOCK])
             out_pos, out_unl = ref.outputs(va_pos, thetas), ref.outputs(va_unl, thetas)
             for j in range(thetas.shape[1]):
                 val = upu.value(out_pos[:, j], out_unl[:, j])

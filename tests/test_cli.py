@@ -156,6 +156,23 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--gamma", "0.5"]) == 5
         assert not (tmp_path / "r" / "model.json").exists()
 
+    def test_small_validation_samples_exit_5(self, capsys, dataset_dir, tmp_path):
+        """One to three validation points per side leave no admissible threshold: exit 5, no model."""
+        for n_pos in (1, 2, 3):
+            for n_unl in (1, 2, 3):
+                data = tmp_path / f"val{n_pos}x{n_unl}"
+                data.mkdir()
+                for name in ("train_pos.csv", "train_unl.csv"):
+                    (data / name).write_bytes((dataset_dir / name).read_bytes())
+                for name, n in (("val_pos.csv", n_pos), ("val_unl.csv", n_unl)):
+                    lines = (dataset_dir / name).read_text().splitlines(keepends=True)
+                    (data / name).write_text("".join(lines[:n]))
+                out = tmp_path / f"run{n_pos}x{n_unl}"
+                code = main(["train", "--data", str(data), "--out", str(out), "--gamma", "0.9", "--epochs", "2"])
+                assert code == 5, (n_pos, n_unl)
+                assert f"(n_pos={n_pos}, n_unl={n_unl})" in capsys.readouterr().err
+                assert not (out / "model.json").exists()
+
     def test_default_flags_form_a_working_pipeline(self, tmp_path):
         data = tmp_path / "defaults"
         assert main(["synth", "--out", str(data)]) == 0
@@ -353,6 +370,49 @@ class TestAdapt:
         assert code == 5
         assert capsys.readouterr().err.count("degenerate prior estimation") == 1
 
+    def test_small_samples_exit_5(self, capsys, dataset_dir, trained_run, tmp_path):
+        """An intervals.json with one to three positives, or a test file of one to three rows, exits 5."""
+        test_rows = (dataset_dir / "test_unl.csv").read_text().splitlines(keepends=True)
+        for n_pos in (1, 2, 3):
+            intervals = tmp_path / f"intervals{n_pos}.json"
+            build_intervals(np.linspace(0.1, 0.9, n_pos), gamma=0.9).save(intervals)
+            for n_test in (1, 2, 3):
+                test = tmp_path / f"test{n_test}.csv"
+                test.write_text("".join(test_rows[:n_test]))
+                out = tmp_path / "small.json"
+                code = main([
+                    "adapt", "--model", str(trained_run / "model.json"), "--intervals", str(intervals),
+                    "--test", str(test), "--pi-hat", "0.4", "--out", str(out),
+                ])
+                assert code == 5, (n_pos, n_test)
+                assert f"(n_pos={n_pos}, n_unl={n_test})" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_plus_minus_one_feature_is_data(self, dataset_dir, tmp_path):
+        """A last feature column of +1/-1 values is read as a feature by train and adapt, not as labels."""
+        from pushift.data import load_csv, save_csv
+
+        rng = np.random.default_rng(13)
+        data = tmp_path / "pm"
+        data.mkdir()
+        for name in ("train_pos.csv", "train_unl.csv", "val_pos.csv", "val_unl.csv", "test_unl.csv"):
+            X, _ = load_csv(dataset_dir / name, labeled=False)
+            save_csv(data / name, np.column_stack([X, rng.choice([-1.0, 1.0], size=len(X))]))
+        run = tmp_path / "run"
+        code = main([
+            "train", "--data", str(data), "--out", str(run), "--gamma", "0.9", "--epochs", "2",
+            "--batch-size", "80", "--max-centers", "50",
+        ])
+        assert code == 0
+        assert read_json(run / "model.json")["dim_in"] == 2
+        code = main([
+            "adapt", "--model", str(run / "model.json"), "--intervals", str(run / "intervals.json"),
+            "--test", str(data / "test_unl.csv"), "--report", str(run / "report.json"),
+            "--out", str(run / "adapted.json"),
+        ])
+        assert code == 0
+        assert read_json(run / "adapted.json")["n_test"] == 400
+
     def test_isolated_adapt_matches_in_process_raw_scores(
         self, dataset_dir, trained_run, tmp_path
     ):
@@ -375,8 +435,8 @@ class TestAdapt:
 
         # in-process rerun that keeps the raw validation positive scores
         model = load_model(trained_run / "model.json")
-        val_pos, _ = load_csv(dataset_dir / "val_pos.csv")
-        test_unl, _ = load_csv(dataset_dir / "test_unl.csv")
+        val_pos, _ = load_csv(dataset_dir / "val_pos.csv", labeled=False)
+        test_unl, _ = load_csv(dataset_dir / "test_unl.csv", labeled=False)
         report = read_json(trained_run / "report.json")
         intervals = build_intervals(model.predict(val_pos), gamma=report["gamma"])
         pi_prime = estimate_test_prior(intervals, model.predict(test_unl))

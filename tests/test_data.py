@@ -141,7 +141,7 @@ class TestCsv:
         y = np.array([1, -1, 1])
         path = tmp_path / "data.csv"
         save_csv(path, X, labels=y)
-        X2, y2 = load_csv(path)
+        X2, y2 = load_csv(path, labeled=True)
         np.testing.assert_array_equal(X, X2)
         np.testing.assert_array_equal(y, y2)
 
@@ -149,14 +149,14 @@ class TestCsv:
         X = np.random.default_rng(6).normal(size=(5, 2))
         path = tmp_path / "u.csv"
         save_csv(path, X)
-        X2, y2 = load_csv(path)
+        X2, y2 = load_csv(path, labeled=False)
         np.testing.assert_array_equal(X, X2)
         assert y2 is None
 
     def test_header_detected_and_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("x0,x1,label\n0.5,1.5,1\n0.1,-0.2,-1\n")
-        X, y = load_csv(path)
+        X, y = load_csv(path, labeled=True)
         assert X.shape == (2, 2)
         np.testing.assert_array_equal(y, [1, -1])
 
@@ -164,32 +164,45 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DataError, match="row 2"):
-            load_csv(path)
+            load_csv(path, labeled=False)
 
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(DataError, match="row 2, column 2"):
-            load_csv(path)
+            load_csv(path, labeled=False)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
-            load_csv(path)
+            load_csv(path, labeled=False)
 
     def test_forced_unlabeled_interpretation(self, tmp_path):
-        # a single column of +-1 values is data, not labels, when forced
+        # a last column of +-1 values is data, not labels, in an unlabeled file
         path = tmp_path / "pm.csv"
         path.write_text("1.0\n-1.0\n1.0\n")
         X, y = load_csv(path, labeled=False)
         assert X.shape == (3, 1) and y is None
+        path.write_text("0.5,1\n0.25,-1\n")
+        X, y = load_csv(path, labeled=False)
+        np.testing.assert_array_equal(X, [[0.5, 1.0], [0.25, -1.0]])
+        assert y is None
+
+    def test_labeled_file_needs_plus_or_minus_one_labels(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("x,label\n0.5,1\n0.25,-1\n0.75,0\n")
+        with pytest.raises(DataError, match="label at row 4 is not"):
+            load_csv(path, labeled=True)
+        path.write_text("1\n-1\n")
+        with pytest.raises(DataError, match="at least one feature column"):
+            load_csv(path, labeled=True)
 
     def test_undecodable_bytes_are_a_data_error(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
         with pytest.raises(DataError):
-            load_csv(path)
+            load_csv(path, labeled=False)
 
 
 def _load_outcome(path, row_parser_only):
@@ -197,7 +210,7 @@ def _load_outcome(path, row_parser_only):
     refuse = mock.patch.object(np, "loadtxt", side_effect=ValueError) if row_parser_only else nullcontext()
     try:
         with refuse:
-            X, y = load_csv(path)
+            X, y = load_csv(path, labeled=False)
     except DataError as exc:
         return "error", str(exc)
     return "ok", X.shape, X.tobytes(), None if y is None else y.tolist()

@@ -19,7 +19,7 @@ from pushift.models import (
     save_model,
 )
 
-from _helpers import finite_difference, reference_mlp_forward, relative_error, value_and_grad
+from _helpers import finite_difference, reference_mlp_forward, relative_error, run_at_one_blas_thread, value_and_grad
 
 
 class TestExpit:
@@ -135,7 +135,6 @@ def _textbook_features(X, centers, bandwidth):
 
 
 PREDICT_ROWS = (0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 20000)
-ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _scoring_models():
@@ -151,33 +150,40 @@ def _scoring_models():
 
 
 def blocked_mismatches():
-    """The (model, rows) cases whose blocked ``predict`` differs in any bit from one ``forward`` pass."""
-    rng = np.random.default_rng(21)
+    """The (model, rows) cases whose blocked ``predict`` differs in any bit from one ``forward`` pass, or
+    whose ``block_outputs``, over a full and a narrow epoch block, from one ``outputs`` call."""
+    rng, theta_rng = np.random.default_rng(21), np.random.default_rng(25)
     bad = []
     for name, model in _scoring_models():
+        thetas = [
+            model.params[:, None] + theta_rng.normal(scale=0.3, size=(model.n_params, cols))
+            for cols in (model.SCORE_BLOCK, 3)
+        ]
         for n in PREDICT_ROWS:
             X = rng.normal(scale=2.0, size=(n, model.dim_in))
-            if not np.array_equal(model.predict(X), model.forward(model.encode(X))[0]):
+            Z = model.encode(X)
+            if not np.array_equal(model.predict(X), model.forward(Z)[0]):
                 bad.append(f"{name} n={n}")
+            if n <= 5000 and not all(np.array_equal(model.block_outputs(X, t), model.outputs(Z, t)) for t in thetas):
+                bad.append(f"{name} n={n} block_outputs")
     return bad
 
 
 class TestBlockedPredict:
-    """``predict`` scores ``SCORE_ROWS``-row blocks instead of one whole-batch ``forward`` pass."""
+    """``predict`` and ``block_outputs`` score ``SCORE_ROWS``-row blocks instead of one whole-batch pass."""
 
     def test_bits_match_one_forward_pass_at_one_blas_thread(self):
         """With more threads OpenBLAS splits a matrix-vector product's rows among them at
         points that depend on the row count, so there the bits may differ (bounded below)."""
-        code = "import sys, test_models; sys.exit(', '.join(test_models.blocked_mismatches()) or None)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        proc = run_at_one_blas_thread("test_models.blocked_mismatches()")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
     def test_scores_within_a_reordered_sum(self, dim):
         """At any thread count, and for d > 1 even at one (each block's matrix product may
-        round a cell differently), a blocked score stays within 8 eps of |phi(x)| . |w|."""
-        rng = np.random.default_rng(24 + dim)
+        round a cell differently), a blocked score stays within 8 eps of |phi(x)| . |w|,
+        and so does each column of ``block_outputs``."""
+        rng, theta_rng = np.random.default_rng(24 + dim), np.random.default_rng(34 + dim)
         for n_centers in (37, 333, 1001):
             model = GaussianBasisLinear(rng.normal(size=(n_centers, dim)), float(rng.uniform(0.3, 7.0)), clamp=False)
             model.params = rng.normal(size=n_centers)
@@ -186,6 +192,9 @@ class TestBlockedPredict:
                 phi = model.features(X)
                 bound = 8 * np.finfo(float).eps * (phi @ np.abs(model.params))
                 assert np.all(np.abs(model.predict(X) - model.forward(phi)[0]) <= bound)
+                thetas = model.params[:, None] * theta_rng.uniform(0.5, 1.5, size=(1, model.SCORE_BLOCK))
+                bound = 8 * np.finfo(float).eps * (phi @ np.abs(thetas))
+                assert np.all(np.abs(model.block_outputs(X, thetas) - model.outputs(phi, thetas)) <= bound)
 
     @pytest.mark.parametrize("bandwidth", [0.3, 0.7, 1.0, 2.5, 7.0])
     def test_1d_features_equal_the_matrix_product_expansion(self, bandwidth):

@@ -40,7 +40,7 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             epsilon(10, 0.0)
         with pytest.raises(ValueError):
-            epsilon(10, 1.0)
+            epsilon(10, 1.5)
 
 
 class TestGammaBar:
@@ -108,6 +108,16 @@ class TestEstimatePrior:
         with pytest.raises(DegeneratePriorError) as exc:
             estimate_prior(np.arange(10.0), np.arange(10.0), gamma=0.5)
         assert exc.value.gamma_bar >= 1.0
+
+    def test_samples_of_one_to_three_points_are_degenerate(self):
+        """At n = 1 the radius alone exceeds 1, so a one-point sample is degenerate, not an error."""
+        assert epsilon(1, 1.0) > 1.0
+        for n_pos in (1, 2, 3):
+            for n_unl in (1, 2, 3):
+                with pytest.raises(DegeneratePriorError) as exc:
+                    estimate_prior(np.linspace(0.1, 0.3, n_pos), np.linspace(0.2, 0.4, n_unl), gamma=0.9)
+                assert (exc.value.n_pos, exc.value.n_unl) == (n_pos, n_unl)
+                assert exc.value.gamma_bar == gamma_bar(n_pos, n_unl, 0.9) >= 1.0
 
     def test_estimate_fields(self):
         rng = np.random.default_rng(2)

@@ -4,17 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import reference_adam_step
+from _helpers import reference_adam_step, run_at_one_blas_thread
 
 from pushift.baselines import risk_objective, sigmoid_loss
-from pushift.data import SplitDataset, synth_case1
+from pushift.data import SplitDataset, synth_case1, synth_gaussian_pair
 from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.experiments import case_data, kernel_centers
 from pushift.generators import lsif_generator
-from pushift.models import GaussianBasisLinear, RatioModel, gaussian_basis_linear, mlp
+from pushift.models import SCORE_ROWS, GaussianBasisLinear, RatioModel, gaussian_basis_linear, mlp
 from pushift.trainer import (
-    SCORE_BLOCK,
     AdamState,
     TrainConfig,
     TrainReport,
@@ -209,15 +208,20 @@ class TestTrain:
                 TrainConfig(**bad).validate()
 
 
-def reference_train(model, data, objective, cfg):
-    """Score every epoch with ``forward`` right after its steps, as one loop."""
+def reference_train(model, data, objective, cfg, block=1):
+    """One loop that holds every encoded split and scores every ``block`` epochs on the whole splits.
+
+    With ``block`` 1 each epoch is scored with ``forward`` right after its
+    steps; otherwise each block of epochs (and the remainder at the end) with
+    one ``outputs`` call per encoded split.
+    """
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
     report, best_val, best_params = TrainReport(), np.inf, model.params.copy()
     tr, va = data.train, data.val
-    tr_pos, tr_unl, va_pos, va_unl = (
-        model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)
-    )
+    splits = [model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)]
+    tr_pos, tr_unl = splits[:2]
+    snapshots = []
     for epoch in range(cfg.epochs):
         n_corrected = 0
         batches = _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size)
@@ -228,15 +232,24 @@ def reference_train(model, data, objective, cfg):
             n_corrected += branch is Branch.CORRECTED
             grad = back_pos(w_pos) + back_unl(w_unl) + cfg.l2_reg * model.params
             model.params = model.params + adam_step(state, grad, cfg.learning_rate)
-        train_obj = objective.value(model.forward(tr_pos)[0], model.forward(tr_unl)[0])
-        val_obj = objective.plain(model.forward(va_pos)[0], model.forward(va_unl)[0])
-        if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
-            raise TrainingDiverged(f"non-finite objective at epoch {epoch}")
-        report.train_objective.append(float(train_obj))
-        report.val_objective.append(float(val_obj))
         report.corrected_fraction.append(n_corrected / len(batches))
-        if val_obj < best_val:
-            best_val, best_params, report.best_epoch = val_obj, model.params.copy(), epoch
+        snapshots.append(model.params.copy())
+        if len(snapshots) < block and epoch < cfg.epochs - 1:
+            continue
+        if block == 1:
+            tp, tu, vp, vu = (model.forward(Z)[0][:, None] for Z in splits)
+        else:
+            tp, tu, vp, vu = (model.outputs(Z, np.column_stack(snapshots)) for Z in splits)
+        for j, params in enumerate(snapshots):
+            scored = epoch + 1 - len(snapshots) + j
+            train_obj, val_obj = objective.value(tp[:, j], tu[:, j]), objective.plain(vp[:, j], vu[:, j])
+            if not (np.isfinite(train_obj) and np.isfinite(val_obj)):
+                raise TrainingDiverged(f"non-finite objective at epoch {scored}")
+            report.train_objective.append(float(train_obj))
+            report.val_objective.append(float(val_obj))
+            if val_obj < best_val:
+                best_val, best_params, report.best_epoch = val_obj, params, scored
+        snapshots = []
     model.params = best_params
     return model, report
 
@@ -254,10 +267,15 @@ SCORED_MODELS = {
 }
 
 
+# Around each model family's block width, plus one epoch and a run of several MLP blocks.
+WIDTHS = (RatioModel.SCORE_BLOCK, GaussianBasisLinear.SCORE_BLOCK)
+BLOCK_EPOCHS = sorted({1, 35} | {w + k for w in WIDTHS for k in (-1, 0, 1)})
+
+
 class TestBlockScoring:
     """Scoring epochs a block at a time changes no training step and no selection."""
 
-    @pytest.mark.parametrize("epochs", [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 35])
+    @pytest.mark.parametrize("epochs", BLOCK_EPOCHS)
     @pytest.mark.parametrize("name", sorted(SCORED_MODELS))
     def test_matches_per_epoch_reference(self, name, epochs):
         make, objective, bit_equal = SCORED_MODELS[name]
@@ -287,8 +305,9 @@ class TestBlockScoring:
             cfg = TrainConfig(alpha=0.3, epochs=epochs, batch_size=200, learning_rate=1e-3, seed=0)
             return train(GaussianBasisLinear(centers, clamp=clamp), split, objective, cfg)[1]
 
-        full = run(2 * SCORE_BLOCK)
-        for epochs in (SCORE_BLOCK + 1, SCORE_BLOCK + 2):
+        width = GaussianBasisLinear.SCORE_BLOCK
+        full = run(2 * width)
+        for epochs in (width + 1, width + 2):
             short = run(epochs)
             for key in ("train_objective", "val_objective", "corrected_fraction"):
                 assert getattr(short, key) == getattr(full, key)[:epochs], key
@@ -363,6 +382,8 @@ class TestBlockScoring:
         rows = 200 + 2000 + 100 + 1000
         centers = split.train.unlabeled[:5]  # few features, so the scoring outputs dominate
 
+        width = GaussianBasisLinear.SCORE_BLOCK
+
         def peak(epochs):
             model = gaussian_basis_linear(centers)
             cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
@@ -373,8 +394,77 @@ class TestBlockScoring:
             finally:
                 tracemalloc.stop()
 
-        extra = peak(2 * SCORE_BLOCK + 3) - peak(1)
+        extra = peak(2 * width + 3) - peak(1)
         # one block of output columns per row, whatever the epochs, plus a
         # quarter for the objectives' temporaries; keeping every epoch's
-        # outputs until the end would need (2 * SCORE_BLOCK + 2) columns
-        assert extra <= 1.25 * SCORE_BLOCK * rows * 8
+        # outputs until the end would need (2 * width + 2) columns
+        assert extra <= 1.25 * width * rows * 8
+
+    def test_validation_features_are_never_held(self):
+        """Validation rows x centers span five ``SCORE_ROWS`` blocks; ``train`` holds at most two of them."""
+        split = SplitDataset(
+            train=synth_case1(50, 450, 0.4, 0), val=synth_case1(120, 5000, 0.4, 1)
+        )
+        centers = np.random.default_rng(5).normal(size=(500, 1))
+        cell = 8 * len(centers)  # bytes per encoded row
+        train_features = (50 + 450) * cell
+        block_outputs = 2 * (50 + 450 + 120 + 5000) * GaussianBasisLinear.SCORE_BLOCK * 8  # result and stack
+        cfg = TrainConfig(epochs=2, batch_size=450, learning_rate=1e-3, seed=0)
+        tracemalloc.start()
+        try:
+            train(gaussian_basis_linear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding the encoded validation split alone would take 5120 * cell
+        assert peak < train_features + 2 * SCORE_ROWS * cell + block_outputs
+
+
+def _held_validation_runs(dim):
+    """(case, (model, report) of ``train``, the same of ``reference_train`` holding the encoded
+    validation split and scoring it whole at the model's block width) for kernel models, clamp on
+    and off, and MLPs on ``dim``-d inputs, over validation sizes on, past and between ``SCORE_ROWS`` edges."""
+    centers = np.random.default_rng(41).normal(size=(300, dim))
+    cases = {
+        "kernel-clamp": (lambda: GaussianBasisLinear(centers, 1.2), ratio_objective(LSIF, 0.3)),
+        "kernel-linear": (lambda: GaussianBasisLinear(centers, 1.2, clamp=False), NNPU),
+        "mlp-softplus": (lambda: mlp([dim, 8, 8, 1], seed=2), ratio_objective(LSIF, 0.3)),
+        "mlp-linear": (lambda: mlp([dim, 8, 8, 1], seed=2, output="linear"), NNPU),
+    }
+    for name, (make, objective) in cases.items():
+        for k, n_val in enumerate(((1, 1023), (1025, 2049), (2048, 5000), (1024, 2047))):
+            split = SplitDataset(
+                train=synth_gaussian_pair(dim, 60, 300, 0.4, 2), val=synth_gaussian_pair(dim, *n_val, 0.4, 3 + k)
+            )
+            block = make().SCORE_BLOCK
+            cfg = TrainConfig(alpha=0.3, epochs=block + 3, batch_size=100, learning_rate=1e-2, seed=3)
+            got = train(make(), split, objective, cfg)
+            yield f"{name} d={dim} val={n_val}", got, reference_train(make(), split, objective, cfg, block=block)
+
+
+def held_validation_mismatches():
+    """The 1-d cases whose ``train`` parameters or report differ in any bit from the held-split reference."""
+    return [
+        case for case, (model, report), (ref, ref_report) in _held_validation_runs(1)
+        if report != ref_report or not np.array_equal(model.params, ref.params)
+    ]
+
+
+class TestBlockwiseValidation:
+    """``train`` scores the validation split ``SCORE_ROWS`` rows at a time, never holding its encoding."""
+
+    def test_bits_match_the_held_split_at_one_blas_thread(self):
+        """Kernel models on 1-d inputs and MLPs.  With more threads OpenBLAS may split a product's
+        rows at points that depend on the row count, so there the bits may differ."""
+        proc = run_at_one_blas_thread("test_trainer.held_validation_mismatches()")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_3d_inputs_match_the_held_split_within_rounding(self):
+        """On d > 1 inputs a block's feature product may round a cell differently from the whole
+        split's (``test_models``), so only the last bits of validation objectives may move."""
+        for case, (model, report), (ref, ref_report) in _held_validation_runs(3):
+            assert report.best_epoch == ref_report.best_epoch, case
+            np.testing.assert_array_equal(model.params, ref.params, err_msg=case)
+            assert report.train_objective == ref_report.train_objective, case
+            assert report.corrected_fraction == ref_report.corrected_fraction, case
+            np.testing.assert_allclose(report.val_objective, ref_report.val_objective, rtol=1e-12, atol=0, err_msg=case)

@@ -33,7 +33,6 @@ for alpha in (0.0, 0.5, 0.9):
 # Exact divergences on a three-point distribution.  The curvature-matched
 # quadratic generator always gives the smallest divergence.
 dist = DiscreteDistributionPair(
-    support=[0.0, 1.0, 2.0],
     p_plus_mass=[0.1, 0.3, 0.6],
     p_minus_mass=[0.6, 0.3, 0.1],
     prior=0.4,

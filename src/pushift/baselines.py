@@ -30,14 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurrogateLoss:
-    kind: str
     loss: Callable
     dloss_dv: Callable
 
 
 def logistic_loss() -> SurrogateLoss:
     return SurrogateLoss(
-        kind="logistic",
         loss=lambda y, v: np.logaddexp(0.0, -y * np.asarray(v, dtype=float)),
         dloss_dv=lambda y, v: -y * expit(-y * np.asarray(v, dtype=float)),
     )
@@ -49,7 +47,6 @@ def sigmoid_loss() -> SurrogateLoss:
         return -y * s * (1.0 - s)
 
     return SurrogateLoss(
-        kind="sigmoid",
         loss=lambda y, v: expit(-y * np.asarray(v, dtype=float)),
         dloss_dv=_d,
     )

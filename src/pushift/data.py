@@ -197,15 +197,10 @@ def synth_gaussian_pair(dim: int, n_pos: int, n_unl: int, prior: float, seed) ->
     return PUDataset(pos, unl, labels)
 
 
-def save_csv(path, X, labels=None, header: bool = False) -> None:
+def save_csv(path, X, labels=None) -> None:
     """Write a numeric CSV; labels, when given, become the last column."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with open(path, "w") as fh:
-        if header:
-            cols = [f"x{j}" for j in range(X.shape[1])]
-            if labels is not None:
-                cols.append("label")
-            fh.write(",".join(cols) + "\n")
         for i in range(0, X.shape[0], 4096):  # format 4096 rows at a time, so memory stays bounded
             rows = [",".join(map(repr, row)) for row in X[i : i + 4096].tolist()]
             if labels is not None:

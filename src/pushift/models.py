@@ -137,9 +137,14 @@ class RatioModel:
         raise NotImplementedError
 
     def _check_dim(self, X):
+        """Raw inputs as rows of ``dim_in`` values.  Every raw input enters here, so a row whose |x|^2
+        is not finite, which would make kernel features (inf - inf) or MLP scores NaN, is refused."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim_in:
             raise DataError(f"expected inputs of dimension {self.dim_in}, got {X.shape[1]}")
+        finite = np.isfinite(np.einsum("ij,ij->i", X, X))  # no rows x dim temporary, and no overflow warning
+        if not finite.all():
+            raise DataError(f"input row {int(np.argmin(finite))} (from 0) has a squared norm that is not finite")
         return X
 
 

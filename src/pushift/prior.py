@@ -183,6 +183,8 @@ def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstim
     ru = np.sort(np.asarray(r_test_unl, dtype=float).reshape(-1))
     if ru.size == 0:
         raise ValueError("unlabeled score list must be nonempty")
+    if not (np.isfinite(ru[0]) and np.isfinite(ru[-1])):  # sorted, so any NaN or infinity sits at an end
+        raise DataError("unlabeled scores must be finite")
     n_pos = intervals.n_pos
     gbar = gamma_bar(n_pos, ru.size, intervals.gamma)
     if gbar >= 1.0:

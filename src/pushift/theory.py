@@ -3,15 +3,15 @@ the package's guiding inequalities.
 
 On a ``DiscreteDistributionPair`` every population quantity is an
 exhaustive sum over the support: the Bregman divergence from the true ratio
-(``population_divergence``), the cost-weighted risk of fixed decisions and
-the Bayes risk (``finite_support_risk``, ``finite_support_bayes_risk``), and
-the AUC risk of a score (``population_auc_risk``).  The bound checks pair a
+(``population_divergence``), the excess cost-weighted risk of fixed
+decisions over the Bayes risk (``finite_support_excess_risk``), and the AUC
+risk of a score (``population_auc_risk``).  The bound checks pair a
 left-hand side with its bound from these sums, so the bounds are verified
 to machine precision and a failure is a genuine counterexample rather than
 sampling noise.
 
-Every suite draws distribution pairs, candidate ratio assignments, and
-cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
+Every trial draws a distribution pair, candidate ratio values, and the
+suite's cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 
 * ``classification_bound``        threshold rule at the matched cost, no shift
 * ``shifted_classification_bound`` same with independent test prior and cost
@@ -27,6 +27,7 @@ cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .generators import BregmanGenerator, exp_generator, lsif_generator, scaled_
 __all__ = [
     "DiscreteDistributionPair",
     "population_divergence",
-    "finite_support_risk",
-    "finite_support_bayes_risk",
+    "finite_support_excess_risk",
     "bound_constant",
     "excess_risk_bound_check",
     "squared_loss_decomposition",
@@ -54,29 +54,27 @@ __all__ = [
 
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
+MAX_SUPPORT = 20
 
 
 @dataclass(frozen=True)
 class DiscreteDistributionPair:
-    """Finite-support class-conditional pair with a mixing prior.
+    """Class-conditional masses on the support points 0..m-1, with a mixing prior.
 
     The marginal is prior * p_plus + (1 - prior) * p_minus.  Used as an
     exactly computable stand-in for the population quantities in the
     numerical bound and identity checks.
     """
 
-    support: np.ndarray
     p_plus_mass: np.ndarray
     p_minus_mass: np.ndarray
     prior: float
 
     def __post_init__(self):
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
         object.__setattr__(self, "p_plus_mass", np.asarray(self.p_plus_mass, dtype=float))
         object.__setattr__(self, "p_minus_mass", np.asarray(self.p_minus_mass, dtype=float))
-        m = self.support.shape[0]
-        if self.p_plus_mass.shape != (m,) or self.p_minus_mass.shape != (m,):
-            raise ValueError("mass vectors must align with the support")
+        if self.p_plus_mass.ndim != 1 or self.p_minus_mass.shape != self.p_plus_mass.shape:
+            raise ValueError("mass vectors must be one-dimensional and of equal length")
         for name, mass in (("p_plus_mass", self.p_plus_mass), ("p_minus_mass", self.p_minus_mass)):
             if np.any(mass < 0):
                 raise ValueError(f"{name} has negative entries")
@@ -110,9 +108,9 @@ def population_divergence(gen: BregmanGenerator, dist: DiscreteDistributionPair,
     f(r*) - f(r) - f'(r) * (r* - r) against the marginal mass.
     """
     r = np.asarray(r_values, dtype=float)
-    if r.shape != dist.support.shape[:1]:
+    if r.shape != dist.p_plus_mass.shape:
         raise ValueError(
-            f"r_values has length {r.shape}, support has {dist.support.shape[0]} points"
+            f"r_values has length {r.shape}, support has {dist.p_plus_mass.shape[0]} points"
         )
     if np.any(r < 0):
         raise ValueError("r_values contains negative entries")
@@ -130,26 +128,14 @@ def _divergence_term(gen: BregmanGenerator, dist: DiscreteDistributionPair, r_va
     return float(np.sqrt(max(0.0, 2.0 * br / gen.mu)))
 
 
-def finite_support_risk(dist: DiscreteDistributionPair, decisions, prior: float, cost: float) -> float:
-    """Exact cost-weighted risk of fixed per-point decisions."""
+def finite_support_excess_risk(dist: DiscreteDistributionPair, decisions, prior: float, cost: float) -> float:
+    """Exact cost-weighted risk of fixed per-point decisions minus the Bayes risk (the cheaper label everywhere)."""
     d = np.asarray(decisions, dtype=int)
     miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
     miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
-    return float(np.sum(np.where(d == 1, miss_neg, miss_pos)))
-
-
-def finite_support_bayes_risk(dist: DiscreteDistributionPair, prior: float, cost: float) -> float:
-    """Exact Bayes risk: pick the cheaper label at every support point."""
-    miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
-    miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
-    return float(np.sum(np.minimum(miss_pos, miss_neg)))
-
-
-def _threshold_excess_risk(dist: DiscreteDistributionPair, r_values, theta: float, spec: ShiftSpec) -> float:
-    """Test-distribution risk of thresholding ``r_values`` at ``theta``, minus the Bayes risk."""
-    decisions = threshold_decisions(r_values, theta)
-    risk = finite_support_risk(dist, decisions, spec.test_prior, spec.cost)
-    return risk - finite_support_bayes_risk(dist, spec.test_prior, spec.cost)
+    risk = np.sum(np.where(d == 1, miss_neg, miss_pos))
+    bayes = np.sum(np.minimum(miss_pos, miss_neg))
+    return float(risk) - float(bayes)
 
 
 def bound_constant(spec: ShiftSpec) -> float:
@@ -168,7 +154,7 @@ def excess_risk_bound_check(dist: DiscreteDistributionPair, r_values, spec: Shif
     if abs(spec.train_prior - dist.prior) > 1e-12:
         raise ConfigError("spec.train_prior must match the distribution prior")
     _, theta = cost_threshold(spec)
-    lhs = _threshold_excess_risk(dist, r_values, theta, spec)
+    lhs = finite_support_excess_risk(dist, threshold_decisions(r_values, theta), spec.test_prior, spec.cost)
     return lhs, bound_constant(spec) * _divergence_term(gen, dist, r_values)
 
 
@@ -204,7 +190,7 @@ def squared_loss_decomposition(dist: DiscreteDistributionPair, r_values, mu: flo
 def population_auc_risk(dist: DiscreteDistributionPair, score_values) -> float:
     """Exact 1 - AUC of a score over a finite-support distribution."""
     s = np.asarray(score_values, dtype=float)
-    if s.shape != dist.support.shape[:1]:
+    if s.shape != dist.p_plus_mass.shape:
         raise ValueError("score values must align with the support")
     pp = dist.p_plus_mass
     pm = dist.p_minus_mass
@@ -236,12 +222,11 @@ class SuiteResult:
         return asdict(self)
 
 
-def random_distribution(rng, max_support: int = 20) -> DiscreteDistributionPair:
-    m = int(rng.integers(2, max_support + 1))
+def random_distribution(rng) -> DiscreteDistributionPair:
+    m = int(rng.integers(2, MAX_SUPPORT + 1))
     p_plus = rng.uniform(0.05, 1.0, m)
     p_minus = rng.uniform(0.05, 1.0, m)
     return DiscreteDistributionPair(
-        support=np.arange(m, dtype=float),
         p_plus_mass=p_plus / p_plus.sum(),
         p_minus_mass=p_minus / p_minus.sum(),
         prior=float(rng.uniform(0.1, 0.9)),
@@ -273,89 +258,64 @@ def _random_generator(rng):
     return exp_generator()
 
 
-def _suite_classification_bound(rng, trials, shift: bool):
-    records = []
-    for _ in range(trials):
-        dist = random_distribution(rng)
-        r = random_ratio_values(rng, dist)
-        gen = _random_generator(rng)
-        test_prior = float(rng.uniform(0.1, 0.9)) if shift else dist.prior
-        spec = ShiftSpec(train_prior=dist.prior, test_prior=test_prior, cost=float(rng.uniform(0.1, 0.9)))
-        records.append(excess_risk_bound_check(dist, r, spec, gen))
-    return records
+def _random_setting(rng, dist, shift: bool):
+    """A generator and a cost/prior setting; without ``shift`` the test prior is the training prior."""
+    gen = _random_generator(rng)
+    test_prior = float(rng.uniform(0.1, 0.9)) if shift else dist.prior
+    return gen, ShiftSpec(train_prior=dist.prior, test_prior=test_prior, cost=float(rng.uniform(0.1, 0.9)))
 
 
-def _suite_auc_bound(rng, trials):
-    records = []
-    for _ in range(trials):
-        dist = random_distribution(rng)
-        r = random_ratio_values(rng, dist)
-        gen = _random_generator(rng)
-        records.append(auc_excess_bound_check(dist, r, gen))
-    return records
+def _classification_trial(rng, dist, r, shift: bool):
+    gen, spec = _random_setting(rng, dist, shift)
+    return excess_risk_bound_check(dist, r, spec, gen)
 
 
-def _suite_quadratic_tightness(rng, trials):
+def _auc_trial(rng, dist, r):
+    return auc_excess_bound_check(dist, r, _random_generator(rng))
+
+
+def _quadratic_tightness_trial(rng, dist, r):
     gen_exp = exp_generator()
     gen_quad = scaled_quadratic_generator(gen_exp.mu)
-    records = []
-    for _ in range(trials):
-        dist = random_distribution(rng)
-        r = np.minimum(random_ratio_values(rng, dist), 8.0)
-        lhs = population_divergence(gen_quad, dist, r)
-        rhs = population_divergence(gen_exp, dist, r)
-        records.append((lhs, rhs))
-    return records
+    r = np.minimum(r, 8.0)
+    return population_divergence(gen_quad, dist, r), population_divergence(gen_exp, dist, r)
 
 
-def _suite_squared_loss_identity(rng, trials):
-    records = []
-    for _ in range(trials):
-        dist = random_distribution(rng)
-        r = random_ratio_values(rng, dist)
-        mu = float(rng.uniform(0.2, 5.0))
-        records.append(squared_loss_decomposition(dist, r, mu=mu))
-    return records
+def _squared_loss_trial(rng, dist, r):
+    return squared_loss_decomposition(dist, r, mu=float(rng.uniform(0.2, 5.0)))
 
 
-def _suite_threshold_perturbation(rng, trials):
-    records = []
-    for _ in range(trials):
-        dist = random_distribution(rng)
-        r = random_ratio_values(rng, dist)
-        gen = _random_generator(rng)
-        spec = ShiftSpec(
-            train_prior=dist.prior,
-            test_prior=float(rng.uniform(0.1, 0.9)),
-            cost=float(rng.uniform(0.1, 0.9)),
-        )
-        _, theta = cost_threshold(spec)
-        delta = float(rng.uniform(-0.9, 1.0)) * theta
-        lhs = _threshold_excess_risk(dist, r, theta + delta, spec)
-        rhs = bound_constant(spec) * (2.0 * _divergence_term(gen, dist, r) + abs(delta))
-        records.append((lhs, rhs))
-    return records
+def _threshold_perturbation_trial(rng, dist, r):
+    gen, spec = _random_setting(rng, dist, shift=True)
+    _, theta = cost_threshold(spec)
+    delta = float(rng.uniform(-0.9, 1.0)) * theta
+    lhs = finite_support_excess_risk(dist, threshold_decisions(r, theta + delta), spec.test_prior, spec.cost)
+    rhs = bound_constant(spec) * (2.0 * _divergence_term(gen, dist, r) + abs(delta))
+    return lhs, rhs
 
 
+# name -> (kind, trial).  Per trial ``run_suite`` draws ``dist = random_distribution(rng)`` and
+# ``r = random_ratio_values(rng, dist)``, then ``trial(rng, dist, r)`` draws the rest and returns (lhs, rhs).
 SUITES = {
-    "classification_bound": ("inequality", lambda rng, n: _suite_classification_bound(rng, n, shift=False)),
-    "shifted_classification_bound": ("inequality", lambda rng, n: _suite_classification_bound(rng, n, shift=True)),
-    "auc_bound": ("inequality", _suite_auc_bound),
-    "quadratic_tightness": ("inequality", _suite_quadratic_tightness),
-    "squared_loss_identity": ("identity", _suite_squared_loss_identity),
-    "threshold_perturbation": ("inequality", _suite_threshold_perturbation),
+    "classification_bound": ("inequality", partial(_classification_trial, shift=False)),
+    "shifted_classification_bound": ("inequality", partial(_classification_trial, shift=True)),
+    "auc_bound": ("inequality", _auc_trial),
+    "quadratic_tightness": ("inequality", _quadratic_tightness_trial),
+    "squared_loss_identity": ("identity", _squared_loss_trial),
+    "threshold_perturbation": ("inequality", _threshold_perturbation_trial),
 }
 
 
 def run_suite(name: str, seed: int = 0, trials: int = 100) -> SuiteResult:
     if trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials}")
-    kind, fn = SUITES[name]
+    kind, trial = SUITES[name]
     rng = np.random.default_rng(seed)
-    records = fn(rng, trials)
-    lhs = np.array([a for a, _ in records])
-    rhs = np.array([b for _, b in records])
-    margins = rhs - lhs
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        records.append(trial(rng, dist, random_ratio_values(rng, dist)))
+    margins = np.array([rhs - lhs for lhs, rhs in records])
     if kind == "identity":
         worst = -float(np.max(np.abs(margins)))
         passed = -worst <= IDENTITY_TOL

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
 the pairwise AUC, the mini-batch gradient of an objective's active branch,
 a model's gradient at one point, and reference implementations of the MLP
-forward and backward passes and of the Adam step; and a runner for checks
-whose bits hold only at one BLAS thread."""
+forward and backward passes, of the Adam step and of the theory suites' trial
+loops and finite-support risks; and a runner for checks whose bits hold only
+at one BLAS thread."""
 
 import copy
 import json
@@ -12,7 +13,19 @@ import sys
 
 import numpy as np
 
+from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
+from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import expit
+from pushift.theory import (
+    IDENTITY_TOL,
+    INEQUALITY_TOL,
+    auc_excess_bound_check,
+    bound_constant,
+    population_divergence,
+    random_distribution,
+    random_ratio_values,
+    squared_loss_decomposition,
+)
 
 RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
 ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -170,3 +183,126 @@ def replaced(doc, path, value):
         target = target[key]
     target[path[-1]] = value
     return doc
+
+
+def reference_finite_support_risk(dist, decisions, prior, cost):
+    """Exact cost-weighted risk of fixed per-point decisions."""
+    d = np.asarray(decisions, dtype=int)
+    miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
+    miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
+    return float(np.sum(np.where(d == 1, miss_neg, miss_pos)))
+
+
+def reference_finite_support_bayes_risk(dist, prior, cost):
+    """Exact Bayes risk: pick the cheaper label at every support point."""
+    miss_pos = (1.0 - cost) * prior * dist.p_plus_mass
+    miss_neg = cost * (1.0 - prior) * dist.p_minus_mass
+    return float(np.sum(np.minimum(miss_pos, miss_neg)))
+
+
+def _reference_threshold_excess_risk(dist, r, theta, spec):
+    risk = reference_finite_support_risk(dist, threshold_decisions(r, theta), spec.test_prior, spec.cost)
+    return risk - reference_finite_support_bayes_risk(dist, spec.test_prior, spec.cost)
+
+
+def _reference_divergence_term(gen, dist, r):
+    return float(np.sqrt(max(0.0, 2.0 * population_divergence(gen, dist, r) / gen.mu)))
+
+
+def _reference_random_generator(rng):
+    pick = rng.integers(0, 3)
+    if pick == 0:
+        return lsif_generator()
+    if pick == 1:
+        return scaled_quadratic_generator(float(rng.uniform(0.2, 5.0)))
+    return exp_generator()
+
+
+def _reference_classification_bound(rng, trials, shift):
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        r = random_ratio_values(rng, dist)
+        gen = _reference_random_generator(rng)
+        test_prior = float(rng.uniform(0.1, 0.9)) if shift else dist.prior
+        spec = ShiftSpec(train_prior=dist.prior, test_prior=test_prior, cost=float(rng.uniform(0.1, 0.9)))
+        _, theta = cost_threshold(spec)
+        lhs = _reference_threshold_excess_risk(dist, r, theta, spec)
+        records.append((lhs, bound_constant(spec) * _reference_divergence_term(gen, dist, r)))
+    return records
+
+
+def _reference_auc_bound(rng, trials):
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        r = random_ratio_values(rng, dist)
+        gen = _reference_random_generator(rng)
+        records.append(auc_excess_bound_check(dist, r, gen))
+    return records
+
+
+def _reference_quadratic_tightness(rng, trials):
+    gen_exp = exp_generator()
+    gen_quad = scaled_quadratic_generator(gen_exp.mu)
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        r = np.minimum(random_ratio_values(rng, dist), 8.0)
+        lhs = population_divergence(gen_quad, dist, r)
+        rhs = population_divergence(gen_exp, dist, r)
+        records.append((lhs, rhs))
+    return records
+
+
+def _reference_squared_loss_identity(rng, trials):
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        r = random_ratio_values(rng, dist)
+        mu = float(rng.uniform(0.2, 5.0))
+        records.append(squared_loss_decomposition(dist, r, mu=mu))
+    return records
+
+
+def _reference_threshold_perturbation(rng, trials):
+    records = []
+    for _ in range(trials):
+        dist = random_distribution(rng)
+        r = random_ratio_values(rng, dist)
+        gen = _reference_random_generator(rng)
+        spec = ShiftSpec(
+            train_prior=dist.prior,
+            test_prior=float(rng.uniform(0.1, 0.9)),
+            cost=float(rng.uniform(0.1, 0.9)),
+        )
+        _, theta = cost_threshold(spec)
+        delta = float(rng.uniform(-0.9, 1.0)) * theta
+        lhs = _reference_threshold_excess_risk(dist, r, theta + delta, spec)
+        rhs = bound_constant(spec) * (2.0 * _reference_divergence_term(gen, dist, r) + abs(delta))
+        records.append((lhs, rhs))
+    return records
+
+
+REFERENCE_SUITES = {
+    "classification_bound": ("inequality", lambda rng, n: _reference_classification_bound(rng, n, shift=False)),
+    "shifted_classification_bound": ("inequality", lambda rng, n: _reference_classification_bound(rng, n, shift=True)),
+    "auc_bound": ("inequality", _reference_auc_bound),
+    "quadratic_tightness": ("inequality", _reference_quadratic_tightness),
+    "squared_loss_identity": ("identity", _reference_squared_loss_identity),
+    "threshold_perturbation": ("inequality", _reference_threshold_perturbation),
+}
+
+
+def reference_run_suite(name, seed, trials):
+    """The former one-loop-per-suite ``theory.run_suite``: (passed, worst_margin, max_slack)."""
+    kind, fn = REFERENCE_SUITES[name]
+    records = fn(np.random.default_rng(seed), trials)
+    margins = np.array([b for _, b in records]) - np.array([a for a, _ in records])
+    if kind == "identity":
+        worst = -float(np.max(np.abs(margins)))
+        passed = -worst <= IDENTITY_TOL
+    else:
+        worst = float(np.min(margins))
+        passed = worst >= -INEQUALITY_TOL
+    return bool(passed), worst, float(np.max(margins))

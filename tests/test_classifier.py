@@ -11,8 +11,7 @@ from pushift.theory import (
     DiscreteDistributionPair,
     bound_constant,
     excess_risk_bound_check,
-    finite_support_bayes_risk,
-    finite_support_risk,
+    finite_support_excess_risk,
     population_divergence,
     random_distribution,
     random_ratio_values,
@@ -128,7 +127,7 @@ class TestExcessRiskBound:
 
 class TestSquaredLossIdentity:
     def test_single_point_hand_value(self):
-        dist = DiscreteDistributionPair([0.0], [1.0], [1.0], 0.5)
+        dist = DiscreteDistributionPair([1.0], [1.0], 0.5)
         # pi r = 2 > 1 regime: overshoot term is (pi r - 1)(pi r + 1 - 2 eta)
         lhs, rhs = squared_loss_decomposition(dist, np.array([4.0]), mu=1.0)
         assert lhs == pytest.approx(2.25, abs=1e-14)
@@ -166,8 +165,7 @@ class TestThresholdErrorScaling:
             _, theta = cost_threshold(spec)
             delta = float(rng.uniform(-0.9, 1.0)) * theta
             decisions = threshold_decisions(r, theta + delta)
-            lhs = finite_support_risk(dist, decisions, spec.test_prior, spec.cost)
-            lhs -= finite_support_bayes_risk(dist, spec.test_prior, spec.cost)
+            lhs = finite_support_excess_risk(dist, decisions, spec.test_prior, spec.cost)
             br = population_divergence(LSIF, dist, r)
             rhs = bound_constant(spec) * (2.0 * np.sqrt(2.0 * br / LSIF.mu) + abs(delta))
             assert lhs <= rhs + 1e-10

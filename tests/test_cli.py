@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import warnings
 
 import numpy as np
@@ -473,6 +475,41 @@ class TestDataFaults:
         test.write_text((dataset_dir / "test_unl.csv").read_text() + cell + "\n")
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
         assert (code, wrote) == (3, False)
+
+    @pytest.mark.parametrize("command, name", [
+        ("adapt", "test_unl.csv"), ("evaluate", "eval_test.csv"), ("train", "val_unl.csv"),
+    ])
+    def test_row_whose_squared_norm_overflows(self, dataset_dir, trained_run, tmp_path, capsys, command, name):
+        """A finite 1e308 cell overflows |x|^2 in the kernel features: exit 3 naming the row, and no warning."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lines = (data / name).read_text().splitlines(keepends=True)
+        for i in (3, 50, 100):
+            lines[i] = re.sub(r"^[^,\n]*", "1e308", lines[i])  # the first cell
+        (data / name).write_text("".join(lines))
+        model, out = str(trained_run / "model.json"), tmp_path / "out"
+        argv = {
+            "adapt": ["--model", model, "--intervals", str(trained_run / "intervals.json"), "--pi-hat", "0.4",
+                      "--test", str(data / name), "--out", str(out)],
+            "evaluate": ["--model", model, "--theta", "0.5", "--test", str(data / name), "--out", str(out)],
+            "train": ["--data", str(data), "--out", str(out), "--gamma", "0.9", "--epochs", "2"],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *argv])
+        assert (code, [str(w.message) for w in caught]) == (3, [])
+        assert capsys.readouterr().err == "data error: input row 3 (from 0) has a squared norm that is not finite\n"
+        assert not (out / "model.json" if command == "train" else out).exists()
+
+    def test_model_scoring_non_finite_is_data(self, dataset_dir, trained_run, tmp_path, capsys):
+        """A 1e308 basis centre gives NaN test scores, which the sweep would count as accepted."""
+        doc = read_json(trained_run / "model.json")
+        doc["centers"][5][0] = 1e308
+        model = write_doc(tmp_path / "model.json", doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, wrote = self.adapt(tmp_path, model, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
+        assert (code, wrote) == (3, False)
+        assert capsys.readouterr().err == "data error: unlabeled scores must be finite\n"
 
     def test_nan_interval_boundary(self, dataset_dir, trained_run, tmp_path):
         doc = read_json(trained_run / "intervals.json")

@@ -141,14 +141,14 @@ class TestObjective:
 class TestDistributionPair:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiscreteDistributionPair([0, 1], [0.5, 0.4], [0.5, 0.5], 0.5)
+            DiscreteDistributionPair([0.5, 0.4], [0.5, 0.5], 0.5)
         with pytest.raises(ValueError):
-            DiscreteDistributionPair([0, 1], [0.5, 0.5], [-0.1, 1.1], 0.5)
+            DiscreteDistributionPair([0.5, 0.5], [-0.1, 1.1], 0.5)
         with pytest.raises(ValueError):
-            DiscreteDistributionPair([0, 1], [0.5, 0.5], [0.5, 0.5], 1.5)
+            DiscreteDistributionPair([0.5, 0.5], [0.5, 0.5], 1.5)
 
     def test_marginal_and_ratio(self):
-        dist = DiscreteDistributionPair([0, 1], [1.0, 0.0], [0.0, 1.0], 0.5)
+        dist = DiscreteDistributionPair([1.0, 0.0], [0.0, 1.0], 0.5)
         assert abs(dist.marginal_mass.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(dist.true_ratio, [2.0, 0.0])
 
@@ -219,7 +219,7 @@ class TestPopulationDivergence:
                 assert population_divergence(gen, dist, dist.true_ratio) == 0.0
 
     def test_two_point_hand_value(self):
-        dist = DiscreteDistributionPair([0, 1], [1.0, 0.0], [0.0, 1.0], 0.5)
+        dist = DiscreteDistributionPair([1.0, 0.0], [0.0, 1.0], 0.5)
         assert population_divergence(LSIF, dist, [0.0, 0.0]) == 1.0
 
     def test_lsif_equals_weighted_square(self):
@@ -252,7 +252,7 @@ class TestPopulationDivergence:
                 assert population_divergence(gen, dist, r) > 0
 
     def test_misaligned_lengths(self):
-        dist = DiscreteDistributionPair([0, 1], [0.5, 0.5], [0.5, 0.5], 0.5)
+        dist = DiscreteDistributionPair([0.5, 0.5], [0.5, 0.5], 0.5)
         with pytest.raises(ValueError):
             population_divergence(LSIF, dist, [1.0])
 

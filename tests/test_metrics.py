@@ -107,7 +107,7 @@ class TestAucBound:
     def test_alignment_error(self):
         dist = random_distribution(np.random.default_rng(6))
         with pytest.raises(ValueError):
-            population_auc_risk(dist, np.zeros(dist.support.size + 1))
+            population_auc_risk(dist, np.zeros(dist.p_plus_mass.size + 1))
 
 
 class TestErrorRates:

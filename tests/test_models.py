@@ -169,6 +169,18 @@ def blocked_mismatches():
     return bad
 
 
+@pytest.mark.parametrize("model", [gaussian_basis_linear(np.zeros((3, 2))), mlp([2, 4, 1])], ids=["kernel", "mlp"])
+@pytest.mark.parametrize("cell", [1e308, -1e155, np.nan, np.inf])
+def test_rows_with_non_finite_squared_norm_are_data_errors(model, cell):
+    """A finite row can still overflow |x|^2, which the kernel features subtract (inf - inf is NaN)."""
+    X = np.ones((3000, 2))
+    X[2100, 1] = cell
+    for call in (model.predict, model.encode, lambda X: model.block_outputs(X, np.zeros((model.n_params, 2)))):
+        with pytest.raises(DataError, match=r"input row 2100 \(from 0\)"):
+            call(X)
+    model.predict(np.full((2, 2), 9e153))  # |x|^2 = 1.62e308 is still finite
+
+
 class TestBlockedPredict:
     """``predict`` and ``block_outputs`` score ``SCORE_ROWS``-row blocks instead of one whole-batch pass."""
 

@@ -241,6 +241,14 @@ class TestEstimateTestPrior:
         with pytest.raises(DegeneratePriorError):
             estimate_test_prior(iv, np.arange(100.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        """A NaN score would otherwise sort last and count as accepted at every threshold."""
+        scores = np.linspace(0.0, 1.0, 400)
+        scores[7] = bad
+        with pytest.raises(DataError, match="finite"):
+            estimate_test_prior(build_intervals(np.linspace(0.0, 1.0, 50), gamma=0.9), scores)
+
 
 class TestConsistencyTrend:
     def test_error_shrinks_with_sample_size(self):

@@ -8,7 +8,6 @@ from pushift import (
     GaussianBasisLinear,
     SplitDataset,
     TrainConfig,
-    gaussian_basis_linear,
     logistic_loss,
     lsif_generator,
     ratio_objective,
@@ -32,7 +31,7 @@ upu, upu_report = train_baseline("upu", logistic_loss(), 0.4, upu, split, cfg)
 nnpu = GaussianBasisLinear(split.train.unlabeled, bandwidth=0.3, clamp=False)
 nnpu, nnpu_report = train_baseline("nnpu", sigmoid_loss(), 0.4, nnpu, split, cfg)
 
-ratio = gaussian_basis_linear(split.train.unlabeled, bandwidth=0.3)
+ratio = GaussianBasisLinear(split.train.unlabeled, bandwidth=0.3)
 rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
 ratio, ratio_report = train(ratio, split, ratio_objective(lsif_generator(), rcfg.alpha), rcfg)
 

@@ -37,7 +37,7 @@ from .generators import (
     scaled_quadratic_generator,
 )
 from .metrics import accuracy, auc, error_rate, ties_present
-from .models import MLP, GaussianBasisLinear, gaussian_basis_linear, load_model, mlp, save_model
+from .models import MLP, GaussianBasisLinear, load_model, mlp, save_model
 from .prior import (
     PriorEstimate,
     ThresholdIntervals,

@@ -8,7 +8,8 @@ byte-identical on the numeric fields at a fixed BLAS thread count.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
 5 degenerate prior estimation.
 
-``adapt`` deliberately accepts only the model file, the intervals file, and
+``adapt`` deliberately accepts only the model file, the intervals file, the
+training report (the one source of pi_hat, the seed and the config hash) and
 the test-time unlabeled data: threshold adaptation never touches training
 data, which is the point of shipping the interval summary.
 """
@@ -35,7 +36,7 @@ from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_bou
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
 from .models import GaussianBasisLinear, load_model, save_model
-from .prior import ThresholdIntervals
+from .prior import GAMMA, ThresholdIntervals
 from .theory import run_all
 from .trainer import TrainConfig
 
@@ -75,7 +76,7 @@ TRAIN_FIELDS = {
     "batch_size": (int, TrainConfig.batch_size),
     "learning_rate": (float, TrainConfig.learning_rate),
     "l2_reg": (float, TrainConfig.l2_reg),
-    "gamma": (float, 0.9),  # 0.5 leaves no admissible threshold at the default 100 validation positives
+    "gamma": (float, GAMMA),
     "bandwidth": (float, 1.0),
     "max_centers": (int, None),
 }
@@ -242,15 +243,10 @@ def cmd_adapt(args) -> int:
     model = load_model(args.model)
     intervals = ThresholdIntervals.load(args.intervals)
     X, _ = load_csv(args.test, labeled=False)
-    report = json_object(read_json(args.report), args.report) if args.report else None
-    if args.pi_hat is not None:
-        pi_hat = args.pi_hat
-        if not (0.0 <= pi_hat <= 1.0):
-            raise ConfigError(f"pi_hat must lie in [0, 1], got {pi_hat}")
-    elif report and "pi_hat" in report:
-        pi_hat = _estimate_value(report, "pi_hat", args.report)
-    else:
-        raise ConfigError("adapt needs --pi-hat or --report with a pi_hat field")
+    report = json_object(read_json(args.report), args.report)
+    if "pi_hat" not in report:
+        raise ConfigError(f"{args.report} has no pi_hat field: adapt needs the report of a drpu training run")
+    pi_hat = _estimate_value(report, "pi_hat", args.report)
     cost = args.cost
     _validate_prior("cost", cost)
 
@@ -265,7 +261,7 @@ def cmd_adapt(args) -> int:
         "gamma_bar": adapted.pi_prime.gamma_bar,
         "n_test": X.shape[0],
         "inputs": {"model": args.model, "intervals": args.intervals, "test": args.test},
-        **_run_identity(report or {}, args.report),
+        **_run_identity(report, args.report),
     }
     write_json(args.out, doc, indent=1)
     print(
@@ -357,8 +353,7 @@ def _adapt_arguments(ap) -> None:
     ap.add_argument("--intervals", required=True)
     ap.add_argument("--test", required=True, help="unlabeled test CSV")
     ap.add_argument("--cost", type=float, default=0.5)
-    ap.add_argument("--pi-hat", dest="pi_hat", type=float, default=None)
-    ap.add_argument("--report", help="training report JSON carrying pi_hat")
+    ap.add_argument("--report", required=True, help="drpu training report JSON: supplies pi_hat, seed and config_hash")
     ap.add_argument("--out", default="adapted.json")
 
 

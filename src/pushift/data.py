@@ -84,13 +84,12 @@ class SplitDataset:
 class GaussianMixtureSpec:
     """Univariate Gaussian mixtures for the two synthetic scenarios.
 
-    Components are (mean, variance, weight) triples per class; the marginal
-    mixes the classes with ``prior``.
+    Components are (mean, variance, weight) triples per class; ``sample``,
+    ``pdf_marginal`` and ``true_ratio`` take the class-prior as an argument.
     """
 
     components_pos: list
     components_neg: list
-    prior: float
 
     def __post_init__(self):
         for name, comps in (("components_pos", self.components_pos), ("components_neg", self.components_neg)):
@@ -99,8 +98,6 @@ class GaussianMixtureSpec:
                 raise ConfigError(f"{name} weights sum to {w}, not 1")
             if any(c[1] <= 0 for c in comps):
                 raise ConfigError(f"{name} contains a nonpositive variance")
-        if not (0.0 < self.prior < 1.0):
-            raise ConfigError(f"prior must be in (0, 1), got {self.prior}")
 
     @staticmethod
     def _pdf(comps, x):
@@ -116,12 +113,12 @@ class GaussianMixtureSpec:
     def pdf_neg(self, x):
         return self._pdf(self.components_neg, x)
 
-    def pdf_marginal(self, x):
-        return self.prior * self.pdf_pos(x) + (1.0 - self.prior) * self.pdf_neg(x)
+    def pdf_marginal(self, x, prior):
+        return prior * self.pdf_pos(x) + (1.0 - prior) * self.pdf_neg(x)
 
-    def true_ratio(self, x):
-        """p_pos / marginal, the population target of ratio fitting."""
-        return self.pdf_pos(x) / self.pdf_marginal(x)
+    def true_ratio(self, x, prior):
+        """p_pos / marginal at class-prior ``prior``, the population target of ratio fitting."""
+        return self.pdf_pos(x) / self.pdf_marginal(x, prior)
 
     def _sample_class(self, rng, comps, n):
         weights = np.array([c[2] for c in comps])
@@ -130,11 +127,10 @@ class GaussianMixtureSpec:
         which = rng.choice(len(comps), size=n, p=weights)
         return rng.normal(means[which], sds[which])
 
-    def sample(self, rng, n_pos, n_unl, prior=None):
-        """Draw positives from p_pos and unlabeled from the marginal."""
-        pi = self.prior if prior is None else prior
+    def sample(self, rng, n_pos, n_unl, prior):
+        """Draw positives from p_pos and unlabeled from the marginal at class-prior ``prior``."""
         pos = self._sample_class(rng, self.components_pos, n_pos)
-        labels = np.where(rng.random(n_unl) < pi, 1, -1)
+        labels = np.where(rng.random(n_unl) < prior, 1, -1)
         unl = np.empty(n_unl)
         mask = labels == 1
         unl[mask] = self._sample_class(rng, self.components_pos, int(mask.sum()))
@@ -142,16 +138,15 @@ class GaussianMixtureSpec:
         return pos[:, None], unl[:, None], labels
 
 
-def case1_mixture(prior: float = 0.4) -> GaussianMixtureSpec:
+def case1_mixture() -> GaussianMixtureSpec:
     """Separated case: p_pos = N(+1, 1), p_neg = N(-1, 1)."""
     return GaussianMixtureSpec(
         components_pos=[(1.0, 1.0, 1.0)],
         components_neg=[(-1.0, 1.0, 1.0)],
-        prior=prior,
     )
 
 
-def case2_mixture(prior: float = 0.6) -> GaussianMixtureSpec:
+def case2_mixture() -> GaussianMixtureSpec:
     """Overlapping case: each class is a mixture leaking into the other.
 
     p_pos = 0.8 N(+1,1) + 0.2 N(-1,1), p_neg = 0.2 N(+1,1) + 0.8 N(-1,1).
@@ -161,7 +156,6 @@ def case2_mixture(prior: float = 0.6) -> GaussianMixtureSpec:
     return GaussianMixtureSpec(
         components_pos=[(1.0, 1.0, 0.8), (-1.0, 1.0, 0.2)],
         components_neg=[(1.0, 1.0, 0.2), (-1.0, 1.0, 0.8)],
-        prior=prior,
     )
 
 
@@ -171,12 +165,12 @@ def synth_from_mixture(mix: GaussianMixtureSpec, n_pos, n_unl, prior, seed) -> P
     if not (0.0 < prior < 1.0):
         raise ConfigError(f"prior must be in (0, 1), got {prior}")
     rng = philox_rng(seed)
-    pos, unl, labels = mix.sample(rng, n_pos, n_unl, prior=prior)
+    pos, unl, labels = mix.sample(rng, n_pos, n_unl, prior)
     return PUDataset(pos, unl, labels)
 
 
 def synth_case1(n_pos, n_unl, prior: float = 0.4, seed: int = 0) -> PUDataset:
-    return synth_from_mixture(case1_mixture(prior), n_pos, n_unl, prior, seed)
+    return synth_from_mixture(case1_mixture(), n_pos, n_unl, prior, seed)
 
 
 def synth_gaussian_pair(dim: int, n_pos: int, n_unl: int, prior: float, seed) -> PUDataset:

@@ -34,8 +34,8 @@ from .divergence import ratio_objective
 from .errors import ConfigError, DegeneratePriorError
 from .generators import lsif_generator
 from .metrics import auc
-from .models import GaussianBasisLinear, gaussian_basis_linear, mlp
-from .prior import PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior, gamma_bar
+from .models import GaussianBasisLinear, mlp
+from .prior import GAMMA, PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior, gamma_bar
 from .trainer import TrainConfig, TrainReport, train
 
 __all__ = [
@@ -111,7 +111,7 @@ def fit_drpu(
     split: SplitDataset,
     cfg: TrainConfig,
     gen=None,
-    gamma: float = 0.5,
+    gamma: float = GAMMA,
     model=None,
     max_centers: Optional[int] = None,
     bandwidth: float = 1.0,
@@ -132,7 +132,7 @@ def fit_drpu(
         raise DegeneratePriorError(gbar, split.val.n_pos, split.val.n_unl)
     gen = gen or lsif_generator()
     if model is None:
-        model = gaussian_basis_linear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)
+        model = GaussianBasisLinear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)
     model, report = train(model, split, ratio_objective(gen, cfg.alpha), cfg)
     intervals = build_intervals(model.predict(split.val.positives), gamma=gamma)
     pi_hat = estimate_test_prior(intervals, model.predict(split.val.unlabeled))
@@ -191,7 +191,7 @@ def gaussian_case_experiment(
     n_train=(200, 1000),
     n_val=(100, 500),
     n_test: int = 1000,
-    gamma: float = 0.9,
+    gamma: float = GAMMA,
     cfg: Optional[TrainConfig] = None,
     with_upu: bool = True,
     max_centers: Optional[int] = None,
@@ -245,7 +245,7 @@ def shift_robustness_experiment(seed: int = 0) -> dict:
     The data are the 10-dimensional Gaussian pair at training prior 0.4:
     500/2500 train and 300/1500 validation points, and 3000 test points at
     each test prior 0.2, 0.4, 0.6 and 0.8.  One 10-32-32-1 ratio MLP trains
-    with alpha 0.35 for 60 epochs (batch 250, Adam at 2e-3, gamma 0.9), then
+    with alpha 0.35 for 60 epochs (batch 250, Adam at 2e-3, gamma ``GAMMA``), then
     adapts its threshold per test prior using only that prior's unlabeled
     sample.  Two nnPU references train once and never adapt: one with the
     true training prior, one with a prior 0.15 too high.  Returns per-prior
@@ -270,7 +270,7 @@ def shift_robustness_experiment(seed: int = 0) -> dict:
         seed=seed,
     )
     layers = [dim, 32, 32, 1]
-    fit = fit_drpu(split, cfg, gamma=0.9, model=mlp(layers, seed=seed, output="softplus"))
+    fit = fit_drpu(split, cfg, model=mlp(layers, seed=seed, output="softplus"))
 
     references = {}
     for name, prior in (("nnpu_true", train_prior), ("nnpu_misestimated", train_prior + prior_error)):

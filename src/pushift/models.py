@@ -38,7 +38,6 @@ __all__ = [
     "RatioModel",
     "GaussianBasisLinear",
     "MLP",
-    "gaussian_basis_linear",
     "mlp",
     "save_model",
     "load_model",
@@ -136,15 +135,15 @@ class RatioModel:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    def _check_dim(self, X):
-        """Raw inputs as rows of ``dim_in`` values.  Every raw input enters here, so a row whose |x|^2
-        is not finite, which would make kernel features (inf - inf) or MLP scores NaN, is refused."""
+    def _check_dim(self, X, what="input row"):
+        """Raw inputs as rows of ``dim_in`` values.  Every raw input, and every basis center, enters here, so
+        a row whose |x|^2 is not finite, which would make kernel features (inf - inf) or MLP scores NaN, is refused."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dim_in:
             raise DataError(f"expected inputs of dimension {self.dim_in}, got {X.shape[1]}")
         finite = np.isfinite(np.einsum("ij,ij->i", X, X))  # no rows x dim temporary, and no overflow warning
         if not finite.all():
-            raise DataError(f"input row {int(np.argmin(finite))} (from 0) has a squared norm that is not finite")
+            raise DataError(f"{what} {int(np.argmin(finite))} (from 0) has a squared norm that is not finite")
         return X
 
 
@@ -174,6 +173,7 @@ class GaussianBasisLinear(RatioModel):
         self.bandwidth = float(bandwidth)
         self.clamp = bool(clamp)
         super().__init__(centers.shape[1], np.zeros(centers.shape[0]))
+        self._check_dim(centers, "basis center")
         if params is not None:
             self.params = params
 
@@ -313,11 +313,6 @@ class MLP(RatioModel):
             "seed": self.seed,
             "params": self._params.tolist(),
         }
-
-
-def gaussian_basis_linear(centers, bandwidth: float = 1.0, clamp: bool = True) -> GaussianBasisLinear:
-    """Ratio model with one zero-initialized weight per center."""
-    return GaussianBasisLinear(centers, bandwidth, clamp=clamp)
 
 
 def mlp(layer_sizes, seed: int = 0, output: str = "softplus") -> MLP:

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 __all__ = [
+    "GAMMA",
     "PriorEstimate",
     "ThresholdIntervals",
     "epsilon",
@@ -34,6 +35,10 @@ __all__ = [
     "build_intervals",
     "estimate_test_prior",
 ]
+
+# The default confidence level of the sweep.  At 0.5, 100 validation positives and 500
+# unlabeled points give gamma_bar = 1.21 >= 1, so no threshold is admissible; 0.9 gives 0.67.
+GAMMA = 0.9
 
 
 def epsilon(n: int, delta: float) -> float:
@@ -79,7 +84,7 @@ class PriorEstimate:
         }
 
 
-def estimate_prior(r_pos, r_unl, gamma: float = 0.5) -> PriorEstimate:
+def estimate_prior(r_pos, r_unl, gamma: float = GAMMA) -> PriorEstimate:
     """Estimate the positive class-prior from scores on P and U samples.
 
     The sweep of ``estimate_test_prior`` over the lossless summary of the
@@ -101,7 +106,7 @@ class ThresholdIntervals:
     boundaries: np.ndarray
     accept_counts: np.ndarray
     n_pos: int
-    gamma: float = 0.5
+    gamma: float
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries", np.asarray(self.boundaries, dtype=float))
@@ -161,7 +166,7 @@ class ThresholdIntervals:
         return cls.from_dict(read_json(path))
 
 
-def build_intervals(r_pos, gamma: float = 0.5) -> ThresholdIntervals:
+def build_intervals(r_pos, gamma: float = GAMMA) -> ThresholdIntervals:
     """Summarize positive-set scores into their acceptance step function."""
     rp = np.asarray(r_pos, dtype=float).reshape(-1)
     if rp.size == 0:

@@ -26,7 +26,7 @@ from pushift.divergence import Branch, ratio_objective
 from pushift.experiments import gaussian_case_experiment, shift_robustness_experiment
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.metrics import auc
-from pushift.models import GaussianBasisLinear, gaussian_basis_linear, mlp
+from pushift.models import GaussianBasisLinear, mlp
 from pushift.prior import build_intervals, estimate_prior, estimate_test_prior, gamma_bar
 from pushift.theory import run_all
 from pushift.trainer import TrainConfig, train
@@ -71,7 +71,7 @@ def test_criterion_2_case2_bounded_error_without_irreducibility():
     """Case 2: identifiability fails, yet the boundary error stays bounded."""
     mix = case2_mixture()
     x = np.linspace(-12.0, 12.0, 200001)
-    kappa = float(np.min(mix.pdf_marginal(x) / mix.pdf_pos(x)))  # grid infimum of p / p_pos
+    kappa = float(np.min(mix.pdf_marginal(x, 0.6) / mix.pdf_pos(x)))  # grid infimum of p / p_pos
     assert abs(kappa - (0.6 + 0.4 * 0.2 / 0.8)) < 1e-6  # the max-mixture proportion in closed form
     assert kappa - 0.6 > 0.05  # genuine identifiability gap vs the true prior
 
@@ -106,8 +106,8 @@ def test_criterion_3_prior_estimation_quality_and_trend():
         for seed in range(seeds):
             ds = synth_from_mixture(mix, n_pos, n_unl, 0.4, (seed, n_pos))
             est = estimate_prior(
-                mix.true_ratio(ds.positives.ravel()),
-                mix.true_ratio(ds.unlabeled.ravel()),
+                mix.true_ratio(ds.positives.ravel(), 0.4),
+                mix.true_ratio(ds.unlabeled.ravel(), 0.4),
                 gamma=0.75,
             )
             errs.append(abs(est.value - 0.4))
@@ -187,7 +187,7 @@ def test_criterion_6_gradient_checks():
     for trial in range(12):  # both objective branches on the kernel model
         dim = int(rng.integers(1, 4))
         centers = rng.normal(size=(int(rng.integers(4, 9)), dim))
-        model = gaussian_basis_linear(centers, bandwidth=1.3)
+        model = GaussianBasisLinear(centers, bandwidth=1.3)
         model.params = rng.normal(0.4, 0.3, centers.shape[0])
         xp = rng.normal(size=(5, dim))
         xu = rng.normal(size=(7, dim)) if trial % 3 != 2 else np.full((4, dim), 50.0)
@@ -245,7 +245,7 @@ def test_criterion_7_nonnegative_correction_behavior():
 
     # ratio model: the bracket goes negative under the same pressure, and the
     # clip keeps it from ever subtracting from the objective
-    ratio_model = gaussian_basis_linear(split.train.unlabeled, bandwidth=0.3)
+    ratio_model = GaussianBasisLinear(split.train.unlabeled, bandwidth=0.3)
     gen = lsif_generator()
     rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
     ratio_model, ratio_report = train(ratio_model, split, ratio_objective(gen, rcfg.alpha), rcfg)

@@ -73,7 +73,7 @@ class TestRiskEstimators:
 
     def test_upu_unbiasedness_monte_carlo(self):
         """Mean of PU estimates matches the supervised risk by quadrature."""
-        mix = case1_mixture(prior=0.4)
+        mix = case1_mixture()
         loss = sigmoid_loss()
         upu = risk_objective("upu", loss, 0.4)
 

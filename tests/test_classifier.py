@@ -6,7 +6,7 @@ import pytest
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
 from pushift.errors import ConfigError
 from pushift.generators import lsif_generator
-from pushift.models import gaussian_basis_linear
+from pushift.models import GaussianBasisLinear
 from pushift.theory import (
     DiscreteDistributionPair,
     bound_constant,
@@ -58,7 +58,7 @@ class TestClassify:
     """``threshold_decisions`` is the one score -> label rule."""
 
     def test_zero_score_yields_negative(self):
-        model = gaussian_basis_linear(np.zeros((3, 1)))
+        model = GaussianBasisLinear(np.zeros((3, 1)))
         _, theta = cost_threshold(ShiftSpec(0.4, 0.6, 0.5))
         score = model.predict(np.array([[0.5]]))
         assert score[0] == 0.0 and theta > 0
@@ -67,7 +67,7 @@ class TestClassify:
     def test_tie_resolves_positive(self):
         _, theta = cost_threshold(ShiftSpec(0.5, 0.5, 0.5))
         assert theta == 1.0
-        model = gaussian_basis_linear(np.array([[0.0]]), bandwidth=1.0)
+        model = GaussianBasisLinear(np.array([[0.0]]), bandwidth=1.0)
         model.params = np.array([1.0])  # predict(0) == 1.0 exactly
         score = model.predict(np.array([[0.0]]))
         assert score[0] == theta
@@ -76,7 +76,7 @@ class TestClassify:
 
     def test_batch_agrees_with_threshold(self):
         rng = np.random.default_rng(1)
-        model = gaussian_basis_linear(rng.normal(size=(5, 2)))
+        model = GaussianBasisLinear(rng.normal(size=(5, 2)))
         model.params = rng.normal(size=5)
         _, theta = cost_threshold(ShiftSpec(0.4, 0.6, 0.5))
         scores = model.predict(rng.normal(size=(50, 2)))

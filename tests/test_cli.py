@@ -124,6 +124,11 @@ class TestTrain:
         assert (tmp_path / "r1" / "model.json").read_bytes() == (tmp_path / "r2" / "model.json").read_bytes()
         assert (tmp_path / "r1" / "intervals.json").read_bytes() == (tmp_path / "r2" / "intervals.json").read_bytes()
 
+    def test_readme_config_hash(self, dataset_dir, tmp_path):
+        """README quotes this hash for `train --epochs 20`; it pins every train default, gamma's included."""
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--epochs", "20"]) == 0
+        assert read_json(tmp_path / "r" / "report.json")["config_hash"] == "85d3d34d74df"
+
     def test_missing_data_dir_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
 
@@ -345,6 +350,32 @@ class TestAdapt:
         assert doc["pi_prime"]["value"] == pytest.approx(doc["pi_hat"], abs=1e-12)
         assert doc["theta"] == pytest.approx(0.5 / doc["pi_hat"], abs=1e-10)
 
+    @pytest.mark.parametrize("with_report", [True, False], ids=["pi_hat_flag", "no_report"])
+    def test_report_is_required(self, dataset_dir, trained_run, tmp_path, capsys, with_report):
+        """The report is the one source of pi_hat: a --pi-hat flag, or no --report, is a usage error."""
+        flags = ["--report", str(trained_run / "report.json"), "--pi-hat", "0.4"] if with_report else []
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "adapt", "--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
+                "--test", str(dataset_dir / "test_unl.csv"), *flags, "--out", str(tmp_path / "adapted.json"),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments: --pi-hat 0.4" if with_report else "required: --report") in err
+
+    def test_report_without_pi_hat_is_named(self, dataset_dir, trained_run, tmp_path, capsys):
+        """A baseline run's report carries no pi_hat: exit 2 naming the report, and nothing written."""
+        doc = read_json(trained_run / "report.json")
+        del doc["pi_hat"]
+        report, out = write_doc(tmp_path / "report.json", doc), tmp_path / "adapted.json"
+        code = main([
+            "adapt", "--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
+            "--test", str(dataset_dir / "test_unl.csv"), "--report", str(report), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert (code, out.exists()) == (2, False)
+        assert err.startswith("config error: ") and str(report) in err
+
     def test_corrupted_intervals_no_output(self, dataset_dir, trained_run, tmp_path):
         bad = tmp_path / "bad_intervals.json"
         doc = read_json(trained_run / "intervals.json")
@@ -355,7 +386,7 @@ class TestAdapt:
             "adapt", "--model", str(trained_run / "model.json"),
             "--intervals", str(bad),
             "--test", str(dataset_dir / "test_unl.csv"),
-            "--pi-hat", "0.4", "--out", str(out),
+            "--report", str(trained_run / "report.json"), "--out", str(out),
         ])
         assert code == 3
         assert not out.exists()
@@ -367,7 +398,7 @@ class TestAdapt:
             "adapt", "--model", str(trained_run / "model.json"),
             "--intervals", str(tiny),
             "--test", str(dataset_dir / "test_unl.csv"),
-            "--pi-hat", "0.4", "--out", str(tmp_path / "deg.json"),
+            "--report", str(trained_run / "report.json"), "--out", str(tmp_path / "deg.json"),
         ])
         assert code == 5
         assert capsys.readouterr().err.count("degenerate prior estimation") == 1
@@ -384,7 +415,7 @@ class TestAdapt:
                 out = tmp_path / "small.json"
                 code = main([
                     "adapt", "--model", str(trained_run / "model.json"), "--intervals", str(intervals),
-                    "--test", str(test), "--pi-hat", "0.4", "--out", str(out),
+                    "--test", str(test), "--report", str(trained_run / "report.json"), "--out", str(out),
                 ])
                 assert code == 5, (n_pos, n_test)
                 assert f"(n_pos={n_pos}, n_unl={n_test})" in capsys.readouterr().err
@@ -447,25 +478,35 @@ class TestAdapt:
 
         assert via_files["pi_prime"]["value"] == pi_prime.value
         assert via_files["theta"] == theta
+        # the report is the one source of pi_hat and of the run identity
+        assert via_files["pi_hat"] == pi_hat
+        assert (via_files["seed"], via_files["config_hash"]) == (report["seed"], report["config_hash"])
 
     def test_labeled_test_file_rejected(self, dataset_dir, trained_run, tmp_path):
         code = main([
             "adapt", "--model", str(trained_run / "model.json"),
             "--intervals", str(trained_run / "intervals.json"),
             "--test", str(dataset_dir / "eval_test.csv"),
-            "--pi-hat", "0.4", "--out", str(tmp_path / "z.json"),
+            "--report", str(trained_run / "report.json"), "--out", str(tmp_path / "z.json"),
         ])
         assert code == 3
+
+
+CENTER_ERROR = "data error: invalid model document: basis center 5 (from 0) has a squared norm that is not finite\n"
 
 
 class TestDataFaults:
     """Bad input files exit 3 (data error) and write nothing."""
 
+    @pytest.fixture(autouse=True)
+    def trained_report(self, trained_run):
+        self.report = trained_run / "report.json"
+
     def adapt(self, tmp_path, model, intervals, test):
         out = tmp_path / "adapted.json"
         code = main([
             "adapt", "--model", str(model), "--intervals", str(intervals),
-            "--test", str(test), "--pi-hat", "0.4", "--out", str(out),
+            "--test", str(test), "--report", str(self.report), "--out", str(out),
         ])
         return code, out.exists()
 
@@ -489,8 +530,8 @@ class TestDataFaults:
         (data / name).write_text("".join(lines))
         model, out = str(trained_run / "model.json"), tmp_path / "out"
         argv = {
-            "adapt": ["--model", model, "--intervals", str(trained_run / "intervals.json"), "--pi-hat", "0.4",
-                      "--test", str(data / name), "--out", str(out)],
+            "adapt": ["--model", model, "--intervals", str(trained_run / "intervals.json"),
+                      "--report", str(trained_run / "report.json"), "--test", str(data / name), "--out", str(out)],
             "evaluate": ["--model", model, "--theta", "0.5", "--test", str(data / name), "--out", str(out)],
             "train": ["--data", str(data), "--out", str(out), "--gamma", "0.9", "--epochs", "2"],
         }[command]
@@ -509,7 +550,24 @@ class TestDataFaults:
         with np.errstate(over="ignore", invalid="ignore"):
             code, wrote = self.adapt(tmp_path, model, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
         assert (code, wrote) == (3, False)
-        assert capsys.readouterr().err == "data error: unlabeled scores must be finite\n"
+        assert capsys.readouterr().err == CENTER_ERROR
+
+    @pytest.mark.parametrize("command", ["adapt", "evaluate"])
+    def test_non_finite_basis_center(self, dataset_dir, trained_run, tmp_path, capsys, command):
+        """A 1e308 centre is refused as the model loads: exit 3, one error line, no numpy warning."""
+        doc = read_json(trained_run / "model.json")
+        doc["centers"][5][0] = 1e308
+        model, out = write_doc(tmp_path / "model.json", doc), tmp_path / "out.json"
+        argv = {
+            "adapt": ["--intervals", str(trained_run / "intervals.json"), "--test", str(dataset_dir / "test_unl.csv"),
+                      "--report", str(trained_run / "report.json")],
+            "evaluate": ["--theta", "0.5", "--test", str(dataset_dir / "eval_test.csv")],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--model", str(model), *argv, "--out", str(out)])
+        assert (code, [str(w.message) for w in caught], out.exists()) == (3, [], False)
+        assert capsys.readouterr().err == CENTER_ERROR
 
     def test_nan_interval_boundary(self, dataset_dir, trained_run, tmp_path):
         doc = read_json(trained_run / "intervals.json")
@@ -622,7 +680,7 @@ class TestDataFaults:
         bad.write_bytes(content)
         valid = {
             "adapt": ["--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
-                      "--test", str(dataset_dir / "test_unl.csv"), "--pi-hat", "0.4"],
+                      "--test", str(dataset_dir / "test_unl.csv"), "--report", str(trained_run / "report.json")],
             "evaluate": ["--model", str(trained_run / "model.json"), "--test", str(dataset_dir / "eval_test.csv")],
             "synth": [],
             "train": ["--data", str(dataset_dir)],
@@ -782,7 +840,7 @@ def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, c
         "synth": ["--n-test", "10"],
         "train": ["--data", str(dataset_dir), "--epochs", "1", "--gamma", "0.9"],
         "adapt": ["--model", str(trained_run / "model.json"), "--intervals", str(trained_run / "intervals.json"),
-                  "--test", str(dataset_dir / "test_unl.csv"), "--pi-hat", "0.4"],
+                  "--test", str(dataset_dir / "test_unl.csv"), "--report", str(trained_run / "report.json")],
         "evaluate": ["--model", str(trained_run / "model.json"), "--test", str(dataset_dir / "eval_test.csv"),
                      "--theta", "0.5"],
         "verify-theory": ["--trials", "2"],
@@ -798,7 +856,8 @@ def test_unwritable_output_is_refused_before_the_inputs_are_read(dataset_dir, tm
     """A missing model would exit 3, but the output path is checked first."""
     (tmp_path / "afile").write_text("")
     inputs = {
-        "adapt": ["--intervals", str(tmp_path / "none.json"), "--test", str(dataset_dir / "test_unl.csv")],
+        "adapt": ["--intervals", str(tmp_path / "none.json"), "--test", str(dataset_dir / "test_unl.csv"),
+                  "--report", str(tmp_path / "none.json")],
         "evaluate": ["--test", str(dataset_dir / "eval_test.csv"), "--theta", "0.5"],
     }[command]
     code = main([command, "--model", str(tmp_path / "missing.json"), *inputs, "--out", str(tmp_path / "afile" / "x")])
@@ -835,7 +894,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("synth", "--n-train-pos"), ("train", "--max-centers"), ("adapt", "--pi-hat"),
+        [("synth", "--n-train-pos"), ("train", "--max-centers"), ("adapt", "--report"),
          ("evaluate", "--theta"), ("verify-theory", "--trials")],
     )
     def test_subcommand_help_lists_its_flags(self, capsys, command, flag):
@@ -854,5 +913,5 @@ class TestParser:
         parser = build_parser("adapt")
         sub = next(a for a in parser._actions if a.dest == "command")
         built = {name: [o for a in sp._actions for o in a.option_strings] for name, sp in sub.choices.items()}
-        assert "--pi-hat" in built["adapt"]
+        assert "--report" in built["adapt"]
         assert all(built[name] == ["-h", "--help"] for name in COMMANDS if name != "adapt")

@@ -28,9 +28,9 @@ def mixture_cdf(comps):
     return lambda x: sum(w * stats.norm.cdf(x, loc=m, scale=np.sqrt(v)) for m, v, w in comps)
 
 
-def marginal_cdf(mix):
+def marginal_cdf(mix, prior):
     pos, neg = mixture_cdf(mix.components_pos), mixture_cdf(mix.components_neg)
-    return lambda x: mix.prior * pos(x) + (1.0 - mix.prior) * neg(x)
+    return lambda x: prior * pos(x) + (1.0 - prior) * neg(x)
 
 
 class TestSyntheticGenerators:
@@ -62,11 +62,11 @@ class TestSyntheticGenerators:
     def test_marginals_pass_ks(self, case, mix_fn, prior):
         """Sampled positives and unlabeled match the analytic CDFs."""
         n = 10_000
-        mix = mix_fn(prior)
+        mix = mix_fn()
         ds = synth_from_mixture(mix, n, n, prior, 42)
         crit = KS_CRITICAL_1PCT / np.sqrt(n)
         ks_pos = stats.kstest(ds.positives.ravel(), mixture_cdf(mix.components_pos)).statistic
-        ks_unl = stats.kstest(ds.unlabeled.ravel(), marginal_cdf(mix)).statistic
+        ks_unl = stats.kstest(ds.unlabeled.ravel(), marginal_cdf(mix, prior)).statistic
         assert ks_pos < crit
         assert ks_unl < crit
 
@@ -78,33 +78,36 @@ class TestSyntheticGenerators:
         assert abs(frac - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 5000)
 
 
-def _grid_infimum_ratio(mix):
+def _grid_infimum_ratio(mix, prior):
     """Fine-grid infimum of p(x) / p_pos(x), the max-mixture proportion kappa."""
     x = np.linspace(-12.0, 12.0, 200001)
-    return float(np.min(mix.pdf_marginal(x) / mix.pdf_pos(x)))
+    return float(np.min(mix.pdf_marginal(x, prior) / mix.pdf_pos(x)))
 
 
 class TestMixtureSpec:
     def test_case2_max_mixture_closed_form(self):
-        mix = case2_mixture(0.6)
-        assert _grid_infimum_ratio(mix) == pytest.approx(0.6 + 0.4 * 0.2 / 0.8, abs=1e-6)
+        mix = case2_mixture()
+        assert _grid_infimum_ratio(mix, 0.6) == pytest.approx(0.6 + 0.4 * 0.2 / 0.8, abs=1e-6)
 
     def test_case1_identifiable(self):
-        mix = case1_mixture(0.4)
-        assert _grid_infimum_ratio(mix) == pytest.approx(0.4, abs=1e-3)
+        mix = case1_mixture()
+        assert _grid_infimum_ratio(mix, 0.4) == pytest.approx(0.4, abs=1e-3)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            GaussianMixtureSpec([(0, 1, 0.5)], [(0, 1, 1.0)], 0.5)
+            GaussianMixtureSpec([(0, 1, 0.5)], [(0, 1, 1.0)])
         with pytest.raises(ConfigError):
-            GaussianMixtureSpec([(0, -1, 1.0)], [(0, 1, 1.0)], 0.5)
+            GaussianMixtureSpec([(0, -1, 1.0)], [(0, 1, 1.0)])
 
     def test_true_ratio_matches_posterior_scaling(self):
-        mix = case1_mixture(0.4)
+        """prior * true_ratio(x, prior) is the posterior P(y = +1 | x), built here from scipy's normal density."""
         x = np.linspace(-4, 4, 101)
-        eta = 0.4 * mix.true_ratio(x)
-        direct = 0.4 * mix.pdf_pos(x) / mix.pdf_marginal(x)
-        np.testing.assert_allclose(eta, direct, atol=1e-14)
+        up, down = stats.norm.pdf(x, loc=1.0), stats.norm.pdf(x, loc=-1.0)
+        for mix, w in ((case1_mixture(), 1.0), (case2_mixture(), 0.8)):  # weight of N(+1, 1) in p_pos
+            p_pos, p_neg = w * up + (1 - w) * down, (1 - w) * up + w * down
+            for prior in (0.4, 0.6):
+                eta = prior * mix.true_ratio(x, prior)
+                np.testing.assert_allclose(eta, prior * p_pos / (prior * p_pos + (1 - prior) * p_neg), rtol=1e-12)
 
 
 def _row_loop_save_csv(path, X, labels=None):

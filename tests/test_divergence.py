@@ -4,7 +4,7 @@ import pytest
 from pushift.baselines import logistic_loss, risk_objective, sigmoid_loss
 from pushift.divergence import Branch, ratio_objective
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
-from pushift.models import GaussianBasisLinear, gaussian_basis_linear
+from pushift.models import GaussianBasisLinear
 from pushift.theory import (
     DiscreteDistributionPair,
     population_divergence,
@@ -261,7 +261,7 @@ class TestObjectiveGradient:
     def _linear_setup(self, seed):
         rng = np.random.default_rng(seed)
         centers = rng.normal(size=(6, 2))
-        model = gaussian_basis_linear(centers, bandwidth=1.2)
+        model = GaussianBasisLinear(centers, bandwidth=1.2)
         model.params = rng.normal(0.4, 0.3, 6)
         xp = rng.normal(size=(5, 2))
         xu = rng.normal(size=(8, 2))
@@ -285,7 +285,7 @@ class TestObjectiveGradient:
         grad, branch = objective_gradient(ratio_objective(gen, alpha), model, xp, xu)
 
         def branch_objective(theta):
-            m = gaussian_basis_linear(centers, bandwidth=1.2)
+            m = GaussianBasisLinear(centers, bandwidth=1.2)
             m.params = theta
             rp, ru = m.predict(xp), m.predict(xu)
             if branch is Branch.NORMAL:

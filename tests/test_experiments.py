@@ -10,6 +10,7 @@ from pushift.experiments import (
     fit_drpu,
     gaussian_case_experiment,
 )
+from pushift.prior import GAMMA, gamma_bar
 from pushift.trainer import TrainConfig
 
 
@@ -91,6 +92,13 @@ class TestFitAndAdapt:
         cfg = TrainConfig(epochs=2, batch_size=100, learning_rate=1e-4, seed=5)
         fit = fit_drpu(split, cfg, gamma=0.9, max_centers=64)
         assert fit.model.n_params == 64
+
+    def test_default_gamma_fits_the_quick_start_sizes(self):
+        """README's quick start: 100 validation positives and 500 unlabeled admit a threshold at the default gamma."""
+        split = SplitDataset(train=synth_case1(200, 1000, 0.4, 0), val=synth_case1(100, 500, 0.4, 1))
+        fit = fit_drpu(split, TrainConfig(seed=0, epochs=2))
+        assert fit.intervals.gamma == GAMMA
+        assert fit.pi_hat.gamma_bar == gamma_bar(100, 500, GAMMA) < 1.0
 
 
 class TestCaseExperiment:

@@ -12,7 +12,6 @@ from pushift.models import (
     GaussianBasisLinear,
     MLP,
     expit,
-    gaussian_basis_linear,
     load_model,
     mlp,
     model_from_dict,
@@ -45,18 +44,18 @@ class TestExpit:
 
 class TestGaussianBasisLinear:
     def test_zero_weights_predict_zero(self):
-        model = gaussian_basis_linear(np.zeros((5, 3)), bandwidth=1.0)
+        model = GaussianBasisLinear(np.zeros((5, 3)), bandwidth=1.0)
         X = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_array_equal(model.predict(X), np.zeros(10))
 
     def test_unit_weight_at_center(self):
         c = np.array([[0.7, -1.2]])
-        model = gaussian_basis_linear(c, bandwidth=1.0)
+        model = GaussianBasisLinear(c, bandwidth=1.0)
         model.params = np.array([1.0])
         assert model.predict(c)[0] == 1.0
 
     def test_clamp_at_zero(self):
-        model = gaussian_basis_linear(np.array([[0.0]]), bandwidth=1.0)
+        model = GaussianBasisLinear(np.array([[0.0]]), bandwidth=1.0)
         model.params = np.array([-3.0])
         assert model.predict(np.array([[0.0]]))[0] == 0.0
         _, grad = value_and_grad(model, np.array([0.0]))
@@ -65,20 +64,20 @@ class TestGaussianBasisLinear:
     def test_gradient_is_features_when_active(self):
         rng = np.random.default_rng(1)
         centers = rng.normal(size=(4, 2))
-        model = gaussian_basis_linear(centers, bandwidth=1.5)
+        model = GaussianBasisLinear(centers, bandwidth=1.5)
         model.params = np.full(4, 0.5)
         x = rng.normal(size=2)
         _, grad = value_and_grad(model, x)
         np.testing.assert_allclose(grad, model.features(x[None, :])[0], atol=1e-15)
 
     def test_param_count_matches_centers(self):
-        model = gaussian_basis_linear(np.random.default_rng(2).normal(size=(1000, 1)))
+        model = GaussianBasisLinear(np.random.default_rng(2).normal(size=(1000, 1)))
         assert model.n_params == 1000
 
     def test_unit_bandwidth_kernel_form(self):
         """In one dimension, bandwidth 1 gives exp(-(x - c)^2 / 2)."""
         c = 0.3
-        model = gaussian_basis_linear(np.array([[c]]), bandwidth=1.0)
+        model = GaussianBasisLinear(np.array([[c]]), bandwidth=1.0)
         model.params = np.array([1.0])
         x = np.linspace(-3, 3, 41)
         np.testing.assert_allclose(
@@ -87,14 +86,14 @@ class TestGaussianBasisLinear:
 
     def test_preconditions(self):
         with pytest.raises(ConfigError):
-            gaussian_basis_linear(np.empty((0, 2)))
+            GaussianBasisLinear(np.empty((0, 2)))
         with pytest.raises(ConfigError):
-            gaussian_basis_linear(np.zeros((3, 2)), bandwidth=0.0)
+            GaussianBasisLinear(np.zeros((3, 2)), bandwidth=0.0)
         with pytest.raises(ConfigError):
-            gaussian_basis_linear(np.zeros((3, 2)), bandwidth=np.inf)
+            GaussianBasisLinear(np.zeros((3, 2)), bandwidth=np.inf)
 
     def test_dimension_mismatch(self):
-        model = gaussian_basis_linear(np.zeros((3, 2)))
+        model = GaussianBasisLinear(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             model.predict(np.zeros((4, 3)))
 
@@ -102,7 +101,7 @@ class TestGaussianBasisLinear:
         rng = np.random.default_rng(7)
         for _ in range(50):
             centers = rng.normal(size=(rng.integers(2, 10), 2))
-            model = gaussian_basis_linear(centers, bandwidth=float(rng.uniform(0.3, 2)))
+            model = GaussianBasisLinear(centers, bandwidth=float(rng.uniform(0.3, 2)))
             model.params = rng.normal(scale=3.0, size=centers.shape[0])
             X = rng.normal(scale=2.0, size=(40, 2))
             assert np.all(model.predict(X) >= 0)
@@ -111,12 +110,12 @@ class TestGaussianBasisLinear:
         """The in-place expansion keeps the order of operations, so the bits match."""
         rng = np.random.default_rng(3)
         centers, X = rng.normal(size=(40, 3)), rng.normal(size=(70, 3))
-        model = gaussian_basis_linear(centers, bandwidth=0.8)
+        model = GaussianBasisLinear(centers, bandwidth=0.8)
         np.testing.assert_array_equal(model.features(X), _textbook_features(X, centers, 0.8))
 
     def test_features_peak_memory_is_one_output(self):
         rng = np.random.default_rng(4)
-        model = gaussian_basis_linear(rng.normal(size=(500, 2)))
+        model = GaussianBasisLinear(rng.normal(size=(500, 2)))
         X = rng.normal(size=(2000, 2))
         tracemalloc.start()
         try:
@@ -169,7 +168,7 @@ def blocked_mismatches():
     return bad
 
 
-@pytest.mark.parametrize("model", [gaussian_basis_linear(np.zeros((3, 2))), mlp([2, 4, 1])], ids=["kernel", "mlp"])
+@pytest.mark.parametrize("model", [GaussianBasisLinear(np.zeros((3, 2))), mlp([2, 4, 1])], ids=["kernel", "mlp"])
 @pytest.mark.parametrize("cell", [1e308, -1e155, np.nan, np.inf])
 def test_rows_with_non_finite_squared_norm_are_data_errors(model, cell):
     """A finite row can still overflow |x|^2, which the kernel features subtract (inf - inf is NaN)."""
@@ -213,13 +212,13 @@ class TestBlockedPredict:
         rng = np.random.default_rng(22)
         centers = np.concatenate([[0.0, -0.0, 1.0, -1.5], rng.normal(scale=3.0, size=300)])[:, None]
         X = np.concatenate([[0.0, -0.0, 1e-300, -2.0], rng.normal(scale=3.0, size=700), rng.uniform(-40, 40, 100)])
-        model = gaussian_basis_linear(centers, bandwidth)
+        model = GaussianBasisLinear(centers, bandwidth)
         np.testing.assert_array_equal(model.features(X[:, None]), _textbook_features(X[:, None], centers, bandwidth))
 
     def test_predict_peak_memory_is_a_block(self):
         """20 000 rows and 100 centers: the full feature matrix would take 16 MB."""
         rng = np.random.default_rng(23)
-        model = gaussian_basis_linear(rng.normal(size=(100, 1)))
+        model = GaussianBasisLinear(rng.normal(size=(100, 1)))
         X = rng.normal(size=(20_000, 1))
         tracemalloc.start()
         try:
@@ -388,7 +387,7 @@ class TestInPlaceForward:
 class TestSerialization:
     def test_gaussian_basis_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        model = gaussian_basis_linear(rng.normal(size=(10, 3)), bandwidth=1.7)
+        model = GaussianBasisLinear(rng.normal(size=(10, 3)), bandwidth=1.7)
         model.params = rng.normal(size=10)
         path = tmp_path / "m.json"
         save_model(model, path)
@@ -411,7 +410,7 @@ class TestSerialization:
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
     def test_non_finite_params_raise_and_write_no_file(self, tmp_path):
-        model = gaussian_basis_linear(np.zeros((3, 2)))
+        model = GaussianBasisLinear(np.zeros((3, 2)))
         model.params = [0.5, np.nan, 1.0]
         path = tmp_path / "m.json"
         with pytest.raises(ValueError, match="JSON compliant"):

@@ -12,7 +12,7 @@ from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.experiments import case_data, kernel_centers
 from pushift.generators import lsif_generator
-from pushift.models import SCORE_ROWS, GaussianBasisLinear, RatioModel, gaussian_basis_linear, mlp
+from pushift.models import SCORE_ROWS, GaussianBasisLinear, RatioModel, mlp
 from pushift.trainer import (
     AdamState,
     TrainConfig,
@@ -91,7 +91,7 @@ class TestBatching:
 class TestTrain:
     def test_zero_epochs_noop(self):
         split = small_split()
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         before = model.params.copy()
         model, report = train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(epochs=0))
         np.testing.assert_array_equal(model.params, before)
@@ -99,7 +99,7 @@ class TestTrain:
 
     def test_validation_selection_is_argmin(self):
         split = small_split()
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         cfg = TrainConfig(epochs=30, batch_size=40, learning_rate=1e-3, seed=3)
         model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.best_epoch == int(np.argmin(report.val_objective))
@@ -112,8 +112,8 @@ class TestTrain:
     def test_reproducible_reports(self):
         split = small_split()
         cfg = TrainConfig(epochs=10, batch_size=40, learning_rate=1e-3, seed=7)
-        m1 = gaussian_basis_linear(split.train.unlabeled)
-        m2 = gaussian_basis_linear(split.train.unlabeled)
+        m1 = GaussianBasisLinear(split.train.unlabeled)
+        m2 = GaussianBasisLinear(split.train.unlabeled)
         _, r1 = train(m1, split, ratio_objective(LSIF, cfg.alpha), cfg)
         _, r2 = train(m2, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert r1.val_objective == r2.val_objective
@@ -122,7 +122,7 @@ class TestTrain:
 
     def test_alpha_zero_never_corrects(self):
         split = small_split()
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         cfg = TrainConfig(alpha=0.0, epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
         _, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.corrected_fraction == [0.0] * 20
@@ -131,12 +131,12 @@ class TestTrain:
         """With the corrected branch unreachable the loop is plain descent."""
         split = small_split()
         cfg = TrainConfig(alpha=0.0, epochs=8, batch_size=40, learning_rate=1e-3, seed=5)
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
         assert report.best_epoch == cfg.epochs - 1  # monotone improvement here
 
         # reference loop: same batches, always the plain-objective gradient
-        ref = gaussian_basis_linear(split.train.unlabeled)
+        ref = GaussianBasisLinear(split.train.unlabeled)
         rng = np.random.default_rng(cfg.seed)
         state = AdamState.zeros(ref.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
         tr = split.train
@@ -158,7 +158,7 @@ class TestTrain:
             train=synth_case1(200, 1000, 0.4, 11),
             val=synth_case1(100, 500, 0.4, 12),
         )
-        model = gaussian_basis_linear(split.train.unlabeled, bandwidth=1.0)
+        model = GaussianBasisLinear(split.train.unlabeled, bandwidth=1.0)
         cfg = TrainConfig(
             alpha=0.0, epochs=200, batch_size=200, learning_rate=2e-5,
             adam_beta1=0.5, adam_beta2=0.999, l2_reg=0.1, seed=11,
@@ -169,7 +169,7 @@ class TestTrain:
 
     def test_batch_size_exceeds_pool(self):
         split = small_split()
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         with pytest.raises(ConfigError):
             train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(batch_size=10_000))
 
@@ -179,13 +179,13 @@ class TestTrain:
             train=split.train,
             val=type(split.val)(split.val.positives[:0], split.val.unlabeled),
         )
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         with pytest.raises(ConfigError):
             train(model, bad, ratio_objective(LSIF, 0.0), TrainConfig(epochs=1, batch_size=10))
 
     def test_divergence_detected(self):
         split = small_split()
-        model = gaussian_basis_linear(split.train.unlabeled)
+        model = GaussianBasisLinear(split.train.unlabeled)
         cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
@@ -258,7 +258,7 @@ NNPU = risk_objective("nnpu", sigmoid_loss(), 0.4)
 
 # (model factory, objective, whether the block scoring must be bit-equal)
 SCORED_MODELS = {
-    "kernel-clamp": (lambda s: gaussian_basis_linear(s.train.unlabeled), ratio_objective(LSIF, 0.3), False),
+    "kernel-clamp": (lambda s: GaussianBasisLinear(s.train.unlabeled), ratio_objective(LSIF, 0.3), False),
     "kernel-linear": (
         lambda s: GaussianBasisLinear(s.train.unlabeled, clamp=False), NNPU, False,
     ),
@@ -349,10 +349,10 @@ class TestBlockScoring:
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match=r"at epoch 0: "):
-                train(gaussian_basis_linear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg)
+                train(GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg)
             with pytest.raises(TrainingDiverged, match=r"at epoch 0$"):
                 reference_train(
-                    gaussian_basis_linear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg
+                    GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg
                 )
 
     def test_divergence_inside_a_block_names_its_epoch(self):
@@ -369,10 +369,10 @@ class TestBlockScoring:
         split = small_split()
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
         with pytest.raises(TrainingDiverged, match=r"at epoch 5: train=[-0-9.e]+, val=nan"):
-            train(gaussian_basis_linear(split.train.unlabeled), split, objective, cfg)
+            train(GaussianBasisLinear(split.train.unlabeled), split, objective, cfg)
         calls.clear()
         with pytest.raises(TrainingDiverged, match=r"at epoch 5$"):
-            reference_train(gaussian_basis_linear(split.train.unlabeled), split, objective, cfg)
+            reference_train(GaussianBasisLinear(split.train.unlabeled), split, objective, cfg)
 
     def test_scoring_memory_is_bounded(self):
         """Extra traced memory of a long run over a one-epoch run stays under one block."""
@@ -385,7 +385,7 @@ class TestBlockScoring:
         width = GaussianBasisLinear.SCORE_BLOCK
 
         def peak(epochs):
-            model = gaussian_basis_linear(centers)
+            model = GaussianBasisLinear(centers)
             cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
             tracemalloc.start()
             try:
@@ -412,7 +412,7 @@ class TestBlockScoring:
         cfg = TrainConfig(epochs=2, batch_size=450, learning_rate=1e-3, seed=0)
         tracemalloc.start()
         try:
-            train(gaussian_basis_linear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
+            train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

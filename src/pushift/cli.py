@@ -81,6 +81,9 @@ TRAIN_FIELDS = {
     "max_centers": (int, None),
 }
 
+# Fields a method does not read: set away from the default, each would give one model another config hash.
+UNREAD_FIELDS = {"drpu": ("loss", "prior"), "upu": ("generator", "alpha", "gamma"), "nnpu": ("generator", "alpha", "gamma")}
+
 READERS = {int: json_int, float: json_number, str: json_str}
 
 LOSSES = {"sigmoid": sigmoid_loss, "logistic": logistic_loss}
@@ -199,16 +202,17 @@ def _load_split(data_dir) -> SplitDataset:
 def cmd_train(args) -> int:
     cfg = _effective_config(TRAIN_FIELDS, args)
     seed, method = cfg["seed"], cfg["method"]
-    if method not in ("drpu", "upu", "nnpu"):
+    if method not in UNREAD_FIELDS:
         raise ConfigError(f"method must be drpu, upu, or nnpu, got {method!r}")
+    for name in UNREAD_FIELDS[method]:
+        if cfg[name] != TRAIN_FIELDS[name][1]:
+            raise ConfigError(f"method {method} does not read {name}, got {cfg[name]!r}")
     loss = LOSSES.get(cfg["loss"])
     if loss is None:
         raise ConfigError(f"loss must be sigmoid or logistic, got {cfg['loss']!r}")
     prior = cfg["prior"]
-    if prior is not None:
-        _validate_prior("prior", prior)
-    elif method != "drpu":
-        raise ConfigError(f"method {method} requires an explicit prior (none given)")
+    if method != "drpu" and not (prior is not None and 0.0 < prior < 1.0):
+        raise ConfigError(f"method {method} needs a prior in (0, 1), got {prior}")
     split = _load_split(cfg["data"])
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
     out = cfg["out"]

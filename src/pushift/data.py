@@ -205,10 +205,10 @@ def save_csv(path, X, labels=None) -> None:
 def load_csv(path, labeled: bool):
     """Read a numeric CSV written by ``save_csv`` or compatible tools.
 
-    A leading non-numeric row is treated as a header and skipped.  A
-    ``labeled`` file carries its labels, each +1 or -1, in the last column;
-    returns ``(X, labels)``, with labels None for an unlabeled file.
-    Non-finite cells (``nan``, ``inf``) raise ``DataError``.
+    A leading non-numeric row is treated as a header and skipped.  A ``labeled`` file carries its
+    labels, each +1 or -1, in the last column; returns ``(X, labels)``, with labels None for an
+    unlabeled file.  A row with a NaN or infinite cell, or whose |x|^2 overflows (a 1e308 cell), raises
+    ``DataError`` naming the file and the row; the models refuse such a row too, but cannot name either.
 
     The rows are parsed by ``np.loadtxt``.  A file it refuses is parsed again
     row by row with ``float``, which locates the faulty row and cell and also
@@ -232,9 +232,9 @@ def load_csv(path, labeled: bool):
         data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         data = _parse_rows(path, [ln.strip() for ln in body if ln.strip()], start)
-    finite = np.isfinite(data).all(axis=1)
+    finite = np.isfinite(np.einsum("ij,ij->i", data, data))
     if not finite.all():
-        raise DataError(f"{path}: non-finite value at row {int(np.argmin(finite)) + start + 1}")
+        raise DataError(f"{path}: non-finite value or squared norm at row {int(np.argmin(finite)) + start + 1}")
 
     if not labeled:
         return data, None

@@ -158,20 +158,20 @@ def adapt_threshold(
     return AdaptResult(pi_prime=pi_prime, c0=c0, theta=theta, cost=cost)
 
 
-def _interior(p: float, floor: float = 1e-6) -> float:
-    """Nudge a clamped estimate off the boundary so the cost formula is defined."""
-    return min(1.0 - floor, max(floor, float(p)))
+def _interior(p: float) -> float:
+    """Nudge a clamped estimate 1e-6 off the boundary so the cost formula is defined."""
+    return min(1.0 - 1e-6, max(1e-6, float(p)))
 
 
-def decision_boundary_1d(score_fn, level: float, lo: float = -6.0, hi: float = 6.0, num: int = 4001) -> float:
-    """Leftmost upward crossing of score_fn(x) = level on a fine 1-d grid.
+def decision_boundary_1d(score_fn, level: float) -> float:
+    """Leftmost upward crossing of score_fn(x) = level on a 4001-point grid over [-6, 6].
 
     The kernel models decay back below the level far outside the data, so
     the decision region is a band; its left edge is the boundary that
     separates the two classes where the data actually lives.  Falls back to
     the leftmost crossing of any direction, and nan if there is none.
     """
-    x = np.linspace(lo, hi, num)
+    x = np.linspace(-6.0, 6.0, 4001)
     s = np.asarray(score_fn(x[:, None]), dtype=float) - level
     neg, pos = s < 0, s > 0  # signs, not products of neighbours, which overflow or underflow
     up = neg[:-1] & pos[1:]

@@ -136,9 +136,9 @@ class RatioModel:
         raise NotImplementedError
 
     def _check_dim(self, X, what="input row"):
-        """Raw inputs as rows of ``dim_in`` values.  Every raw input, and every basis center, enters here, so
-        a row whose |x|^2 is not finite, which would make kernel features (inf - inf) or MLP scores NaN, is refused."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Raw inputs as C-ordered rows of ``dim_in`` values (``einsum`` sums in memory order).  Every raw input and
+        basis center enters here, so a row whose |x|^2 is not finite (features inf - inf, MLP scores NaN) is refused."""
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
         if X.shape[1] != self.dim_in:
             raise DataError(f"expected inputs of dimension {self.dim_in}, got {X.shape[1]}")
         finite = np.isfinite(np.einsum("ij,ij->i", X, X))  # no rows x dim temporary, and no overflow warning
@@ -169,11 +169,10 @@ class GaussianBasisLinear(RatioModel):
             raise ConfigError("at least one basis center is required")
         if not (bandwidth > 0 and 0 < 2.0 * bandwidth * bandwidth < np.inf):  # the features divide by 2 bw^2
             raise ConfigError(f"bandwidth must be positive with 2 bandwidth^2 finite and nonzero, got {bandwidth}")
-        self.centers = centers
         self.bandwidth = float(bandwidth)
         self.clamp = bool(clamp)
         super().__init__(centers.shape[1], np.zeros(centers.shape[0]))
-        self._check_dim(centers, "basis center")
+        self.centers = self._check_dim(centers, "basis center")
         if params is not None:
             self.params = params
 
@@ -183,8 +182,8 @@ class GaussianBasisLinear(RatioModel):
         IEEE subtraction is antisymmetric, so this is -((|x|^2 - 2 x.c) + |c|^2) bit for bit.
         """
         X = self._check_dim(X)
-        # d = 1: one rounded product per cell, the K = 1 matrix product's exact value at a third of its cost.
-        out = np.einsum("ik,jk->ij", 2.0 * X, self.centers) if self.dim_in == 1 else (2.0 * X) @ self.centers.T
+        # Not a BLAS product, whose rounding depends on the row count: a row's features depend on no other row.
+        out = np.einsum("ik,jk->ij", 2.0 * X, self.centers)
         np.subtract(out, np.sum(X * X, axis=1)[:, None], out=out)
         np.subtract(out, np.sum(self.centers * self.centers, axis=1)[None, :], out=out)
         np.divide(out, 2.0 * self.bandwidth**2, out=out)

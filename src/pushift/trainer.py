@@ -37,6 +37,8 @@ from .errors import ConfigError, TrainingDiverged
 
 __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
 
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -81,14 +83,13 @@ class TrainReport:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    beta1: float
+    beta2: float
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, n, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(m=np.zeros(n), v=np.zeros(n), beta1=beta1, beta2=beta2, eps=eps)
+    def zeros(cls, n, beta1, beta2):
+        return cls(m=np.zeros(n), v=np.zeros(n), beta1=beta1, beta2=beta2)
 
 
 def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -102,11 +103,11 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
         state.m += (1.0 - state.beta1) * grad
         state.v *= state.beta2
         state.v += (1.0 - state.beta2) * grad * grad
-    # -lr * m_hat / (sqrt(v_hat) + eps), built in m_hat with the same rounding steps.
+    # -lr * m_hat / (sqrt(v_hat) + ADAM_EPS), built in m_hat with the same rounding steps.
     m_hat = state.m / (1.0 - state.beta1**state.t)
     v_hat = state.v / (1.0 - state.beta2**state.t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += state.eps
+    v_hat += ADAM_EPS
     m_hat *= -lr
     m_hat /= v_hat
     return m_hat

@@ -26,6 +26,7 @@ from pushift.theory import (
     random_ratio_values,
     squared_loss_decomposition,
 )
+from pushift.trainer import ADAM_EPS
 
 RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
 ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -156,7 +157,7 @@ def reference_adam_step(state, grad, lr):
         state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
     m_hat = state.m / (1.0 - state.beta1**state.t)
     v_hat = state.v / (1.0 - state.beta2**state.t)
-    return -lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def refuse(token):

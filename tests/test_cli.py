@@ -74,7 +74,9 @@ class TestSynth:
         cfg.write_text('{"cases": 1}')
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
 
-    @pytest.mark.parametrize("doc", [{"n_test": None}, {"n_test": RAW_1E400}, {"case": True}, {"seed": "3"}])
+    @pytest.mark.parametrize(
+        "doc", [{"n_test": None}, {"n_test": RAW_1E400}, {"case": True}, {"seed": "3"}, {"case": 3}]
+    )
     def test_mistyped_config_field_named(self, tmp_path, capsys, doc):
         cfg = write_doc(tmp_path / "cfg.json", doc)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
@@ -194,9 +196,10 @@ class TestTrain:
         centers = {}
         for method in ("drpu", "nnpu"):
             out = tmp_path / method
+            prior = ["--prior", "0.4"] if method == "nnpu" else []
             assert main([
                 "train", "--data", str(data), "--out", str(out), "--seed", "7", "--method", method,
-                "--prior", "0.4", "--max-centers", "50", "--epochs", "2",
+                *prior, "--max-centers", "50", "--epochs", "2",
             ]) == 0
             centers[method] = read_json(out / "model.json")["centers"]
         assert len(centers["nnpu"]) == 50
@@ -225,9 +228,10 @@ class TestTrain:
     @pytest.mark.parametrize("method", ["drpu", "nnpu"])
     @pytest.mark.parametrize("max_centers", ["-3", "0"])
     def test_max_centers_below_one_named(self, dataset_dir, tmp_path, capsys, method, max_centers):
+        prior = ["--prior", "0.4"] if method == "nnpu" else []
         code = main([
             "train", "--data", str(dataset_dir), "--out", str(tmp_path / "mc"), "--gamma", "0.9",
-            "--method", method, "--prior", "0.4", "--max-centers", max_centers, "--epochs", "2",
+            "--method", method, *prior, "--max-centers", max_centers, "--epochs", "2",
         ])
         assert code == 2
         assert "max_centers" in capsys.readouterr().err
@@ -236,7 +240,7 @@ class TestTrain:
         "doc",
         [
             {"epochs": None}, {"epochs": [2]}, {"epochs": RAW_1E400}, {"epochs": True},
-            {"max_centers": RAW_1E400}, {"alpha": None}, {"seed": 1.5}, {"gamma": "0.9"},
+            {"max_centers": RAW_1E400}, {"alpha": None}, {"seed": 1.5}, {"gamma": "0.9"}, {"alpha": 10**400},
         ],
     )
     def test_mistyped_config_field_named(self, dataset_dir, tmp_path, capsys, doc):
@@ -256,6 +260,36 @@ class TestTrain:
         a, b = (read_json(tmp_path / run / "report.json") for run in "ab")
         assert a["config_hash"] == b["config_hash"]
         assert a["config"]["alpha"] == 0.0 and isinstance(a["config"]["alpha"], float)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "method, field, value",
+        [
+            ("drpu", "loss", "logistic"), ("drpu", "prior", 0.3),
+            ("upu", "generator", "exp"), ("upu", "alpha", 0.5), ("upu", "gamma", 0.8),
+            ("nnpu", "generator", "exp"), ("nnpu", "alpha", 0.5), ("nnpu", "gamma", 0.8),
+        ],
+    )
+    def test_field_the_method_does_not_read_is_refused(self, tmp_path, capsys, method, field, value, source):
+        """Such a run would write the model of the run without it under another config hash.  Refused
+        before any data is read: the data directory does not exist, which would exit 3."""
+        argv = ["train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "r"), "--method", method]
+        argv += [] if method == "drpu" else ["--prior", "0.4"]
+        if source == "flag":
+            argv += ["--" + field, str(value)]
+        else:
+            argv += ["--config", str(write_doc(tmp_path / "cfg.json", {field: value}))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: method {method} does not read {field}, got {value!r}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("prior", [[], ["--prior", "0"], ["--prior", "1"], ["--prior", "1.5"]])
+    def test_baseline_prior_outside_the_open_interval(self, tmp_path, capsys, prior):
+        """Refused before any data is read: the data directory does not exist, which would exit 3."""
+        argv = ["train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "r"), "--method", "nnpu", *prior]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: method nnpu needs a prior in (0, 1), got ")
+        assert not (tmp_path / "r").exists()
 
     def test_baseline_requires_prior(self, dataset_dir, tmp_path):
         assert main([
@@ -517,11 +551,16 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
         assert (code, wrote) == (3, False)
 
-    @pytest.mark.parametrize("command, name", [
-        ("adapt", "test_unl.csv"), ("evaluate", "eval_test.csv"), ("train", "val_unl.csv"),
+    @pytest.mark.parametrize("command, name, flags", [
+        pytest.param("adapt", "test_unl.csv", [], id="adapt-test_unl.csv"),
+        pytest.param("evaluate", "eval_test.csv", [], id="evaluate-eval_test.csv"),
+        pytest.param("train", "val_unl.csv", [], id="train-val_unl.csv"),
+        pytest.param("train", "train_unl.csv", [], id="train-train_unl.csv"),
+        pytest.param("train", "train_unl.csv", ["--max-centers", "100"], id="train-train_unl.csv-max-centers"),
     ])
-    def test_row_whose_squared_norm_overflows(self, dataset_dir, trained_run, tmp_path, capsys, command, name):
-        """A finite 1e308 cell overflows |x|^2 in the kernel features: exit 3 naming the row, and no warning."""
+    def test_row_whose_squared_norm_overflows(self, dataset_dir, trained_run, tmp_path, capsys, command, name, flags):
+        """A finite 1e308 cell overflows |x|^2 in the kernel features: exit 3 naming the file and its
+        row counted from 1, whichever rows become basis centers, and no warning."""
         data = tmp_path / "data"
         shutil.copytree(dataset_dir, data)
         lines = (data / name).read_text().splitlines(keepends=True)
@@ -537,9 +576,9 @@ class TestDataFaults:
         }[command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, *argv])
+            code = main([command, *argv, *flags])
         assert (code, [str(w.message) for w in caught]) == (3, [])
-        assert capsys.readouterr().err == "data error: input row 3 (from 0) has a squared norm that is not finite\n"
+        assert capsys.readouterr().err == f"data error: {data / name}: non-finite value or squared norm at row 4\n"
         assert not (out / "model.json" if command == "train" else out).exists()
 
     def test_model_scoring_non_finite_is_data(self, dataset_dir, trained_run, tmp_path, capsys):
@@ -636,6 +675,7 @@ class TestDataFaults:
             ("model.json", ("centers", 0, 0), "x", "an entry of an entry of centers"),
             ("model.json", ("params", 0), True, "an entry of params"),
             ("model.json", ("bandwidth",), True, "bandwidth"),
+            pytest.param("model.json", ("bandwidth",), 10**400, "bandwidth", id="model.json-bandwidth-401-digits"),
         ],
     )
     def test_mistyped_document_field_named(self, dataset_dir, trained_run, tmp_path, capsys, document, path, value, named):

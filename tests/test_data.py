@@ -57,6 +57,10 @@ class TestSyntheticGenerators:
             synth_case1(0, 10, 0.4, 0)
         with pytest.raises(ConfigError):
             synth_case1(10, 10, 1.2, 0)
+        with pytest.raises(ConfigError):
+            synth_gaussian_pair(3, 0, 10, 0.4, 0)
+        with pytest.raises(ConfigError):
+            synth_gaussian_pair(3, 10, 10, 1.0, 0)
 
     @pytest.mark.parametrize("case,mix_fn,prior", [(1, case1_mixture, 0.4), (2, case2_mixture, 0.6)])
     def test_marginals_pass_ks(self, case, mix_fn, prior):

@@ -21,7 +21,7 @@ class TestDecisionBoundary:
 
     def test_band_takes_left_edge(self):
         # bump crosses the level on the way up and on the way down
-        boundary = decision_boundary_1d(lambda X: np.exp(-((X[:, 0] - 1) ** 2)), 0.5, lo=-4, hi=6)
+        boundary = decision_boundary_1d(lambda X: np.exp(-((X[:, 0] - 1) ** 2)), 0.5)
         assert boundary == pytest.approx(1 - math.sqrt(math.log(2)), abs=1e-3)
 
     def test_no_crossing_gives_nan(self):
@@ -46,11 +46,11 @@ class TestDecisionBoundary:
             assert boundary == float(x[i] + s[i] / (s[i] - s[i + 1]) * (x[i + 1] - x[i]))
 
     def test_tiny_and_huge_scores_raise_no_warning(self):
-        """A crossing whose product of neighbours underflows is still found; a level of
-        1e308 overflows nothing."""
+        """A crossing between grid points whose product of neighbours underflows is still
+        found; a level of 1e308 overflows nothing."""
         with np.errstate(all="raise"):
-            boundary = decision_boundary_1d(lambda X: 1e-200 * X[:, 0], 0.0, num=4000)
-            assert abs(boundary) < 1e-12
+            boundary = decision_boundary_1d(lambda X: 1e-200 * (X[:, 0] - 1e-3), 0.0)
+            assert abs(boundary - 1e-3) < 1e-12
             assert math.isnan(decision_boundary_1d(lambda X: np.exp(-X[:, 0] ** 2), 1e308))
 
 

@@ -113,6 +113,21 @@ class TestGaussianBasisLinear:
         model = GaussianBasisLinear(centers, bandwidth=0.8)
         np.testing.assert_array_equal(model.features(X), _textbook_features(X, centers, 0.8))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+    def test_row_features_depend_on_no_other_row_and_no_layout(self, dim):
+        """A row's features have the same bits scored alone, in blocks of any size and in Fortran
+        order, and a model built from Fortran-ordered centers gives the same features."""
+        rng = np.random.default_rng(50 + dim)
+        centers, X = rng.normal(size=(300, dim)), rng.normal(scale=2.0, size=(3000, dim))
+        model = GaussianBasisLinear(centers, bandwidth=1.3)
+        whole = model.features(X)
+        edges = np.cumsum([0, 1, 7, 331, 1023, 1025, 613])
+        np.testing.assert_array_equal(np.vstack([model.features(x) for x in X]), whole)
+        np.testing.assert_array_equal(np.vstack([model.features(X[s:e]) for s, e in zip(edges, edges[1:])]), whole)
+        np.testing.assert_array_equal(model.features(np.asfortranarray(X)), whole)
+        fortran = GaussianBasisLinear(np.asfortranarray(centers), bandwidth=1.3)
+        np.testing.assert_array_equal(fortran.features(X), whole)
+
     def test_features_peak_memory_is_one_output(self):
         rng = np.random.default_rng(4)
         model = GaussianBasisLinear(rng.normal(size=(500, 2)))
@@ -127,9 +142,11 @@ class TestGaussianBasisLinear:
 
 
 def _textbook_features(X, centers, bandwidth):
-    """exp(-(|x|^2 - 2 x.c + |c|^2) / (2 bw^2)) with a matrix product for the cross term:
-    the reference expansion, in the order of operations ``features`` must reproduce."""
-    sq = np.sum(X * X, axis=1)[:, None] - 2.0 * X @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+    """exp(-(|x|^2 - 2 x.c + |c|^2) / (2 bw^2)), the cross term summed by ``einsum`` (at d = 1 the
+    exact value of the matrix product): the reference expansion, in the order of operations
+    ``features`` must reproduce."""
+    cross = np.einsum("ik,jk->ij", 2.0 * X, centers)
+    sq = np.sum(X * X, axis=1)[:, None] - cross + np.sum(centers * centers, axis=1)[None, :]
     return np.exp(-sq / (2.0 * bandwidth**2))
 
 
@@ -137,13 +154,18 @@ PREDICT_ROWS = (0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 20000)
 
 
 def _scoring_models():
-    """1-d kernel models, clamp on and off, and 10-32-32-1 MLPs, softplus and linear."""
+    """1-d kernel models, clamp on and off, unclamped kernel models with 300 centers on d > 1
+    inputs, and 10-32-32-1 MLPs, softplus and linear."""
     rng = np.random.default_rng(20)
     for n_centers in (1, 37, 100, 333, 1000):
         for clamp in (True, False):
             model = GaussianBasisLinear(rng.normal(scale=2.0, size=(n_centers, 1)), bandwidth=0.9, clamp=clamp)
             model.params = rng.normal(size=n_centers)
             yield f"kernel-{n_centers}-clamp={clamp}", model
+    for dim in (2, 3, 5, 10):
+        model = GaussianBasisLinear(rng.normal(scale=2.0, size=(300, dim)), bandwidth=1.5, clamp=False)
+        model.params = rng.normal(size=300)
+        yield f"kernel-300-d={dim}", model
     for output in ("softplus", "linear"):
         yield f"mlp-{output}", mlp([10, 32, 32, 1], seed=6, output=output)
 
@@ -191,9 +213,8 @@ class TestBlockedPredict:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
     def test_scores_within_a_reordered_sum(self, dim):
-        """At any thread count, and for d > 1 even at one (each block's matrix product may
-        round a cell differently), a blocked score stays within 8 eps of |phi(x)| . |w|,
-        and so does each column of ``block_outputs``."""
+        """At any thread count a blocked score stays within 8 eps of |phi(x)| . |w|, and so
+        does each column of ``block_outputs``."""
         rng, theta_rng = np.random.default_rng(24 + dim), np.random.default_rng(34 + dim)
         for n_centers in (37, 333, 1001):
             model = GaussianBasisLinear(rng.normal(size=(n_centers, dim)), float(rng.uniform(0.3, 7.0)), clamp=False)

@@ -119,7 +119,8 @@ def _read_field(field, name, value):
     kind, default = field
     if value is None and default is None:
         return None
-    return READERS[kind](value, name, error=ConfigError)
+    x = READERS[kind](value, name, error=ConfigError)
+    return x + 0.0 if kind is float else x  # -0.0 becomes 0.0: one config, one hash
 
 
 def _check_out_dir(path) -> None:
@@ -298,17 +299,13 @@ def _load_adapted(path):
 
 def cmd_evaluate(args) -> int:
     _check_out_dir(args.out)
+    if (args.adapted is None) == (args.theta is None):
+        raise ConfigError("evaluate takes exactly one of --adapted and --theta")
+    if args.theta is not None and not np.isfinite(args.theta):
+        raise ConfigError(f"--theta must be finite, got {args.theta}")
     model = load_model(args.model)
     X, labels = load_csv(args.test, labeled=True)
-    if args.adapted:
-        adapted, theta = _load_adapted(args.adapted)
-    elif args.theta is not None:
-        adapted = None
-        theta = args.theta
-        if not np.isfinite(theta):
-            raise ConfigError(f"--theta must be finite, got {theta}")
-    else:
-        raise ConfigError("evaluate needs --adapted or --theta")
+    adapted, theta = (None, args.theta) if args.adapted is None else _load_adapted(args.adapted)
 
     scores = model.predict(X)
     preds = threshold_decisions(scores, theta)
@@ -323,7 +320,7 @@ def cmd_evaluate(args) -> int:
         "auc_ties_at_half": bool(pos.size and neg.size and ties_present(pos, neg)),
         "inputs": {"model": args.model, "test": args.test, "adapted": args.adapted},
     }
-    if adapted:
+    if adapted is not None:
         path = args.adapted
         pi_hat, c0 = adapted.get("pi_hat"), adapted.get("c0")
         doc["pi_hat"] = None if pi_hat is None else json_number(pi_hat, f"{path}: pi_hat", 0.0, 1.0)
@@ -364,8 +361,8 @@ def _adapt_arguments(ap) -> None:
 def _evaluate_arguments(ep) -> None:
     ep.add_argument("--model", required=True)
     ep.add_argument("--test", required=True, help="labeled test CSV, labels +1 or -1 in the last column")
-    ep.add_argument("--adapted", help="adapt output JSON")
-    ep.add_argument("--theta", type=float, help="explicit threshold (baselines use 0)")
+    ep.add_argument("--adapted", help="adapt output JSON; give it or --theta, not both")
+    ep.add_argument("--theta", type=float, help="explicit threshold instead of --adapted (baselines use 0)")
     ep.add_argument("--out", default="metrics.json")
 
 

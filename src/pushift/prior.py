@@ -1,11 +1,13 @@
 """Class-prior estimation by sweeping thresholds over a trained score.
 
-The estimator scans every thresholding h(x) = +1 iff r(x) >= theta and
-returns the smallest ratio of the unlabeled acceptance rate to the positive
+Over every thresholding h(x) = +1 iff r(x) >= theta, the estimator returns
+the smallest ratio of the unlabeled acceptance rate to the positive
 acceptance rate, restricted to thresholds whose positive acceptance rate
-clears a finite-sample confidence floor ``gamma_bar``.  Only the ordering of
-the scores matters, so any strictly increasing transform of r leaves the
-estimate unchanged.
+clears a finite-sample confidence floor ``gamma_bar``.  That minimum is
+always attained at -inf or at one of the B distinct positive scores, so the
+sweep evaluates only those B + 1 thresholds (``estimate_test_prior`` says why).
+Only the ordering of the scores matters, so any strictly increasing
+transform of r leaves the estimate unchanged.
 
 ``ThresholdIntervals`` is a lossless summary of the positive acceptance rate
 as a function of the threshold.  Shipping it (instead of the raw positive
@@ -99,8 +101,8 @@ class ThresholdIntervals:
 
     ``boundaries`` are the strictly increasing distinct score values attained
     on the positive set; ``accept_counts[i]`` is the number of positive
-    scores >= boundaries[i].  ``reconstruct`` recovers the acceptance rate of
-    any threshold exactly, so the summary is lossless for the sweep.
+    scores >= boundaries[i], and no positive score is accepted above the last
+    boundary, so the summary is lossless for the sweep.
     """
 
     boundaries: np.ndarray
@@ -127,13 +129,6 @@ class ThresholdIntervals:
             raise DataError("acceptance counts are inconsistent with n_pos")
         if not (0.0 < self.gamma < 1.0):
             raise DataError(f"gamma must be in (0, 1), got {self.gamma}")
-
-    def reconstruct(self, thresholds):
-        """Fraction of the positive set scoring >= each threshold."""
-        t = np.asarray(thresholds, dtype=float)
-        idx = np.searchsorted(self.boundaries, t, side="left")
-        counts = np.where(idx < self.boundaries.size, self.accept_counts[np.minimum(idx, self.boundaries.size - 1)], 0)
-        return counts / self.n_pos
 
     def to_dict(self) -> dict:
         return {
@@ -179,11 +174,12 @@ def build_intervals(r_pos, gamma: float = GAMMA) -> ThresholdIntervals:
 def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstimate:
     """Estimate a class-prior from unlabeled scores and a positive summary.
 
-    Threshold candidates are every attained score value plus sentinels; both
-    acceptance rates are step functions with breakpoints there, so the
-    infimum over all real thresholds is attained on this finite set.  The
-    positive acceptance rate is read from ``intervals``, so the raw positive
-    scores are not needed.
+    The candidates are -inf and the B positive boundaries b_1 < ... < b_B.
+    Nothing else can win: on (b_i, b_{i+1}] the positive rate is constant
+    and the unlabeled rate falls as the threshold rises, and a test score
+    strictly inside counts itself, so its ratio is above the one at b_{i+1};
+    above b_B the positive rate is 0, never admissible.  The positive rate
+    is read from ``intervals``, so the raw positive scores are not needed.
     """
     ru = np.sort(np.asarray(r_test_unl, dtype=float).reshape(-1))
     if ru.size == 0:
@@ -195,14 +191,12 @@ def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstim
     if gbar >= 1.0:
         raise DegeneratePriorError(gbar, n_pos, ru.size)
 
-    thresholds = np.concatenate(
-        ([-np.inf], np.unique(np.concatenate((intervals.boundaries, ru))), [np.inf])
-    )
-    p_plus = intervals.reconstruct(thresholds)
-    admissible = p_plus > gbar  # never empty: the -inf sentinel has p_plus = 1 > gbar
-    p_unl = (ru.size - np.searchsorted(ru, thresholds, side="left")) / ru.size
-    ratios = np.full_like(p_plus, np.inf)
-    np.divide(p_unl, p_plus, out=ratios, where=admissible)
+    thresholds = np.concatenate(([-np.inf], intervals.boundaries))
+    p_plus = np.concatenate(([n_pos], intervals.accept_counts)) / n_pos
+    # The counts fall strictly, so the admissible candidates are a prefix; never empty: -inf has p_plus = 1 > gbar.
+    m = int(np.count_nonzero(p_plus > gbar))
+    p_unl = (ru.size - np.searchsorted(ru, thresholds[:m], side="left")) / ru.size
+    ratios = p_unl / p_plus[:m]
     k = int(np.argmin(ratios))
     raw = float(ratios[k])
     return PriorEstimate(

@@ -261,6 +261,17 @@ class TestTrain:
         assert a["config_hash"] == b["config_hash"]
         assert a["config"]["alpha"] == 0.0 and isinstance(a["config"]["alpha"], float)
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--l2-reg"])
+    def test_negative_zero_hashes_like_zero(self, dataset_dir, tmp_path, flag):
+        """-0.0 trains the model that 0 trains, so both are read as 0.0 and share one config hash."""
+        base = ["train", "--data", str(dataset_dir), "--epochs", "20"]
+        for run, value in (("neg", "-0.0"), ("zero", "0")):
+            assert main(base + [flag, value, "--out", str(tmp_path / run)]) == 0
+        neg, zero = (tmp_path / run / "report.json" for run in ("neg", "zero"))
+        assert read_json(neg)["config_hash"] == read_json(zero)["config_hash"]
+        if flag == "--alpha":  # 0 is alpha's default, so this is the README run
+            assert read_json(neg)["config_hash"] == "85d3d34d74df"
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "method, field, value",
@@ -870,6 +881,22 @@ class TestEvaluate:
         ])
         assert code == 2
 
+
+    def test_both_threshold_sources_refused(self, dataset_dir, trained_run, tmp_path, capsys):
+        """With --adapted and --theta, one of them would be ignored without a word."""
+        adapted, metrics = tmp_path / "adapted.json", tmp_path / "m.json"
+        assert main([
+            "adapt", "--model", str(trained_run / "model.json"),
+            "--intervals", str(trained_run / "intervals.json"),
+            "--test", str(dataset_dir / "test_unl.csv"),
+            "--report", str(trained_run / "report.json"), "--out", str(adapted),
+        ]) == 0
+        code = main([
+            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted), "--theta", "0.01",
+            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
+        ])
+        assert (code, metrics.exists()) == (2, False)
+        assert "exactly one of --adapted and --theta" in capsys.readouterr().err
 
 @pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])
 def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, capsys, command):

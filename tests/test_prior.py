@@ -130,28 +130,24 @@ class TestEstimatePrior:
 class TestThresholdIntervals:
     def test_small_example(self):
         iv = build_intervals([0.2, 0.5, 0.9])
-        assert iv.reconstruct(0.5) == pytest.approx(2 / 3)
-        assert iv.reconstruct(0.1) == 1.0
-        assert iv.reconstruct(1.5) == 0.0
+        assert iv.boundaries.tolist() == [0.2, 0.5, 0.9]
+        assert iv.accept_counts.tolist() == [3, 2, 1] and iv.n_pos == 3
 
-    def test_reconstruct_matches_direct_counts(self):
+    def test_accept_counts_match_direct_counts(self):
         rng = np.random.default_rng(3)
         r_pos = np.round(rng.uniform(0, 4, 500), 2)
         iv = build_intervals(r_pos)
-        thetas = rng.uniform(-1, 5, 1000)
-        direct = np.array([(r_pos >= t).mean() for t in thetas])
-        np.testing.assert_array_equal(iv.reconstruct(thetas), direct)
+        np.testing.assert_array_equal(iv.boundaries, np.unique(r_pos))
+        direct = np.array([(r_pos >= b).sum() for b in iv.boundaries])
+        np.testing.assert_array_equal(iv.accept_counts, direct)
 
     def test_nonincreasing_and_spans_all_levels(self):
-        """With distinct scores the step function hits every k/n level."""
+        """With distinct scores the counts fall by one per boundary, so every k/n level is hit (0 above the last)."""
         rng = np.random.default_rng(8)
         r_pos = rng.uniform(0, 5, 60)  # continuous draw: distinct w.p. 1
         iv = build_intervals(r_pos)
-        grid = np.concatenate(([-1.0], np.sort(r_pos), [6.0]))
-        values = iv.reconstruct(grid)
-        assert np.all(np.diff(values) <= 0)
-        attained = set(np.round(values * 60).astype(int).tolist())
-        assert attained == set(range(61))
+        assert np.all(np.diff(iv.accept_counts) < 0)
+        assert iv.accept_counts.tolist() == list(range(60, 0, -1))
 
     def test_round_trip(self, tmp_path):
         iv = build_intervals(np.random.default_rng(4).uniform(0, 1, 100), gamma=0.8)
@@ -298,11 +294,22 @@ class TestSweepProperties:
         assert moved.value == base.value
 
     @SWEEP_SETTINGS
-    @given(r=arrays(np.float64, st.integers(1, 80), elements=any_scores),
-           thresholds=arrays(np.float64, st.integers(1, 40), elements=any_scores))
-    def test_reconstruct_equals_acceptance_rate(self, r, thresholds):
-        direct = (r[:, None] >= thresholds[None, :]).sum(axis=0) / r.size
-        np.testing.assert_array_equal(build_intervals(r).reconstruct(thresholds), direct)
+    @given(r=arrays(np.float64, st.integers(1, 80), elements=any_scores))
+    def test_accept_counts_equal_acceptance_rate(self, r):
+        iv = build_intervals(r)
+        direct = (r[:, None] >= iv.boundaries[None, :]).sum(axis=0)
+        np.testing.assert_array_equal(iv.accept_counts, direct)
+        assert iv.accept_counts[0] == r.size and np.all(np.diff(iv.accept_counts) < 0)
+
+    @SWEEP_SETTINGS
+    @given(r_pos=st.one_of(score_arrays, grid_arrays), r_unl=st.one_of(score_arrays, grid_arrays))
+    def test_argmin_is_sentinel_or_boundary(self, r_pos, r_unl):
+        """The exhaustive oracle's first argmin, over every attained value, is one the sweep tries."""
+        iv = build_intervals(r_pos)
+        est = estimate_test_prior(iv, r_unl)
+        _, arg = brute_force_prior_sweep(r_pos, r_unl, est.gamma_bar)
+        for threshold in (est.argmin_threshold, arg):
+            assert threshold == -np.inf or threshold in iv.boundaries
 
     @SWEEP_SETTINGS
     @given(r=arrays(np.float64, st.integers(1, 80), elements=any_scores),

@@ -1,6 +1,7 @@
 """Every name that ``pushift`` exports, and every public function, method and
 property that its modules define, is used by the package, a demo or the
-benchmark, and only ``errors.py`` decodes or writes JSON.
+benchmark; every ``<module>.<name>`` the benchmark reaches exists; and only
+``errors.py`` decodes or writes JSON.
 
 A use is the name as a code token (not in a string, comment or docstring) in
 ``src/pushift/*.py``, ``demos/*.py`` or ``bench/*.py``.  The package's
@@ -8,6 +9,7 @@ A use is the name as a code token (not in a string, comment or docstring) in
 do not count, so a function that only its unit tests call is flagged.
 """
 
+import ast
 import importlib
 import inspect
 import io
@@ -69,6 +71,34 @@ def test_every_export_has_a_caller():
 def test_every_public_function_and_method_has_a_caller():
     used = used_anywhere()
     assert sorted(qual for qual, name in defined_callables() if name not in used) == []
+
+
+def bench_references():
+    """``(module, name)`` for each ``module.name`` in ``bench/*.py`` whose module came from ``from pushift import``."""
+    refs = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "pushift"
+            for alias in node.names
+        }
+        refs.update(
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        )
+    return refs
+
+
+def test_every_name_the_benchmark_reaches_exists():
+    """A removal the benchmark still calls fails here rather than in a benchmark run."""
+    refs = bench_references()
+    assert refs
+    missing = [f"{mod}.{name}" for mod, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"pushift.{mod}"), name)]
+    assert missing == []
 
 
 def test_json_is_read_and_written_only_in_errors():

@@ -13,7 +13,9 @@ rows the model consumes (kernel features, or the checked inputs for the
 MLP), and ``forward(Z)`` returns the predictions on encoded rows together
 with a ``backward(w)`` function that gives sum_i w_i * d r(x_i) / d theta
 from that same forward pass.  The training loop encodes each training split
-once and calls ``forward`` once per mini-batch side.  ``RatioModel`` owns the
+once, into ``train_rows`` in the class's ``TRAIN_DTYPE`` (float32 for the
+kernel model, whose step products then run in float32 and return float64),
+and calls ``forward`` once per mini-batch side.  ``RatioModel`` owns the
 flat parameter vector; each family's forward pass takes the vector as an
 argument, so ``outputs(Z, thetas)`` scores encoded rows under several
 parameter vectors at once without assigning ``params``.  ``predict`` and
@@ -44,10 +46,32 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Rows ``predict`` and ``block_outputs`` encode and score at a time, so no rows x centers
-# matrix is built.  The last block takes the remainder: a short tail block would take
+# Rows ``predict``, ``block_outputs`` and ``train_rows`` encode at a time, so no float64 rows x
+# centers matrix is built.  The last block takes the remainder: a short tail block would take
 # BLAS's matrix-vector tail path and could move the last bit of its scores.
 SCORE_ROWS = 1024
+
+
+def _in_row_blocks(X, score, dtype=float):
+    """``score(X[s:e])`` stacked in ``dtype`` over blocks with edges at multiples of ``SCORE_ROWS``; ``X[:0]`` shapes it."""
+    edges = [i * SCORE_ROWS for i in range(max(1, len(X) // SCORE_ROWS))] + [len(X)]
+    out = np.empty((len(X), *score(X[:0]).shape[1:]), dtype)
+    for s, e in zip(edges[:-1], edges[1:]):
+        out[s:e] = score(X[s:e])
+    return out
+
+
+def _product(A, v):
+    """``A @ v`` in ``A``'s dtype, as float64.  A float32 ``A`` takes ``v`` cast to float32; a ``v`` reaching 2**64 is
+    scaled below 1 by a power of two and the product scaled back, exact, so no float32 cast or sum of |A| <= 1 overflows."""
+    if A.dtype == v.dtype:
+        return A @ v
+    top = np.abs(v).max(initial=0.0)
+    if not top >= 2.0**64:  # NaN too: the plain cast keeps it
+        return (A @ v.astype(A.dtype)).astype(float)
+    e = int(np.frexp(top)[1])
+    with np.errstate(over="ignore"):  # beyond float64, as the float64 product would be
+        return np.ldexp((A @ np.ldexp(v, -e).astype(A.dtype)).astype(float), e)
 
 
 def expit(x):
@@ -70,6 +94,7 @@ class RatioModel:
     kind = "abstract"
     # Epochs the training loop scores per ``outputs`` call.
     SCORE_BLOCK = 16
+    TRAIN_DTYPE = np.float64  # of the encoded training copy that steps gather from
 
     def __init__(self, dim_in: int, params):
         self.dim_in = dim_in
@@ -117,20 +142,15 @@ class RatioModel:
 
     def predict(self, X) -> np.ndarray:
         """``forward(encode(X))[0]``, encoded and scored ``SCORE_ROWS`` rows at a time."""
-        return self._in_row_blocks(X, lambda Z: self.forward(Z)[0])
+        return _in_row_blocks(self._check_dim(X), lambda X: self.forward(self.encode(X))[0])
 
     def block_outputs(self, X, thetas) -> np.ndarray:
         """``outputs(encode(X), thetas)``, encoded and scored ``SCORE_ROWS`` rows at a time."""
-        return self._in_row_blocks(X, lambda Z: self.outputs(Z, thetas), thetas.shape[1])
+        return _in_row_blocks(self._check_dim(X), lambda X: self.outputs(self.encode(X), thetas))
 
-    def _in_row_blocks(self, X, score, *columns):
-        """``score(encode(X[s:e]))`` stacked over row blocks whose edges sit at multiples of ``SCORE_ROWS``."""
-        X = self._check_dim(X)
-        edges = [i * SCORE_ROWS for i in range(max(1, len(X) // SCORE_ROWS))] + [len(X)]
-        out = np.empty((len(X), *columns))
-        for s, e in zip(edges[:-1], edges[1:]):
-            out[s:e] = score(self.encode(X[s:e]))
-        return out
+    def train_rows(self, X) -> np.ndarray:
+        """``encode(X).astype(TRAIN_DTYPE)``, encoded ``SCORE_ROWS`` rows at a time: the rows training steps gather."""
+        return _in_row_blocks(self._check_dim(X), self.encode, self.TRAIN_DTYPE)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -162,6 +182,7 @@ class GaussianBasisLinear(RatioModel):
     # many epochs share its block, and so on the run's length.  64 columns
     # amortise re-encoding the validation split at every block.
     SCORE_BLOCK = 64
+    TRAIN_DTYPE = np.float32  # features lie in [0, 1]; a step gathers half the bytes
 
     def __init__(self, centers, bandwidth: float = 1.0, clamp: bool = True, params=None):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -194,22 +215,23 @@ class GaussianBasisLinear(RatioModel):
         return self.features(X)
 
     def _forward(self, phi, theta):
-        raw = phi @ theta
+        raw = _product(phi, theta)
 
         def backward(weights):
             w = np.asarray(weights, dtype=float)
             if self.clamp:
                 w = w * (raw >= 0)
-            return phi.T @ w
+            return _product(phi.T, w)
 
         return (np.maximum(raw, 0.0) if self.clamp else raw), backward
 
     def outputs(self, phi, thetas) -> np.ndarray:
-        """One matrix product for every parameter column, zero-padded to ``SCORE_BLOCK`` columns, then the clamp."""
+        """Per ``SCORE_ROWS`` rows, upcast to float64, one product for every parameter column, zero-padded to
+        ``SCORE_BLOCK`` columns; then the clamp."""
         n = thetas.shape[1]
         padded = np.zeros((thetas.shape[0], max(n, self.SCORE_BLOCK)))
         padded[:, :n] = thetas
-        out = (phi @ padded)[:, :n]
+        out = _in_row_blocks(phi, lambda Z: (Z.astype(float, copy=False) @ padded)[:, :n])
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
     def to_dict(self) -> dict:

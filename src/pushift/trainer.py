@@ -13,11 +13,15 @@ plain objective on validation.  For the ratio objective that value contains
 neither the class-prior nor the correction strength, so it needs no labels
 and no prior knowledge.
 
+Steps gather rows from each training split encoded once in the model's
+``TRAIN_DTYPE`` (``train_rows``: float32 for the kernel model, float64 for
+MLPs); parameters, the Adam state and every objective stay float64.
+
 Each epoch's train and validation objectives are scored on the whole
 splits.  The loop keeps every epoch's parameter vector and scores a block of
 ``model.SCORE_BLOCK`` epochs (and the remainder at the end) with one call
-per split; for the kernel model that is one matrix product of
-``SCORE_BLOCK`` columns, zero-padded for a shorter block, instead of one
+per split; for the kernel model that is one matrix product per ``SCORE_ROWS``
+rows of ``SCORE_BLOCK`` columns, zero-padded for a shorter block, not one
 matrix-vector product per epoch.  The validation split is encoded again at
 each block, ``SCORE_ROWS`` rows at a time (``block_outputs``), so its kernel
 features are never held.  Training steps, the selected epoch, its parameters
@@ -169,9 +173,8 @@ def train(model, data, objective, cfg: TrainConfig):
     best_val = np.inf
     best_params = model.params.copy()
 
-    # Every step gathers rows of the training splits, so they are encoded once
-    # (for kernel models this is the whole feature expansion).
-    tr_pos, tr_unl = model.encode(tr.positives), model.encode(tr.unlabeled)
+    # Every step gathers rows of the training splits, so they are encoded once, into the model's TRAIN_DTYPE.
+    tr_pos, tr_unl = model.train_rows(tr.positives), model.train_rows(tr.unlabeled)
     snapshots = []  # parameters of the epochs not scored yet
 
     for epoch in range(cfg.epochs):

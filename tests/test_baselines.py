@@ -165,8 +165,11 @@ class TestTrainBaseline:
         snapshots = []
         for _ in range(cfg.epochs):
             for pos_idx, unl_idx in _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size):
-                xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
-                gp, gu = ref.predict(xp), ref.predict(xu)
+                # steps read the rows training gathers from: the encoding in the model's TRAIN_DTYPE
+                (gp, back_pos), (gu, back_unl) = (
+                    ref.forward(ref.encode(x).astype(ref.TRAIN_DTYPE))
+                    for x in (tr.positives[pos_idx], tr.unlabeled[unl_idx])
+                )
                 bracket = np.mean(loss.loss(-1, gu)) - prior * np.mean(loss.loss(-1, gp))
                 if bracket >= 0:
                     w_pos = prior * (loss.dloss_dv(1, gp) - loss.dloss_dv(-1, gp)) / gp.size
@@ -174,7 +177,7 @@ class TestTrainBaseline:
                 else:
                     w_pos = prior * loss.dloss_dv(-1, gp) / gp.size
                     w_unl = -loss.dloss_dv(-1, gu) / gu.size
-                grad = ref.forward(ref.encode(xp))[1](w_pos) + ref.forward(ref.encode(xu))[1](w_unl)
+                grad = back_pos(w_pos) + back_unl(w_unl)
                 grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
             snapshots.append(ref.params.copy())

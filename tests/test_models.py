@@ -297,6 +297,39 @@ class TestFusedForward:
         np.testing.assert_array_equal(backward(w), phi.T @ w)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e39, 1e308])
+    def test_float32_rows_take_a_scaled_cast(self, scale):
+        """On float32 rows the products run in float32 and return float64.  Parameters or weights beyond
+        float32's range neither overflow nor warn, and stay within float32 rounding of the float64 product."""
+        rng = np.random.default_rng(15)
+        model = GaussianBasisLinear(rng.normal(size=(300, 2)), bandwidth=0.7, clamp=False)
+        phi = model.encode(rng.normal(scale=1.5, size=(200, 2))).astype(np.float32)
+        phi64 = phi.astype(float)
+        eps = np.finfo(np.float32).eps
+        # parameters near 1e39 (a plain float32 cast gives inf); weights up to 1e308 with a small tail
+        model.params = rng.uniform(-1.0, 1.0, size=300) * 1e39
+        w = np.concatenate([[scale], rng.uniform(-1.0, 1.0, size=199) * scale * 1e-8])
+        out, backward = model.forward(phi)
+        for got, want, bound in (
+            (out, phi64 @ model.params, 300 * eps * (phi64 @ np.abs(model.params))),
+            (backward(w), phi64.T @ w, 200 * eps * (phi64.T @ np.abs(w))),
+        ):
+            assert got.dtype == np.float64 and np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_float32_rows_in_range_equal_the_plain_cast(self):
+        """For |v| <= 1 the scaled product is the unscaled float32 product, bit for bit."""
+        rng = np.random.default_rng(16)
+        model = GaussianBasisLinear(rng.normal(size=(300, 2)), bandwidth=0.7, clamp=False)
+        phi = model.encode(rng.normal(scale=1.5, size=(200, 2))).astype(np.float32)
+        model.params = rng.uniform(-1.0, 1.0, size=300)
+        w = rng.uniform(-1.0, 1.0, size=200)
+        out, backward = model.forward(phi)
+        np.testing.assert_array_equal(out, (phi @ model.params.astype(np.float32)).astype(float))
+        np.testing.assert_array_equal(backward(w), (phi.T @ w.astype(np.float32)).astype(float))
+
+
 class TestMLP:
     def test_parameter_count(self):
         assert mlp([1, 8, 1]).n_params == 1 * 8 + 8 + 8 * 1 + 1

@@ -143,8 +143,8 @@ class TestTrain:
         for _ in range(cfg.epochs):
             for pos_idx, unl_idx in _epoch_batches(rng, tr.n_pos, tr.n_unl, cfg.batch_size):
                 xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
-                rp, back_pos = ref.forward(ref.encode(xp))
-                ru, back_unl = ref.forward(ref.encode(xu))
+                rp, back_pos = ref.forward(ref.encode(xp).astype(ref.TRAIN_DTYPE))
+                ru, back_unl = ref.forward(ref.encode(xu).astype(ref.TRAIN_DTYPE))
                 grad = back_pos(-LSIF.f_prime2(rp) / rp.size) + back_unl(ru * LSIF.f_prime2(ru) / ru.size)
                 grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
@@ -211,16 +211,18 @@ class TestTrain:
 def reference_train(model, data, objective, cfg, block=1):
     """One loop that holds every encoded split and scores every ``block`` epochs on the whole splits.
 
-    With ``block`` 1 each epoch is scored with ``forward`` right after its
-    steps; otherwise each block of epochs (and the remainder at the end) with
-    one ``outputs`` call per encoded split.
+    Steps gather from ``encode(X).astype(model.TRAIN_DTYPE)`` of each training
+    split, and the training objective is scored on the float64 upcast of that
+    copy.  With ``block`` 1 each epoch is scored with ``forward`` right after
+    its steps; otherwise each block of epochs (and the remainder at the end)
+    with one ``outputs`` call per encoded split.
     """
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
     report, best_val, best_params = TrainReport(), np.inf, model.params.copy()
     tr, va = data.train, data.val
-    splits = [model.encode(X) for X in (tr.positives, tr.unlabeled, va.positives, va.unlabeled)]
-    tr_pos, tr_unl = splits[:2]
+    tr_pos, tr_unl = (model.encode(X).astype(model.TRAIN_DTYPE) for X in (tr.positives, tr.unlabeled))
+    splits = [tr_pos.astype(float), tr_unl.astype(float), model.encode(va.positives), model.encode(va.unlabeled)]
     snapshots = []
     for epoch in range(cfg.epochs):
         n_corrected = 0
@@ -418,6 +420,44 @@ class TestBlockScoring:
             tracemalloc.stop()
         # holding the encoded validation split alone would take 5120 * cell
         assert peak < train_features + 2 * SCORE_ROWS * cell + block_outputs
+
+
+class TestTrainingCopy:
+    """Training steps gather from ``train_rows``: the encoded training splits in the model's ``TRAIN_DTYPE``."""
+
+    @pytest.mark.parametrize("n", [1, SCORE_ROWS - 1, SCORE_ROWS, SCORE_ROWS + 1, 2 * SCORE_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["kernel", "mlp"])
+    def test_train_rows_equal_the_cast_encoding(self, kind, n):
+        rng = np.random.default_rng(n)
+        model = GaussianBasisLinear(rng.normal(size=(50, 3)), 1.3) if kind == "kernel" else mlp([3, 4, 1])
+        X = rng.normal(size=(n, 3))
+        rows, want = model.train_rows(X), model.encode(X).astype(model.TRAIN_DTYPE)
+        assert rows.dtype == want.dtype == (np.float32 if kind == "kernel" else np.float64)
+        np.testing.assert_array_equal(rows, want)
+
+    @pytest.mark.parametrize("kind", ["kernel", "mlp"])
+    def test_steps_read_the_train_dtype(self, kind, monkeypatch):
+        """Kernel steps read float32 rows, MLP steps float64."""
+        split = small_split()
+        model = GaussianBasisLinear(split.train.unlabeled) if kind == "kernel" else mlp([1, 8, 1], seed=2)
+        seen, forward = set(), RatioModel.forward
+        monkeypatch.setattr(RatioModel, "forward", lambda self, Z: seen.add(Z.dtype) or forward(self, Z))
+        cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=1e-3, seed=0)
+        train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        assert seen == {np.dtype(model.TRAIN_DTYPE)} == {np.dtype(np.float32 if kind == "kernel" else np.float64)}
+
+    def test_unlabeled_features_are_never_held_in_float64(self):
+        """6000 unlabeled training rows x 1000 centers would take 48 MB in float64; ``train`` peaks below that."""
+        split = SplitDataset(train=synth_case1(200, 6000, 0.4, 0), val=synth_case1(50, 200, 0.4, 1))
+        centers = split.train.unlabeled[:1000]
+        cfg = TrainConfig(epochs=1, batch_size=500, learning_rate=1e-3, seed=0)
+        tracemalloc.start()
+        try:
+            train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6000 * len(centers) * 8
 
 
 def _held_validation_runs(dim):

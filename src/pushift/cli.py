@@ -1,17 +1,19 @@
 """Experiment command line: synth, train, adapt, evaluate, verify-theory.
 
 Every run is described by a JSON config document; command-line flags
-override config fields (flag > config > default).  Each output JSON embeds
-the effective config hash and the seed, so reruns with the same hash are
-byte-identical on the numeric fields at a fixed BLAS thread count.
+override config fields (flag > config > default).  Every output JSON but
+the ``verify-theory`` report carries the run identity, the effective config
+hash and the seed, so reruns with the same hash are byte-identical on the
+numeric fields at a fixed BLAS thread count.  ``adapt`` and ``evaluate``
+refuse inputs whose identities differ (exit 3).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
 5 degenerate prior estimation.
 
 ``adapt`` deliberately accepts only the model file, the intervals file, the
-training report (the one source of pi_hat, the seed and the config hash) and
-the test-time unlabeled data: threshold adaptation never touches training
-data, which is the point of shipping the interval summary.
+training report (the one source of pi_hat) and the test-time unlabeled
+data: threshold adaptation never touches training data, which is the point
+of shipping the interval summary.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
 from .metrics import accuracy, auc, error_rate, ties_present
-from .models import GaussianBasisLinear, load_model, save_model
+from .models import GaussianBasisLinear, model_from_dict
 from .prior import GAMMA, ThresholdIntervals
 from .theory import run_all
 from .trainer import TrainConfig
@@ -218,55 +220,52 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    chash = _config_hash(cfg)
-    report = {"config": cfg, "config_hash": chash, "seed": seed, "method": method}
+    identity = {"seed": seed, "config_hash": _config_hash(cfg)}
+    report = {"config": cfg, **identity}
 
     if method == "drpu":
         gen = generator_by_name(cfg["generator"])
         fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], max_centers=cfg["max_centers"], bandwidth=cfg["bandwidth"])
         model, trep = fit.model, fit.report
-        fit.intervals.save(os.path.join(out, "intervals.json"))
-        report.update(pi_hat=fit.pi_hat.to_dict(), gamma=cfg["gamma"])
+        write_json(os.path.join(out, "intervals.json"), {**fit.intervals.to_dict(), **identity})
+        report["pi_hat"] = fit.pi_hat.to_dict()
         summary = f"pi_hat={fit.pi_hat.value:.4f}"
     else:
         centers = kernel_centers(split, seed, cfg["max_centers"])
         model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=False)
         model, trep = train_baseline(method, loss(), prior, model, split, tcfg)
-        report.update(prior=prior, prior_source="user-supplied")
         summary = f"prior={prior}"
 
-    save_model(model, os.path.join(out, "model.json"))
+    write_json(os.path.join(out, "model.json"), {**model.to_dict(), **identity})
     report["train_report"] = trep.to_dict()
     _write_trace_csv(os.path.join(out, "trace.csv"), trep)
     write_json(os.path.join(out, "report.json"), report, indent=1)
-    print(f"train[{method}]: {summary} best_epoch={trep.best_epoch} hash={chash}")
+    print(f"train[{method}]: {summary} best_epoch={trep.best_epoch} hash={identity['config_hash']}")
     return EXIT_OK
 
 
 def cmd_adapt(args) -> int:
     _check_out_dir(args.out)
-    model = load_model(args.model)
-    intervals = ThresholdIntervals.load(args.intervals)
-    X, _ = load_csv(args.test, labeled=False)
+    model_doc, intervals_doc = read_json(args.model), read_json(args.intervals)
+    model, intervals = model_from_dict(model_doc), ThresholdIntervals.from_dict(intervals_doc)
     report = json_object(read_json(args.report), args.report)
     if "pi_hat" not in report:
         raise ConfigError(f"{args.report} has no pi_hat field: adapt needs the report of a drpu training run")
-    pi_hat = _estimate_value(report, "pi_hat", args.report)
-    cost = args.cost
-    _validate_prior("cost", cost)
+    estimate = json_object(report["pi_hat"], f"{args.report}: pi_hat")
+    pi_hat = json_number(estimate.get("value"), f"{args.report}: pi_hat value", 0.0, 1.0)
+    identity = _run_identity((args.model, model_doc), (args.intervals, intervals_doc), (args.report, report))
+    _validate_prior("cost", args.cost)
+    X, _ = load_csv(args.test, labeled=False)
 
-    adapted = adapt_threshold(model, intervals, X, pi_hat, cost=cost)
+    adapted = adapt_threshold(model, intervals, X, pi_hat, cost=args.cost)
     doc = {
         "pi_hat": pi_hat,
         "pi_prime": adapted.pi_prime.to_dict(),
         "c0": adapted.c0,
         "theta": adapted.theta,
-        "cost": cost,
-        "gamma": intervals.gamma,
-        "gamma_bar": adapted.pi_prime.gamma_bar,
-        "n_test": X.shape[0],
-        "inputs": {"model": args.model, "intervals": args.intervals, "test": args.test},
-        **_run_identity(report, args.report),
+        "cost": args.cost,
+        "inputs": {"model": args.model, "intervals": args.intervals, "report": args.report, "test": args.test},
+        **identity,
     }
     write_json(args.out, doc, indent=1)
     print(
@@ -276,25 +275,24 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _estimate_value(doc, key, path) -> float:
-    """The ``value`` of the prior estimate document ``doc[key]``, a number in [0, 1]."""
-    est = json_object(doc[key], f"{path}: {key}")
-    return json_number(est.get("value"), f"{path}: {key} value", 0.0, 1.0)
+def _run_identity(*sources) -> dict:
+    """The ``seed`` and ``config_hash`` that the ``(path, document)`` sources agree on, each null when none has one.
 
-
-def _run_identity(doc, path) -> dict:
-    """The ``seed`` (an integer) and ``config_hash`` (a string) that ``doc`` passes on; either may be null."""
-    seed, chash = doc.get("seed"), doc.get("config_hash")
-    return {
-        "seed": None if seed is None else json_int(seed, f"{path}: seed"),
-        "config_hash": None if chash is None else json_str(chash, f"{path}: config_hash"),
-    }
-
-
-def _load_adapted(path):
-    """The ``adapt`` output document and its threshold, which must be finite."""
-    doc = json_object(read_json(path), path)
-    return doc, json_number(doc.get("theta"), f"{path}: theta")
+    A document without ``config_hash`` has no identity; ``save_model`` and ``ThresholdIntervals.save`` write
+    such files.  Two different identities raise DataError naming both.
+    """
+    found = {}
+    for path, doc in sources:
+        if "config_hash" in doc:
+            seed, chash = doc.get("seed"), doc["config_hash"]
+            seed = None if seed is None else json_int(seed, f"{path}: seed")
+            chash = None if chash is None else json_str(chash, f"{path}: config_hash")
+            found.setdefault((seed, chash), path)
+    if len(found) > 1:
+        runs = ", ".join(f"{path} has config_hash {chash} and seed {seed}" for (seed, chash), path in found.items())
+        raise DataError(f"inputs come from different runs: {runs}")
+    seed, chash = next(iter(found), (None, None))
+    return {"seed": seed, "config_hash": chash}
 
 
 def cmd_evaluate(args) -> int:
@@ -303,9 +301,14 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate takes exactly one of --adapted and --theta")
     if args.theta is not None and not np.isfinite(args.theta):
         raise ConfigError(f"--theta must be finite, got {args.theta}")
-    model = load_model(args.model)
+    model_doc = read_json(args.model)
+    model, sources, theta = model_from_dict(model_doc), [(args.model, model_doc)], args.theta
+    if args.adapted is not None:
+        adapted = json_object(read_json(args.adapted), args.adapted)
+        theta = json_number(adapted.get("theta"), f"{args.adapted}: theta")
+        sources.append((args.adapted, adapted))
+    identity = _run_identity(*sources)
     X, labels = load_csv(args.test, labeled=True)
-    adapted, theta = (None, args.theta) if args.adapted is None else _load_adapted(args.adapted)
 
     scores = model.predict(X)
     preds = threshold_decisions(scores, theta)
@@ -319,14 +322,8 @@ def cmd_evaluate(args) -> int:
         # ties count 1/2 in the AUC; flag rows where that convention engaged
         "auc_ties_at_half": bool(pos.size and neg.size and ties_present(pos, neg)),
         "inputs": {"model": args.model, "test": args.test, "adapted": args.adapted},
+        **identity,
     }
-    if adapted is not None:
-        path = args.adapted
-        pi_hat, c0 = adapted.get("pi_hat"), adapted.get("c0")
-        doc["pi_hat"] = None if pi_hat is None else json_number(pi_hat, f"{path}: pi_hat", 0.0, 1.0)
-        doc["pi_prime"] = _estimate_value(adapted, "pi_prime", path) if "pi_prime" in adapted else None
-        doc["c0"] = None if c0 is None else json_number(c0, f"{path}: c0")
-        doc.update(_run_identity(adapted, path))
     if X.shape[1] == 1:
         boundary = decision_boundary_1d(model.predict, theta)
         doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing
@@ -354,7 +351,7 @@ def _adapt_arguments(ap) -> None:
     ap.add_argument("--intervals", required=True)
     ap.add_argument("--test", required=True, help="unlabeled test CSV")
     ap.add_argument("--cost", type=float, default=0.5)
-    ap.add_argument("--report", required=True, help="drpu training report JSON: supplies pi_hat, seed and config_hash")
+    ap.add_argument("--report", required=True, help="drpu training report JSON: supplies pi_hat")
     ap.add_argument("--out", default="adapted.json")
 
 

@@ -192,8 +192,10 @@ def synth_gaussian_pair(dim: int, n_pos: int, n_unl: int, prior: float, seed) ->
 
 
 def save_csv(path, X, labels=None) -> None:
-    """Write a numeric CSV; labels, when given, become the last column."""
+    """Write a numeric CSV; labels, when given, one per row of ``X``, become the last column."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if labels is not None and len(labels) != X.shape[0]:
+        raise DataError(f"{len(labels)} labels for {X.shape[0]} rows")
     with open(path, "w") as fh:
         for i in range(0, X.shape[0], 4096):  # format 4096 rows at a time, so memory stays bounded
             rows = [",".join(map(repr, row)) for row in X[i : i + 4096].tolist()]
@@ -216,7 +218,7 @@ def load_csv(path, labeled: bool):
     digits), so both parsers give the same array or the same error.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is encoding, not data
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -9,8 +9,8 @@ import pytest
 from _helpers import RAW_1E400, read_json, replaced, write_doc
 from pushift import experiments
 from pushift.cli import COMMANDS, build_parser, main
-from pushift.models import mlp, save_model
-from pushift.prior import build_intervals
+from pushift.models import load_model, mlp, save_model
+from pushift.prior import ThresholdIntervals, build_intervals
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ class TestSynth:
 class TestTrain:
     def test_report_contents(self, trained_run):
         report = read_json(trained_run / "report.json")
-        assert report["method"] == "drpu"
+        assert report["config"]["method"] == "drpu"
         assert 0.0 <= report["pi_hat"]["value"] <= 1.0
         assert len(report["train_report"]["val_objective"]) == 40
         assert report["seed"] == 5 and report["config_hash"]
@@ -316,8 +316,6 @@ class TestTrain:
             "--epochs", "5", "--batch-size", "80", "--learning-rate", "1e-3",
         ])
         assert code == 0
-        report = read_json(out / "report.json")
-        assert report["prior_source"] == "user-supplied"
 
 
 class TestAdapt:
@@ -489,7 +487,7 @@ class TestAdapt:
             "--out", str(run / "adapted.json"),
         ])
         assert code == 0
-        assert read_json(run / "adapted.json")["n_test"] == 400
+        assert read_json(run / "adapted.json")["pi_prime"]["n_unl_used"] == 400
 
     def test_isolated_adapt_matches_in_process_raw_scores(
         self, dataset_dir, trained_run, tmp_path
@@ -516,7 +514,7 @@ class TestAdapt:
         val_pos, _ = load_csv(dataset_dir / "val_pos.csv", labeled=False)
         test_unl, _ = load_csv(dataset_dir / "test_unl.csv", labeled=False)
         report = read_json(trained_run / "report.json")
-        intervals = build_intervals(model.predict(val_pos), gamma=report["gamma"])
+        intervals = build_intervals(model.predict(val_pos), gamma=report["config"]["gamma"])
         pi_prime = estimate_test_prior(intervals, model.predict(test_unl))
         pi_hat = report["pi_hat"]["value"]
         _, theta = cost_threshold(ShiftSpec(pi_hat, pi_prime.value, 0.5))
@@ -759,17 +757,6 @@ class TestDataFaults:
         ])
         assert (code, out.exists()) == (3, False)
 
-    @pytest.mark.parametrize("pi_prime", [5, {"value": "abc"}])
-    def test_adapted_pi_prime_checked(self, dataset_dir, trained_run, tmp_path, pi_prime):
-        adapted = tmp_path / "adapted.json"
-        adapted.write_text(json.dumps({"theta": 0.5, "pi_prime": pi_prime}))
-        metrics = tmp_path / "m.json"
-        code = main([
-            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
-            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
-        ])
-        assert (code, metrics.exists()) == (3, False)
-
 
     def run_adapt(self, dataset_dir, trained_run, report, out):
         return main([
@@ -798,29 +785,12 @@ class TestDataFaults:
         out = tmp_path / "adapted.json"
         assert (self.run_adapt(dataset_dir, trained_run, report, out), out.exists()) == (3, False)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [("pi_hat", float("nan")), ("pi_hat", 1.5), ("c0", float("inf")), ("seed", float("nan")), ("config_hash", 5)],
-    )
+    @pytest.mark.parametrize("field,value", [("seed", float("nan")), ("config_hash", 5)])
     def test_adapted_echoed_fields_checked(self, dataset_dir, trained_run, tmp_path, field, value):
         adapted = tmp_path / "adapted.json"
         assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
         doc = read_json(adapted)
         doc[field] = value
-        adapted.write_text(json.dumps(doc))
-        metrics = tmp_path / "m.json"
-        code = main([
-            "evaluate", "--model", str(trained_run / "model.json"), "--adapted", str(adapted),
-            "--test", str(dataset_dir / "eval_test.csv"), "--out", str(metrics),
-        ])
-        assert (code, metrics.exists()) == (3, False)
-
-    def test_string_pi_hat_writes_nothing(self, dataset_dir, trained_run, tmp_path):
-        """A string pi_hat is a data fault found before metrics.json is written."""
-        adapted = tmp_path / "adapted.json"
-        assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
-        doc = read_json(adapted)
-        doc["pi_hat"] = "abc"
         adapted.write_text(json.dumps(doc))
         metrics = tmp_path / "m.json"
         code = main([
@@ -897,6 +867,119 @@ class TestEvaluate:
         ])
         assert (code, metrics.exists()) == (2, False)
         assert "exactly one of --adapted and --theta" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def three_runs(tmp_path_factory):
+    """Runs A, B and C on one ``synth --case 1 --seed 7`` dataset, and run A's ``adapted.json``."""
+    root = tmp_path_factory.mktemp("three")
+    data = root / "data"
+    assert main(["synth", "--case", "1", "--seed", "7", "--out", str(data)]) == 0
+    for run, flags in (("A", []), ("B", ["--seed", "5"]), ("C", ["--epochs", "5", "--seed", "9", "--bandwidth", "0.5"])):
+        assert main(["train", "--data", str(data), "--out", str(root / run), "--epochs", "20", *flags]) == 0
+    assert main(adapt_argv(root, "A", "A", "A", root / "A" / "adapted.json")) == 0
+    return root
+
+
+def adapt_argv(root, model, intervals, report, out):
+    """``adapt`` on the model, intervals and report of the named runs under ``root``."""
+    return ["adapt", "--model", str(root / model / "model.json"), "--intervals", str(root / intervals / "intervals.json"),
+            "--report", str(root / report / "report.json"), "--test", str(root / "data" / "test_unl.csv"),
+            "--out", str(out)]
+
+
+class TestRunIdentity:
+    """``train`` stamps ``seed`` and ``config_hash`` into what it ships; the test site refuses a mix of runs."""
+
+    def test_train_stamps_the_report_identity(self, three_runs):
+        for run in "ABC":
+            report = read_json(three_runs / run / "report.json")
+            for name in ("model.json", "intervals.json"):
+                doc = read_json(three_runs / run / name)
+                assert (doc["seed"], doc["config_hash"]) == (report["seed"], report["config_hash"])
+
+    @pytest.mark.parametrize("runs", ["ABC", "AAB", "ABA", "BAA"])
+    def test_adapt_across_runs_exits_3(self, three_runs, tmp_path, capsys, runs):
+        """Model A, intervals B and report C wrote theta 0.8270 under C's hash before the identity was checked."""
+        out = tmp_path / "adapted.json"
+        assert (main(adapt_argv(three_runs, *runs, out)), out.exists()) == (3, False)
+        err = capsys.readouterr().err
+        assert err.startswith("data error: inputs come from different runs: ")
+        assert all(read_json(three_runs / run / "report.json")["config_hash"] in err for run in runs)
+
+    @pytest.mark.parametrize("document", ["model.json", "intervals.json"])
+    @pytest.mark.parametrize("field, value", [("seed", "7"), ("seed", -1), ("config_hash", 5)])
+    def test_mistyped_identity_named(self, three_runs, tmp_path, capsys, document, field, value):
+        doc = write_doc(tmp_path / document, replaced(read_json(three_runs / "A" / document), (field,), value))
+        out = tmp_path / "adapted.json"
+        argv = adapt_argv(three_runs, "A", "A", "A", out)
+        argv[argv.index(str(three_runs / "A" / document))] = str(doc)
+        assert (main(argv), out.exists()) == (3, False)
+        assert capsys.readouterr().err.startswith(f"data error: {doc}: {field} must be")
+
+    def test_evaluate_across_runs_exits_3(self, three_runs, tmp_path, capsys):
+        out = tmp_path / "metrics.json"
+        code = main(["evaluate", "--model", str(three_runs / "B" / "model.json"),
+                     "--adapted", str(three_runs / "A" / "adapted.json"),
+                     "--test", str(three_runs / "data" / "eval_test.csv"), "--out", str(out)])
+        assert (code, out.exists()) == (3, False)
+        err = capsys.readouterr().err
+        assert all(read_json(three_runs / run / "report.json")["config_hash"] in err for run in "AB")
+
+    def test_files_without_identity_are_accepted(self, three_runs, tmp_path):
+        """``save_model`` and ``ThresholdIntervals.save`` write no identity; the report's is the one shared."""
+        model, intervals = tmp_path / "model.json", tmp_path / "intervals.json"
+        save_model(load_model(three_runs / "A" / "model.json"), model)
+        ThresholdIntervals.load(three_runs / "A" / "intervals.json").save(intervals)
+        argv = adapt_argv(three_runs, "A", "A", "A", tmp_path / "adapted.json")
+        argv[argv.index("--model") + 1], argv[argv.index("--intervals") + 1] = str(model), str(intervals)
+        assert main(argv) == 0
+        assert read_json(tmp_path / "adapted.json") == {
+            **read_json(three_runs / "A" / "adapted.json"),
+            "inputs": {"model": str(model), "intervals": str(intervals),
+                       "report": str(three_runs / "A" / "report.json"), "test": str(three_runs / "data" / "test_unl.csv")},
+        }
+        metrics = tmp_path / "metrics.json"
+        assert main(["evaluate", "--model", str(model), "--theta", "0.5",
+                     "--test", str(three_runs / "data" / "eval_test.csv"), "--out", str(metrics)]) == 0
+        assert (read_json(metrics)["seed"], read_json(metrics)["config_hash"]) == (None, None)
+
+
+IDENTITY = {"seed", "config_hash"}
+EVALUATE_KEYS = {"theta", "n_test", "accuracy", "error_rate", "auc", "auc_ties_at_half", "boundary", "inputs", *IDENTITY}
+
+
+def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_path):
+    """The exact top-level keys of each document one CLI chain writes: a removed copy cannot come back
+    unnoticed, and the run identity is in every document but the ``verify-theory`` report."""
+    assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "nnpu"), "--method", "nnpu",
+                 "--prior", "0.4", "--epochs", "2"]) == 0
+    adapted, by_adapted, by_theta, theory = (tmp_path / name for name in ("a.json", "m.json", "t.json", "v.json"))
+    model, test = str(trained_run / "model.json"), str(dataset_dir / "eval_test.csv")
+    assert main(["adapt", "--model", model, "--intervals", str(trained_run / "intervals.json"),
+                 "--report", str(trained_run / "report.json"), "--test", str(dataset_dir / "test_unl.csv"),
+                 "--out", str(adapted)]) == 0
+    assert main(["evaluate", "--model", model, "--adapted", str(adapted), "--test", test, "--out", str(by_adapted)]) == 0
+    assert main(["evaluate", "--model", model, "--theta", "0.5", "--test", test, "--out", str(by_theta)]) == 0
+    assert main(["verify-theory", "--trials", "2", "--out", str(theory)]) == 0
+    keys = {
+        dataset_dir / "manifest.json": {"config", "counts", "dim", "files", *IDENTITY},
+        trained_run / "report.json": {"config", "pi_hat", "train_report", *IDENTITY},
+        tmp_path / "nnpu" / "report.json": {"config", "train_report", *IDENTITY},
+        trained_run / "model.json": {"kind", "dim_in", "bandwidth", "clamp", "centers", "params", *IDENTITY},
+        tmp_path / "nnpu" / "model.json": {"kind", "dim_in", "bandwidth", "clamp", "centers", "params", *IDENTITY},
+        trained_run / "intervals.json": {"n_pos", "gamma", "boundaries", "accept_counts", *IDENTITY},
+        adapted: {"pi_hat", "pi_prime", "c0", "theta", "cost", "inputs", *IDENTITY},
+        by_adapted: EVALUATE_KEYS,
+        by_theta: EVALUATE_KEYS,
+        theory: {"seed", "trials", "suites"},
+    }
+    assert {path: set(read_json(path)) for path in keys} == keys
+    assert set(read_json(adapted)["inputs"]) == {"model", "intervals", "report", "test"}
+    report = read_json(trained_run / "report.json")
+    for path in (trained_run / "model.json", trained_run / "intervals.json", adapted, by_adapted, by_theta):
+        assert (read_json(path)["seed"], read_json(path)["config_hash"]) == (report["seed"], report["config_hash"])
+
 
 @pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])
 def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, capsys, command):

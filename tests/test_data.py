@@ -199,6 +199,27 @@ class TestCsv:
         with pytest.raises(DataError, match="at least one feature column"):
             load_csv(path, labeled=True)
 
+    @pytest.mark.parametrize("n_labels", [2, 5])
+    def test_label_count_must_match_the_rows(self, tmp_path, n_labels):
+        """``zip`` would write 2 of 3 rows, or drop 2 of 5 labels, without a word."""
+        path = tmp_path / "l.csv"
+        with pytest.raises(DataError, match=f"{n_labels} labels for 3 rows"):
+            save_csv(path, np.zeros((3, 2)), labels=np.ones(n_labels, dtype=int))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_byte_order_mark_is_not_data(self, tmp_path, labeled):
+        """A UTF-8 byte-order mark made the first row a header, so a 3-row file read as 2 rows."""
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.5,1\n0.25,-1\n0.75,1\n")
+        X, y = load_csv(path, labeled=labeled)
+        if labeled:
+            np.testing.assert_array_equal(X, [[0.5], [0.25], [0.75]])
+            np.testing.assert_array_equal(y, [1, -1, 1])
+        else:
+            np.testing.assert_array_equal(X, [[0.5, 1.0], [0.25, -1.0], [0.75, 1.0]])
+            assert y is None
+
     def test_undecodable_bytes_are_a_data_error(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")

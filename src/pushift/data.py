@@ -210,7 +210,8 @@ def load_csv(path, labeled: bool):
     A leading non-numeric row is treated as a header and skipped.  A ``labeled`` file carries its
     labels, each +1 or -1, in the last column; returns ``(X, labels)``, with labels None for an
     unlabeled file.  A row with a NaN or infinite cell, or whose |x|^2 overflows (a 1e308 cell), raises
-    ``DataError`` naming the file and the row; the models refuse such a row too, but cannot name either.
+    ``DataError`` naming the file and the line; the models refuse such a row too, but cannot name either.
+    Every fault names the line an editor shows: counted from 1, with blank lines and a header.
 
     The rows are parsed by ``np.loadtxt``.  A file it refuses is parsed again
     row by row with ``float``, which locates the faulty row and cell and also
@@ -226,17 +227,22 @@ def load_csv(path, labeled: bool):
     if first is None:
         raise DataError(f"{path} is empty")
 
-    start = 0 if all(_is_float(v) for v in lines[first].split(",")) else 1  # else a header
-    body = lines[first + start :]
-    if start and not any(ln.strip() for ln in body):
+    top = first + (0 if all(_is_float(v) for v in lines[first].split(",")) else 1)  # else skip a header
+    body = lines[top:]
+    if top > first and not any(ln.strip() for ln in body):
         raise DataError(f"{path} has a header but no data rows")
+
+    def numbered():
+        """(file line, text) of each non-blank data line: the rows, in order."""
+        return [(i, ln.strip()) for i, ln in enumerate(body, top + 1) if ln.strip()]
+
     try:
-        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)  # skips empty lines, refuses blank ones
     except ValueError:
-        data = _parse_rows(path, [ln.strip() for ln in body if ln.strip()], start)
+        data = _parse_rows(path, numbered())
     finite = np.isfinite(np.einsum("ij,ij->i", data, data))
     if not finite.all():
-        raise DataError(f"{path}: non-finite value or squared norm at row {int(np.argmin(finite)) + start + 1}")
+        raise DataError(f"{path}: non-finite value or squared norm at line {numbered()[int(np.argmin(finite))][0]}")
 
     if not labeled:
         return data, None
@@ -244,25 +250,25 @@ def load_csv(path, labeled: bool):
         raise DataError(f"{path}: labeled file needs at least one feature column")
     valid = np.isin(data[:, -1], (-1.0, 1.0))
     if not valid.all():
-        raise DataError(f"{path}: label at row {int(np.argmin(valid)) + start + 1} is not +1 or -1")
+        raise DataError(f"{path}: label at line {numbered()[int(np.argmin(valid))][0]} is not +1 or -1")
     return data[:, :-1], data[:, -1].astype(int)
 
 
-def _parse_rows(path, lines, start):
-    """Row-by-row ``float`` parse of the non-blank data lines; rows number from ``start + 1``."""
+def _parse_rows(path, lines):
+    """Row-by-row ``float`` parse of the non-blank data lines, given as (file line, text) pairs."""
     rows = []
     width = None
-    for i, ln in enumerate(lines, start=start + 1):
+    for i, ln in lines:
         cells = ln.split(",")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise DataError(f"{path}: ragged row {i} has {len(cells)} cells, expected {width}")
+            raise DataError(f"{path}: ragged line {i} has {len(cells)} cells, expected {width}")
         try:
             rows.append([float(v) for v in cells])
         except ValueError:
             bad = next(j for j, v in enumerate(cells) if not _is_float(v))
-            raise DataError(f"{path}: non-numeric cell at row {i}, column {bad + 1}")
+            raise DataError(f"{path}: non-numeric cell at line {i}, column {bad + 1}")
     return np.asarray(rows, dtype=float)
 
 

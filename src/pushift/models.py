@@ -20,7 +20,8 @@ flat parameter vector; each family's forward pass takes the vector as an
 argument, so ``outputs(Z, thetas)`` scores encoded rows under several
 parameter vectors at once without assigning ``params``.  ``predict`` and
 ``block_outputs`` encode raw inputs and run ``forward`` or ``outputs`` on
-blocks of ``SCORE_ROWS`` rows.
+blocks of ``score_rows`` rows, which ``block_rows`` sizes to about an L2
+cache from the width of the encoded rows.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 __all__ = [
+    "block_rows",
     "expit",
     "RatioModel",
     "GaussianBasisLinear",
@@ -46,15 +48,28 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Rows ``predict``, ``block_outputs`` and ``train_rows`` encode at a time, so no float64 rows x
-# centers matrix is built.  The last block takes the remainder: a short tail block would take
-# BLAS's matrix-vector tail path and could move the last bit of its scores.
-SCORE_ROWS = 1024
+# Bytes of float64 encoded rows that one scoring block may hold, so no rows x centers matrix is
+# built and a block's features stay about the size of an L2 cache.
+BLOCK_BYTES = 1 << 20
 
 
-def _in_row_blocks(X, score, dtype=float):
-    """``score(X[s:e])`` stacked in ``dtype`` over blocks with edges at multiples of ``SCORE_ROWS``; ``X[:0]`` shapes it."""
-    edges = [i * SCORE_ROWS for i in range(max(1, len(X) // SCORE_ROWS))] + [len(X)]
+def block_rows(width: int) -> int:
+    """Rows per scoring block for encoded rows of ``width`` values: the largest power of two from 64
+    to 1024 whose float64 rows fit in ``BLOCK_BYTES`` (64 when none does), so 1024 up to 128 centres
+    or MLP inputs, 128 for 1000 centres and 64 from 1025 on.  Powers of two keep block edges on the
+    row groups of OpenBLAS's matrix-vector kernels, so at one BLAS thread blocked scores equal one
+    whole-batch pass bit for bit; a 131-row block moves the last bits of scores."""
+    rows = 1024
+    while rows > 64 and rows * width * 8 > BLOCK_BYTES:
+        rows //= 2
+    return rows
+
+
+def _in_row_blocks(X, score, rows, dtype=float):
+    """``score(X[s:e])`` stacked in ``dtype`` over blocks with edges at multiples of ``rows``; ``X[:0]`` shapes it.
+    The last block takes the remainder: a short tail block would take BLAS's matrix-vector tail path and could
+    move the last bit of its scores."""
+    edges = [i * rows for i in range(max(1, len(X) // rows))] + [len(X)]
     out = np.empty((len(X), *score(X[:0]).shape[1:]), dtype)
     for s, e in zip(edges[:-1], edges[1:]):
         out[s:e] = score(X[s:e])
@@ -140,17 +155,23 @@ class RatioModel:
         """
         return np.column_stack([self._forward(Z, theta)[0] for theta in np.ascontiguousarray(thetas.T)])
 
+    @property
+    def score_rows(self) -> int:
+        """Rows ``predict``, ``block_outputs`` and ``train_rows`` encode at a time: ``block_rows`` of the width ``encode``
+        gives a row."""
+        return block_rows(self.encode(np.empty((0, self.dim_in))).shape[1])
+
     def predict(self, X) -> np.ndarray:
-        """``forward(encode(X))[0]``, encoded and scored ``SCORE_ROWS`` rows at a time."""
-        return _in_row_blocks(self._check_dim(X), lambda X: self.forward(self.encode(X))[0])
+        """``forward(encode(X))[0]``, encoded and scored ``score_rows`` rows at a time."""
+        return _in_row_blocks(self._check_dim(X), lambda X: self.forward(self.encode(X))[0], self.score_rows)
 
     def block_outputs(self, X, thetas) -> np.ndarray:
-        """``outputs(encode(X), thetas)``, encoded and scored ``SCORE_ROWS`` rows at a time."""
-        return _in_row_blocks(self._check_dim(X), lambda X: self.outputs(self.encode(X), thetas))
+        """``outputs(encode(X), thetas)``, encoded and scored ``score_rows`` rows at a time."""
+        return _in_row_blocks(self._check_dim(X), lambda X: self.outputs(self.encode(X), thetas), self.score_rows)
 
     def train_rows(self, X) -> np.ndarray:
-        """``encode(X).astype(TRAIN_DTYPE)``, encoded ``SCORE_ROWS`` rows at a time: the rows training steps gather."""
-        return _in_row_blocks(self._check_dim(X), self.encode, self.TRAIN_DTYPE)
+        """``encode(X).astype(TRAIN_DTYPE)``, encoded ``score_rows`` rows at a time: the rows training steps gather."""
+        return _in_row_blocks(self._check_dim(X), self.encode, self.score_rows, self.TRAIN_DTYPE)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -226,12 +247,12 @@ class GaussianBasisLinear(RatioModel):
         return (np.maximum(raw, 0.0) if self.clamp else raw), backward
 
     def outputs(self, phi, thetas) -> np.ndarray:
-        """Per ``SCORE_ROWS`` rows, upcast to float64, one product for every parameter column, zero-padded to
-        ``SCORE_BLOCK`` columns; then the clamp."""
+        """Per ``block_rows`` of the centres, upcast to float64, one product for every parameter column, zero-padded
+        to ``SCORE_BLOCK`` columns; then the clamp."""
         n = thetas.shape[1]
         padded = np.zeros((thetas.shape[0], max(n, self.SCORE_BLOCK)))
         padded[:, :n] = thetas
-        out = _in_row_blocks(phi, lambda Z: (Z.astype(float, copy=False) @ padded)[:, :n])
+        out = _in_row_blocks(phi, lambda Z: (Z.astype(float, copy=False) @ padded)[:, :n], block_rows(phi.shape[1]))
         return np.maximum(out, 0.0, out=out) if self.clamp else out
 
     def to_dict(self) -> dict:

@@ -20,14 +20,18 @@ MLPs); parameters, the Adam state and every objective stay float64.
 Each epoch's train and validation objectives are scored on the whole
 splits.  The loop keeps every epoch's parameter vector and scores a block of
 ``model.SCORE_BLOCK`` epochs (and the remainder at the end) with one call
-per split; for the kernel model that is one matrix product per ``SCORE_ROWS``
-rows of ``SCORE_BLOCK`` columns, zero-padded for a shorter block, not one
-matrix-vector product per epoch.  The validation split is encoded again at
-each block, ``SCORE_ROWS`` rows at a time (``block_outputs``), so its kernel
-features are never held.  Training steps, the selected epoch, its parameters
-and every reported objective do not depend on the block, so a run's first
-epochs report the same values as a longer run's; a non-finite objective
-still names its epoch and is raised at the latest at the end of its block.
+per split; for the kernel model that is one matrix product of
+``SCORE_BLOCK`` columns, zero-padded for a shorter block, per block of
+``models.block_rows`` rows (the largest power of two from 64 to 1024 whose
+float64 features fit in 1 MiB), not one matrix-vector product per epoch.
+The validation split is encoded again at each block, ``model.score_rows``
+rows at a time (``block_outputs``), so its kernel features are never held,
+and only after the training split's outputs have become objectives, so
+one split's outputs are held at a time.  Training steps, the selected
+epoch, its parameters and every reported objective do not depend on the
+block, so a run's first epochs report the same values as a longer run's; a
+non-finite objective still names its epoch and is raised at the latest at
+the end of its block.
 """
 
 from __future__ import annotations
@@ -136,14 +140,14 @@ def _epoch_batches(rng, n_pos, n_unl, batch_size):
 
 
 def _block_objectives(model, objective, tr_pos, tr_unl, val, snapshots):
-    """(train, validation) objective per parameter snapshot, one call per split."""
+    """(train, validation) objective per parameter snapshot, one call per split.  The training outputs become
+    objectives before the validation split is encoded, so one split's outputs are held at a time."""
     thetas = np.column_stack(snapshots)
     tp, tu = model.outputs(tr_pos, thetas), model.outputs(tr_unl, thetas)
+    train_obj = [objective.value(tp[:, j], tu[:, j]) for j in range(thetas.shape[1])]
+    del tp, tu
     vp, vu = model.block_outputs(val.positives, thetas), model.block_outputs(val.unlabeled, thetas)
-    return [
-        (objective.value(tp[:, j], tu[:, j]), objective.plain(vp[:, j], vu[:, j]))
-        for j in range(thetas.shape[1])
-    ]
+    return [(t, objective.plain(vp[:, j], vu[:, j])) for j, t in enumerate(train_obj)]
 
 
 def train(model, data, objective, cfg: TrainConfig):

@@ -2,14 +2,15 @@
 the pairwise AUC, the mini-batch gradient of an objective's active branch,
 a model's gradient at one point, and reference implementations of the MLP
 forward and backward passes, of the Adam step and of the theory suites' trial
-loops and finite-support risks; and a runner for checks whose bits hold only
-at one BLAS thread."""
+loops and finite-support risks; a runner for checks whose bits hold only
+at one BLAS thread; and the traced peak memory of a call."""
 
 import copy
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -40,6 +41,14 @@ def run_at_one_blas_thread(call):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
 
+
+def peak_traced(fn):
+    """``(fn(), peak)``: the result of ``fn()`` and the peak bytes tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference(fun, theta, h=1e-5):

@@ -587,7 +587,7 @@ class TestDataFaults:
             warnings.simplefilter("always")
             code = main([command, *argv, *flags])
         assert (code, [str(w.message) for w in caught]) == (3, [])
-        assert capsys.readouterr().err == f"data error: {data / name}: non-finite value or squared norm at row 4\n"
+        assert capsys.readouterr().err == f"data error: {data / name}: non-finite value or squared norm at line 4\n"
         assert not (out / "model.json" if command == "train" else out).exists()
 
     def test_model_scoring_non_finite_is_data(self, dataset_dir, trained_run, tmp_path, capsys):

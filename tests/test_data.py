@@ -164,14 +164,33 @@ class TestCsv:
     def test_ragged_row_names_index(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_csv(path, labeled=False)
 
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(DataError, match="row 2, column 2"):
+        with pytest.raises(DataError, match="line 2, column 2"):
             load_csv(path, labeled=False)
+
+    @pytest.mark.parametrize(
+        "text, labeled, message",
+        [
+            ("1.0\n\n2.0\n\n\ninf\n3.0\n", False, "non-finite value or squared norm at line 6"),
+            ("x\n1.0\n\n2.0\nnan\n", False, "non-finite value or squared norm at line 5"),
+            ("1.0,1\n\n2.0,1\n3.0,0\n", True, "label at line 4 is not"),
+            ("\n1.0\n  \n2.0\n\n1e308\n", False, "non-finite value or squared norm at line 6"),
+            ("x,y\n\n1,2\n3\n", False, "ragged line 4 has 1 cells"),
+            ("\n\nx,y\r\n\r\n1,2\r\n  \r\n3,oops\r\n", False, "non-numeric cell at line 7, column 2"),
+        ],
+        ids=["blank-lines", "header", "label", "blank-with-spaces", "ragged", "crlf-and-leading-blanks"],
+    )
+    def test_faults_name_the_file_line(self, tmp_path, text, labeled, message):
+        """The number is the line an editor shows: blank lines and the header count, from 1."""
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=message):
+            load_csv(path, labeled=labeled)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -193,7 +212,7 @@ class TestCsv:
     def test_labeled_file_needs_plus_or_minus_one_labels(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("x,label\n0.5,1\n0.25,-1\n0.75,0\n")
-        with pytest.raises(DataError, match="label at row 4 is not"):
+        with pytest.raises(DataError, match="label at line 4 is not"):
             load_csv(path, labeled=True)
         path.write_text("1\n-1\n")
         with pytest.raises(DataError, match="at least one feature column"):

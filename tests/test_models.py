@@ -1,16 +1,15 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from pushift.errors import ConfigError, DataError
 from pushift.models import (
-    SCORE_ROWS,
     GaussianBasisLinear,
     MLP,
+    block_rows,
     expit,
     load_model,
     mlp,
@@ -18,7 +17,9 @@ from pushift.models import (
     save_model,
 )
 
-from _helpers import finite_difference, reference_mlp_forward, relative_error, run_at_one_blas_thread, value_and_grad
+from _helpers import (
+    finite_difference, peak_traced, reference_mlp_forward, relative_error, run_at_one_blas_thread, value_and_grad
+)
 
 
 class TestExpit:
@@ -132,12 +133,7 @@ class TestGaussianBasisLinear:
         rng = np.random.default_rng(4)
         model = GaussianBasisLinear(rng.normal(size=(500, 2)))
         X = rng.normal(size=(2000, 2))
-        tracemalloc.start()
-        try:
-            phi = model.features(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        phi, peak = peak_traced(lambda: model.features(X))
         assert peak <= 1.5 * phi.nbytes
 
 
@@ -150,15 +146,19 @@ def _textbook_features(X, centers, bandwidth):
     return np.exp(-sq / (2.0 * bandwidth**2))
 
 
-PREDICT_ROWS = (0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 20000)
+# Around the edges of 64-, 128-, 256- and 1024-row blocks, and many blocks.
+PREDICT_ROWS = (0, 1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 5000, 6000, 20000)
+# No case encodes more rows x centers than the 20 000 rows on 1000 centers do (160 MB in float64).
+MAX_CELLS = 20_000 * 1000
 
 
 def _scoring_models():
-    """1-d kernel models, clamp on and off, unclamped kernel models with 300 centers on d > 1
-    inputs, and 10-32-32-1 MLPs, softplus and linear."""
+    """1-d kernel models, clamp on and off, whose blocks take 1024 to 128 rows, and unclamped on 2000 and
+    5000 centers (64-row blocks), unclamped kernel models with 300 centers on d > 1 inputs, and
+    10-32-32-1 MLPs, softplus and linear."""
     rng = np.random.default_rng(20)
-    for n_centers in (1, 37, 100, 333, 1000):
-        for clamp in (True, False):
+    for n_centers in (1, 37, 100, 333, 1000, 2000, 5000):
+        for clamp in (True, False) if n_centers <= 1000 else (False,):
             model = GaussianBasisLinear(rng.normal(scale=2.0, size=(n_centers, 1)), bandwidth=0.9, clamp=clamp)
             model.params = rng.normal(size=n_centers)
             yield f"kernel-{n_centers}-clamp={clamp}", model
@@ -172,7 +172,8 @@ def _scoring_models():
 
 def blocked_mismatches():
     """The (model, rows) cases whose blocked ``predict`` differs in any bit from one ``forward`` pass, or
-    whose ``block_outputs``, over a full and a narrow epoch block, from one ``outputs`` call."""
+    whose ``block_outputs``, over a full and a narrow epoch block, from one ``outputs`` call; rows
+    whose encoding would pass ``MAX_CELLS`` are left out."""
     rng, theta_rng = np.random.default_rng(21), np.random.default_rng(25)
     bad = []
     for name, model in _scoring_models():
@@ -181,6 +182,8 @@ def blocked_mismatches():
             for cols in (model.SCORE_BLOCK, 3)
         ]
         for n in PREDICT_ROWS:
+            if n * model.encode(np.empty((0, model.dim_in))).shape[1] > MAX_CELLS:
+                continue
             X = rng.normal(scale=2.0, size=(n, model.dim_in))
             Z = model.encode(X)
             if not np.array_equal(model.predict(X), model.forward(Z)[0]):
@@ -203,7 +206,28 @@ def test_rows_with_non_finite_squared_norm_are_data_errors(model, cell):
 
 
 class TestBlockedPredict:
-    """``predict`` and ``block_outputs`` score ``SCORE_ROWS``-row blocks instead of one whole-batch pass."""
+    """``predict`` and ``block_outputs`` score ``score_rows``-row blocks instead of one whole-batch pass."""
+
+    @pytest.mark.parametrize(
+        "model, rows",
+        [
+            (GaussianBasisLinear(np.zeros((1000, 1))), 128),
+            (GaussianBasisLinear(np.zeros((5000, 1))), 64),
+            (GaussianBasisLinear(np.zeros((100, 1))), 1024),
+            (mlp([10, 32, 32, 1]), 1024),
+        ],
+        ids=["kernel-1000", "kernel-5000", "kernel-100", "mlp-10"],
+    )
+    def test_block_rows_follow_the_encoded_width(self, model, rows):
+        assert model.score_rows == rows
+
+    def test_block_rows_are_powers_of_two_that_fit_a_mebibyte(self):
+        """The largest power of two from 64 to 1024 whose float64 rows fit in 1 MiB, else 64."""
+        for width in range(1, 20_000):
+            rows = block_rows(width)
+            assert 64 <= rows <= 1024 and rows & (rows - 1) == 0
+            assert rows * width * 8 <= 2**20 or rows == 64
+            assert rows == 1024 or 2 * rows * width * 8 > 2**20
 
     def test_bits_match_one_forward_pass_at_one_blas_thread(self):
         """With more threads OpenBLAS splits a matrix-vector product's rows among them at
@@ -219,7 +243,7 @@ class TestBlockedPredict:
         for n_centers in (37, 333, 1001):
             model = GaussianBasisLinear(rng.normal(size=(n_centers, dim)), float(rng.uniform(0.3, 7.0)), clamp=False)
             model.params = rng.normal(size=n_centers)
-            for n in (2 * SCORE_ROWS + 1, 5000):
+            for n in (2 * model.score_rows + 1, 5000):
                 X = rng.normal(scale=2.0, size=(n, dim))
                 phi = model.features(X)
                 bound = 8 * np.finfo(float).eps * (phi @ np.abs(model.params))
@@ -241,13 +265,17 @@ class TestBlockedPredict:
         rng = np.random.default_rng(23)
         model = GaussianBasisLinear(rng.normal(size=(100, 1)))
         X = rng.normal(size=(20_000, 1))
-        tracemalloc.start()
-        try:
-            model.predict(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced(lambda: model.predict(X))
         assert peak < 20_000 * 100 * 8 / 4
+
+    def test_wide_model_predict_peaks_below_4_mb(self):
+        """5000 rows on 5000 centers: blocks of 64 rows (the last of 72) hold 2.9 MB of features; 1024-row
+        blocks would hold up to 77 MB."""
+        rng = np.random.default_rng(26)
+        model = GaussianBasisLinear(rng.normal(size=(5000, 1)))
+        X = rng.normal(size=(5000, 1))
+        _, peak = peak_traced(lambda: model.predict(X))
+        assert peak < 4e6
 
 
 def _fused_cases():

@@ -1,18 +1,17 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from _helpers import reference_adam_step, run_at_one_blas_thread
+from _helpers import peak_traced, reference_adam_step, run_at_one_blas_thread
 
 from pushift.baselines import risk_objective, sigmoid_loss
 from pushift.data import SplitDataset, synth_case1, synth_gaussian_pair
 from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
-from pushift.experiments import case_data, kernel_centers
+from pushift.experiments import case_data, fit_drpu, kernel_centers
 from pushift.generators import lsif_generator
-from pushift.models import SCORE_ROWS, GaussianBasisLinear, RatioModel, mlp
+from pushift.models import GaussianBasisLinear, RatioModel, mlp
 from pushift.trainer import (
     AdamState,
     TrainConfig,
@@ -389,12 +388,7 @@ class TestBlockScoring:
         def peak(epochs):
             model = GaussianBasisLinear(centers)
             cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
-            tracemalloc.start()
-            try:
-                train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))[1]
 
         extra = peak(2 * width + 3) - peak(1)
         # one block of output columns per row, whatever the epochs, plus a
@@ -403,36 +397,45 @@ class TestBlockScoring:
         assert extra <= 1.25 * width * rows * 8
 
     def test_validation_features_are_never_held(self):
-        """Validation rows x centers span five ``SCORE_ROWS`` blocks; ``train`` holds at most two of them."""
+        """Validation rows x centers span many ``score_rows`` blocks; ``train`` holds at most two of them."""
         split = SplitDataset(
             train=synth_case1(50, 450, 0.4, 0), val=synth_case1(120, 5000, 0.4, 1)
         )
         centers = np.random.default_rng(5).normal(size=(500, 1))
+        model = GaussianBasisLinear(centers)
         cell = 8 * len(centers)  # bytes per encoded row
         train_features = (50 + 450) * cell
         block_outputs = 2 * (50 + 450 + 120 + 5000) * GaussianBasisLinear.SCORE_BLOCK * 8  # result and stack
         cfg = TrainConfig(epochs=2, batch_size=450, learning_rate=1e-3, seed=0)
-        tracemalloc.start()
-        try:
-            train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
         # holding the encoded validation split alone would take 5120 * cell
-        assert peak < train_features + 2 * SCORE_ROWS * cell + block_outputs
+        assert peak < train_features + 2 * model.score_rows * cell + block_outputs
+
+    def test_criterion_2_fit_peaks_near_the_training_copy(self):
+        """A criterion-2-sized ``fit_drpu`` (1000 / 5000 points per split, 1000 centers) holds the 24 MB
+        float32 training copy plus cache-sized feature blocks and one split's outputs: under 10 MB more.
+        Blocks of 1024 rows held 8-16 MB of float64 features each, and it peaked at 44 MB."""
+        split, _ = case_data(2, 0, (1000, 5000), (1000, 5000), 1, 0.6, 0.4)
+        cfg = TrainConfig(epochs=3, batch_size=500, learning_rate=2e-4, seed=0)
+        _, peak = peak_traced(lambda: fit_drpu(split, cfg, gamma=0.9, max_centers=1000, bandwidth=1.5))
+        assert peak < (1000 + 5000) * 1000 * 4 + 10e6
 
 
 class TestTrainingCopy:
     """Training steps gather from ``train_rows``: the encoded training splits in the model's ``TRAIN_DTYPE``."""
 
-    @pytest.mark.parametrize("n", [1, SCORE_ROWS - 1, SCORE_ROWS, SCORE_ROWS + 1, 2 * SCORE_ROWS + 1])
-    @pytest.mark.parametrize("kind", ["kernel", "mlp"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("kind", ["kernel", "kernel-1000", "mlp"])
     def test_train_rows_equal_the_cast_encoding(self, kind, n):
+        """Around the edges of the 1024-row blocks of 50 centers and MLP inputs and the 128-row blocks of 1000 centers."""
         rng = np.random.default_rng(n)
-        model = GaussianBasisLinear(rng.normal(size=(50, 3)), 1.3) if kind == "kernel" else mlp([3, 4, 1])
+        if kind == "mlp":
+            model = mlp([3, 4, 1])
+        else:
+            model = GaussianBasisLinear(rng.normal(size=(50 if kind == "kernel" else 1000, 3)), 1.3)
         X = rng.normal(size=(n, 3))
         rows, want = model.train_rows(X), model.encode(X).astype(model.TRAIN_DTYPE)
-        assert rows.dtype == want.dtype == (np.float32 if kind == "kernel" else np.float64)
+        assert rows.dtype == want.dtype == (np.float64 if kind == "mlp" else np.float32)
         np.testing.assert_array_equal(rows, want)
 
     @pytest.mark.parametrize("kind", ["kernel", "mlp"])
@@ -451,23 +454,21 @@ class TestTrainingCopy:
         split = SplitDataset(train=synth_case1(200, 6000, 0.4, 0), val=synth_case1(50, 200, 0.4, 1))
         centers = split.train.unlabeled[:1000]
         cfg = TrainConfig(epochs=1, batch_size=500, learning_rate=1e-3, seed=0)
-        tracemalloc.start()
-        try:
-            train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced(lambda: train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg))
         assert peak < 6000 * len(centers) * 8
 
 
 def _held_validation_runs(dim):
     """(case, (model, report) of ``train``, the same of ``reference_train`` holding the encoded
-    validation split and scoring it whole at the model's block width) for kernel models, clamp on
-    and off, and MLPs on ``dim``-d inputs, over validation sizes on, past and between ``SCORE_ROWS`` edges."""
-    centers = np.random.default_rng(41).normal(size=(300, dim))
+    validation split and scoring it whole at the model's block width) for kernel models on 300 centers
+    (256-row blocks), clamp on and off, and on 1000 centers (128-row blocks), and MLPs (1024-row blocks)
+    on ``dim``-d inputs, over validation sizes on, past and between block edges."""
+    rng = np.random.default_rng(41)
+    centers, wide = rng.normal(size=(300, dim)), rng.normal(size=(1000, dim))
     cases = {
         "kernel-clamp": (lambda: GaussianBasisLinear(centers, 1.2), ratio_objective(LSIF, 0.3)),
         "kernel-linear": (lambda: GaussianBasisLinear(centers, 1.2, clamp=False), NNPU),
+        "kernel-1000": (lambda: GaussianBasisLinear(wide, 1.2), ratio_objective(LSIF, 0.3)),
         "mlp-softplus": (lambda: mlp([dim, 8, 8, 1], seed=2), ratio_objective(LSIF, 0.3)),
         "mlp-linear": (lambda: mlp([dim, 8, 8, 1], seed=2, output="linear"), NNPU),
     }
@@ -491,7 +492,7 @@ def held_validation_mismatches():
 
 
 class TestBlockwiseValidation:
-    """``train`` scores the validation split ``SCORE_ROWS`` rows at a time, never holding its encoding."""
+    """``train`` scores the validation split ``score_rows`` rows at a time, never holding its encoding."""
 
     def test_bits_match_the_held_split_at_one_blas_thread(self):
         """Kernel models and MLPs on 1-d and 3-d inputs.  With more threads OpenBLAS may split a

@@ -207,16 +207,13 @@ def save_csv(path, X, labels=None) -> None:
 def load_csv(path, labeled: bool):
     """Read a numeric CSV written by ``save_csv`` or compatible tools.
 
-    A leading non-numeric row is treated as a header and skipped.  A ``labeled`` file carries its
-    labels, each +1 or -1, in the last column; returns ``(X, labels)``, with labels None for an
-    unlabeled file.  A row with a NaN or infinite cell, or whose |x|^2 overflows (a 1e308 cell), raises
-    ``DataError`` naming the file and the line; the models refuse such a row too, but cannot name either.
-    Every fault names the line an editor shows: counted from 1, with blank lines and a header.
-
-    The rows are parsed by ``np.loadtxt``.  A file it refuses is parsed again
-    row by row with ``float``, which locates the faulty row and cell and also
-    accepts the forms ``float`` takes beyond numpy's (``1_000``, non-ASCII
-    digits), so both parsers give the same array or the same error.
+    A leading row that Python's ``float`` does not read cell by cell is a header and is skipped.  A ``labeled`` file
+    carries its labels, each +1 or -1, in the last column; returns ``(X, labels)``, with labels None for an unlabeled
+    file.  ``np.loadtxt`` reads every number: from the data lines, and when it refuses them (a whitespace-only line
+    makes it) once more from the stripped non-blank lines.  A ragged line, a cell it does not read (``1_000``, a
+    non-ASCII digit), a NaN or infinite cell, or a row whose |x|^2 overflows (a 1e308 cell) raises ``DataError`` naming
+    the file and the line an editor shows: counted from 1, with blank lines and a header.  The models refuse such a
+    row too, but cannot name it.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is encoding, not data
@@ -227,7 +224,11 @@ def load_csv(path, labeled: bool):
     if first is None:
         raise DataError(f"{path} is empty")
 
-    top = first + (0 if all(_is_float(v) for v in lines[first].split(",")) else 1)  # else skip a header
+    top = first
+    try:
+        [float(v) for v in lines[first].split(",")]
+    except ValueError:
+        top += 1  # skip a header
     body = lines[top:]
     if top > first and not any(ln.strip() for ln in body):
         raise DataError(f"{path} has a header but no data rows")
@@ -236,10 +237,12 @@ def load_csv(path, labeled: bool):
         """(file line, text) of each non-blank data line: the rows, in order."""
         return [(i, ln.strip()) for i, ln in enumerate(body, top + 1) if ln.strip()]
 
-    try:
-        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)  # skips empty lines, refuses blank ones
-    except ValueError:
-        data = _parse_rows(path, numbered())
+    data = _loadtxt(body)  # skips empty lines, refuses blank ones
+    if data is None:
+        rows = numbered()
+        data = _loadtxt([ln for _, ln in rows])
+        if data is None:
+            _raise_fault(path, rows)
     finite = np.isfinite(np.einsum("ij,ij->i", data, data))
     if not finite.all():
         raise DataError(f"{path}: non-finite value or squared norm at line {numbered()[int(np.argmin(finite))][0]}")
@@ -254,32 +257,27 @@ def load_csv(path, labeled: bool):
     return data[:, :-1], data[:, -1].astype(int)
 
 
-def _parse_rows(path, lines):
-    """Row-by-row ``float`` parse of the non-blank data lines, given as (file line, text) pairs."""
-    rows = []
-    width = None
-    for i, ln in lines:
-        cells = ln.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(f"{path}: ragged line {i} has {len(cells)} cells, expected {width}")
-        try:
-            rows.append([float(v) for v in cells])
-        except ValueError:
-            bad = next(j for j, v in enumerate(cells) if not _is_float(v))
-            raise DataError(f"{path}: non-numeric cell at line {i}, column {bad + 1}")
-    return np.asarray(rows, dtype=float)
+def _loadtxt(lines, **kwargs):
+    """``np.loadtxt`` of CSV ``lines`` into float64 rows, or None where it refuses them."""
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, **kwargs)
+    except ValueError:
+        return None
+
+
+def _raise_fault(path, rows):
+    """Raise the DataError for non-blank data lines, given as (file line, text) pairs, that ``np.loadtxt`` refuses: the
+    first ragged line, or else the first cell it refuses, sought line by line in the first refused block of 1024."""
+    width = rows[0][1].count(",") + 1
+    for i, ln in rows:
+        if (n := ln.count(",") + 1) != width:
+            raise DataError(f"{path}: ragged line {i} has {n} cells, expected {width}")
+    s = next(s for s in range(0, len(rows), 1024) if _loadtxt([ln for _, ln in rows[s : s + 1024]]) is None)
+    i, ln = next((i, ln) for i, ln in rows[s : s + 1024] if _loadtxt([ln]) is None)
+    j = next(j for j in range(width) if _loadtxt([ln], usecols=j) is None)
+    raise DataError(f"{path}: non-numeric cell at line {i}, column {j + 1}")
 
 
 def load_pu_dataset(positives_path, unlabeled_path) -> PUDataset:
     """Assemble a PU dataset from two feature-only CSV files."""
     return PUDataset(load_csv(positives_path, labeled=False)[0], load_csv(unlabeled_path, labeled=False)[0])
-
-
-def _is_float(v: str) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False

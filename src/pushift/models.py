@@ -21,7 +21,7 @@ argument, so ``outputs(Z, thetas)`` scores encoded rows under several
 parameter vectors at once without assigning ``params``.  ``predict`` and
 ``block_outputs`` encode raw inputs and run ``forward`` or ``outputs`` on
 blocks of ``score_rows`` rows, which ``block_rows`` sizes to about an L2
-cache from the width of the encoded rows.
+cache from the model's ``width``, the values in an encoded row.
 
 Models serialize to plain JSON documents and round-trip bit-exactly.
 """
@@ -113,6 +113,7 @@ class RatioModel:
 
     def __init__(self, dim_in: int, params):
         self.dim_in = dim_in
+        self.width = dim_in  # values in a row ``encode`` gives
         self._params = np.asarray(params, dtype=float).copy()
 
     @property
@@ -157,9 +158,8 @@ class RatioModel:
 
     @property
     def score_rows(self) -> int:
-        """Rows ``predict``, ``block_outputs`` and ``train_rows`` encode at a time: ``block_rows`` of the width ``encode``
-        gives a row."""
-        return block_rows(self.encode(np.empty((0, self.dim_in))).shape[1])
+        """Rows ``predict``, ``block_outputs`` and ``train_rows`` encode at a time: ``block_rows`` of ``width``."""
+        return block_rows(self.width)
 
     def predict(self, X) -> np.ndarray:
         """``forward(encode(X))[0]``, encoded and scored ``score_rows`` rows at a time."""
@@ -215,6 +215,7 @@ class GaussianBasisLinear(RatioModel):
         self.clamp = bool(clamp)
         super().__init__(centers.shape[1], np.zeros(centers.shape[0]))
         self.centers = self._check_dim(centers, "basis center")
+        self.width = len(self.centers)  # one feature per centre
         if params is not None:
             self.params = params
 

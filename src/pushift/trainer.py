@@ -27,11 +27,11 @@ float64 features fit in 1 MiB), not one matrix-vector product per epoch.
 The validation split is encoded again at each block, ``model.score_rows``
 rows at a time (``block_outputs``), so its kernel features are never held,
 and only after the training split's outputs have become objectives, so
-one split's outputs are held at a time.  Training steps, the selected
-epoch, its parameters and every reported objective do not depend on the
-block, so a run's first epochs report the same values as a longer run's; a
-non-finite objective still names its epoch and is raised at the latest at
-the end of its block.
+one split's outputs are held at a time, and no step's gathered rows.
+Training steps, the selected epoch, its parameters and every reported
+objective do not depend on the block, so a run's first epochs report the
+same values as a longer run's; a non-finite objective still names its
+epoch and is raised at the latest at the end of its block.
 """
 
 from __future__ import annotations
@@ -189,6 +189,7 @@ def train(model, data, objective, cfg: TrainConfig):
             out_unl, back_unl = model.forward(tr_unl[unl_idx])
             w_pos, w_unl, branch = objective.weights(out_pos, out_unl)
             grad = back_pos(w_pos) + back_unl(w_unl)
+            del back_pos, back_unl  # their gathered rows, which a scoring block would otherwise hold
             if branch is Branch.CORRECTED:
                 n_corrected += 1
             if cfg.l2_reg:

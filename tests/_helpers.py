@@ -3,7 +3,8 @@ the pairwise AUC, the mini-batch gradient of an objective's active branch,
 a model's gradient at one point, and reference implementations of the MLP
 forward and backward passes, of the Adam step and of the theory suites' trial
 loops and finite-support risks; a runner for checks whose bits hold only
-at one BLAS thread; and the traced peak memory of a call."""
+at one BLAS thread; the traced peak memory of a call; and a one-grammar CSV
+reader."""
 
 import copy
 import json
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 
@@ -49,6 +51,53 @@ def peak_traced(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _loadtxt_reads(cell):
+    """Whether ``np.loadtxt`` reads ``cell``, alone on a line, as one number; an empty line gives none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data"
+        try:
+            return np.loadtxt([cell], delimiter=",", comments=None, ndmin=1).shape == (1,)
+        except ValueError:
+            return False
+
+
+def reference_load_csv(path, labeled):
+    """``load_csv``'s outcome from ``np.loadtxt`` alone: ``("ok", shape, X bytes, labels)`` of its array of the
+    stripped non-blank data lines, or ``("error", message)`` naming by file line the first ragged line, or else the
+    first cell ``np.loadtxt`` refuses alone, then the first non-finite row or bad label.  A first line that Python's
+    ``float`` does not read cell by cell is a header."""
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = [(i, ln.strip()) for i, ln in enumerate(fh.read().split("\n"), 1) if ln.strip()]
+    if not rows:
+        return "error", f"{path} is empty"
+    try:
+        [float(v) for v in rows[0][1].split(",")]
+    except ValueError:
+        rows = rows[1:]
+        if not rows:
+            return "error", f"{path} has a header but no data rows"
+    try:
+        data = np.loadtxt([ln for _, ln in rows], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        width = len(rows[0][1].split(","))
+        for i, ln in rows:
+            if len(ln.split(",")) != width:
+                return "error", f"{path}: ragged line {i} has {len(ln.split(','))} cells, expected {width}"
+        i, j = next((i, j) for i, ln in rows for j, v in enumerate(ln.split(",")) if not _loadtxt_reads(v))
+        return "error", f"{path}: non-numeric cell at line {i}, column {j + 1}"
+    for (i, _), norm in zip(rows, np.einsum("ij,ij->i", data, data)):
+        if not np.isfinite(norm):
+            return "error", f"{path}: non-finite value or squared norm at line {i}"
+    if not labeled:
+        return "ok", data.shape, data.tobytes(), None
+    if data.shape[1] < 2:
+        return "error", f"{path}: labeled file needs at least one feature column"
+    for (i, _), label in zip(rows, data[:, -1]):
+        if label not in (-1.0, 1.0):
+            return "error", f"{path}: label at line {i} is not +1 or -1"
+    return "ok", data[:, :-1].shape, data[:, :-1].tobytes(), data[:, -1].astype(int).tolist()
 
 
 def finite_difference(fun, theta, h=1e-5):

@@ -560,6 +560,15 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
         assert (code, wrote) == (3, False)
 
+    def test_cell_numpy_does_not_read(self, dataset_dir, trained_run, tmp_path, capsys):
+        """``1_000`` is a number to Python's ``float`` but not to ``np.loadtxt``, which reads every CSV number."""
+        test = tmp_path / "test.csv"
+        lines = (dataset_dir / "test_unl.csv").read_text().splitlines(keepends=True)
+        test.write_text("".join(lines) + "1_000\n")
+        code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
+        assert (code, wrote) == (3, False)
+        assert capsys.readouterr().err == f"data error: {test}: non-numeric cell at line {len(lines) + 1}, column 1\n"
+
     @pytest.mark.parametrize("command, name, flags", [
         pytest.param("adapt", "test_unl.csv", [], id="adapt-test_unl.csv"),
         pytest.param("evaluate", "eval_test.csv", [], id="evaluate-eval_test.csv"),

@@ -420,6 +420,17 @@ class TestBlockScoring:
         _, peak = peak_traced(lambda: fit_drpu(split, cfg, gamma=0.9, max_centers=1000, bandwidth=1.5))
         assert peak < (1000 + 5000) * 1000 * 4 + 10e6
 
+    def test_scoring_block_holds_no_step_rows(self):
+        """One step on whole splits gathers as many float32 rows as the training copy holds.  The step then
+        frees them, so the scoring block after it (about 2.4 MB here) comes on top of the copy alone;
+        while the step's closures held the rows, the fit peaked 2.4 MB over the copy and the rows."""
+        split = SplitDataset(train=synth_case1(200, 1000, 0.4, 0), val=synth_case1(40, 200, 0.4, 1))
+        copy = (200 + 1000) * 1000 * 4
+        cfg = TrainConfig(epochs=1, batch_size=1000, learning_rate=1e-3, seed=0)
+        model = GaussianBasisLinear(split.train.unlabeled)
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
+        assert peak < 2 * copy + 1e6
+
 
 class TestTrainingCopy:
     """Training steps gather from ``train_rows``: the encoded training splits in the model's ``TRAIN_DTYPE``."""

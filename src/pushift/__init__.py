@@ -36,7 +36,7 @@ from .generators import (
     lsif_generator,
     scaled_quadratic_generator,
 )
-from .metrics import accuracy, auc, error_rate, ties_present
+from .metrics import accuracy, auc, ties_present
 from .models import MLP, GaussianBasisLinear, load_model, mlp, save_model
 from .prior import (
     PriorEstimate,

@@ -29,14 +29,14 @@ import numpy as np
 
 from .baselines import logistic_loss, sigmoid_loss, train_baseline
 from .classifier import threshold_decisions
-from .data import SplitDataset, load_csv, load_pu_dataset, save_csv
+from .data import PUDataset, SplitDataset, load_csv, save_csv
 from .errors import (
     ConfigError, DataError, DegeneratePriorError, TrainingDiverged, json_int, json_number, json_object, json_str,
     read_json, write_json,
 )
 from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
-from .metrics import accuracy, auc, error_rate, ties_present
+from .metrics import accuracy, auc, ties_present
 from .models import GaussianBasisLinear, model_from_dict
 from .prior import GAMMA, ThresholdIntervals
 from .theory import run_all
@@ -146,6 +146,9 @@ def cmd_synth(args) -> int:
         if cfg[name] is None:
             cfg[name] = CASE_DEFAULTS[case][name]
         _validate_prior(name, cfg[name])
+    for name in ("n_train_pos", "n_train_unl", "n_val_pos", "n_val_unl", "n_test"):
+        if cfg[name] < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {cfg[name]}")
     n_train = (cfg["n_train_pos"], cfg["n_train_unl"])
     n_val = (cfg["n_val_pos"], cfg["n_val_unl"])
     split, te = case_data(case, seed, n_train, n_val, cfg["n_test"], cfg["train_prior"], cfg["test_prior"])
@@ -168,13 +171,6 @@ def cmd_synth(args) -> int:
         "config_hash": _config_hash(cfg),
         "seed": seed,
         "dim": tr.dim,
-        "counts": {
-            "train_pos": tr.n_pos,
-            "train_unl": tr.n_unl,
-            "val_pos": va.n_pos,
-            "val_unl": va.n_unl,
-            "test": te.n_unl,
-        },
         "files": list(files),
     }
     write_json(os.path.join(out, "manifest.json"), manifest, indent=1)
@@ -192,14 +188,13 @@ def _write_trace_csv(path, report) -> None:
 
 
 def _load_split(data_dir) -> SplitDataset:
-    return SplitDataset(
-        train=load_pu_dataset(
-            os.path.join(data_dir, "train_pos.csv"), os.path.join(data_dir, "train_unl.csv")
-        ),
-        val=load_pu_dataset(
-            os.path.join(data_dir, "val_pos.csv"), os.path.join(data_dir, "val_unl.csv")
-        ),
-    )
+    """The four feature files of a dataset directory; files of different widths raise DataError naming each."""
+    paths = [os.path.join(data_dir, name) for name in ("train_pos.csv", "train_unl.csv", "val_pos.csv", "val_unl.csv")]
+    X = [load_csv(path, labeled=False)[0] for path in paths]
+    if len({x.shape[1] for x in X}) > 1:
+        widths = ", ".join(f"{path} has width {x.shape[1]}" for path, x in zip(paths, X))
+        raise DataError(f"feature files differ in width: {widths}")
+    return SplitDataset(train=PUDataset(*X[:2]), val=PUDataset(*X[2:]))
 
 
 def cmd_train(args) -> int:
@@ -237,7 +232,7 @@ def cmd_train(args) -> int:
         summary = f"prior={prior}"
 
     write_json(os.path.join(out, "model.json"), {**model.to_dict(), **identity})
-    report["train_report"] = trep.to_dict()
+    report["best_epoch"] = trep.best_epoch
     _write_trace_csv(os.path.join(out, "trace.csv"), trep)
     write_json(os.path.join(out, "report.json"), report, indent=1)
     print(f"train[{method}]: {summary} best_epoch={trep.best_epoch} hash={identity['config_hash']}")
@@ -317,7 +312,6 @@ def cmd_evaluate(args) -> int:
         "theta": theta,
         "n_test": X.shape[0],
         "accuracy": accuracy(labels, preds),
-        "error_rate": error_rate(labels, preds),
         "auc": auc(pos, neg) if pos.size and neg.size else None,
         # ties count 1/2 in the AUC; flag rows where that convention engaged
         "auc_ties_at_half": bool(pos.size and neg.size and ties_present(pos, neg)),

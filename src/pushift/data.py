@@ -31,7 +31,6 @@ __all__ = [
     "synth_gaussian_pair",
     "save_csv",
     "load_csv",
-    "load_pu_dataset",
 ]
 
 
@@ -78,6 +77,12 @@ class PUDataset:
 class SplitDataset:
     train: PUDataset
     val: PUDataset
+
+    def __post_init__(self):
+        if self.train.dim != self.val.dim:
+            raise DataError(
+                f"dimension mismatch: training data are {self.train.dim}-d, validation data are {self.val.dim}-d"
+            )
 
 
 @dataclass
@@ -276,8 +281,3 @@ def _raise_fault(path, rows):
     i, ln = next((i, ln) for i, ln in rows[s : s + 1024] if _loadtxt([ln]) is None)
     j = next(j for j in range(width) if _loadtxt([ln], usecols=j) is None)
     raise DataError(f"{path}: non-numeric cell at line {i}, column {j + 1}")
-
-
-def load_pu_dataset(positives_path, unlabeled_path) -> PUDataset:
-    """Assemble a PU dataset from two feature-only CSV files."""
-    return PUDataset(load_csv(positives_path, labeled=False)[0], load_csv(unlabeled_path, labeled=False)[0])

@@ -1,4 +1,4 @@
-"""Evaluation metrics: empirical AUC and error rates.
+"""Evaluation metrics: empirical AUC and accuracy.
 
 Empirical AUC uses the rank-sum formulation with ties counted 1/2, the
 unbiased treatment of the pairwise definition.  ``ties_present`` lets
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["auc", "ties_present", "error_rate", "accuracy"]
+__all__ = ["auc", "ties_present", "accuracy"]
 
 
 def auc(scores_pos, scores_neg) -> float:
@@ -46,14 +46,10 @@ def ties_present(scores_pos, scores_neg) -> bool:
     return bool(np.intersect1d(sp, sn).size)
 
 
-def error_rate(labels, predictions) -> float:
-    """Fraction of predictions that differ from the labels."""
+def accuracy(labels, predictions) -> float:
+    """Fraction of predictions that equal the labels: 1 - the error rate."""
     y = np.asarray(labels, dtype=int)
     d = np.asarray(predictions, dtype=int)
     if y.shape != d.shape:
         raise ValueError("labels and predictions must have equal length")
-    return float(np.mean(y != d))
-
-
-def accuracy(labels, predictions) -> float:
-    return 1.0 - error_rate(labels, predictions)
+    return 1.0 - float(np.mean(y != d))

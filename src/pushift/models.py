@@ -259,7 +259,6 @@ class GaussianBasisLinear(RatioModel):
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "dim_in": self.dim_in,
             "bandwidth": self.bandwidth,
             "clamp": self.clamp,
             "centers": self.centers.tolist(),
@@ -371,9 +370,8 @@ def model_from_dict(doc: dict) -> RatioModel:
     try:
         if kind == GaussianBasisLinear.kind:
             centers = np.array(json_array(doc["centers"], "centers", _numbers))
-            dim_in = json_int(doc["dim_in"], "dim_in")
-            if centers.ndim != 2 or centers.shape[1] != dim_in:
-                raise DataError(f"dim_in must equal the width of centers {centers.shape}, got {dim_in}")
+            if centers.ndim != 2:
+                raise DataError(f"centers must be a 2-d array, got shape {centers.shape}")
             return GaussianBasisLinear(
                 centers=centers,
                 bandwidth=json_number(doc["bandwidth"], "bandwidth"),

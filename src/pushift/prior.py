@@ -71,7 +71,6 @@ class PriorEstimate:
     raw_value: float
     argmin_threshold: float
     gamma_bar: float
-    n_pos_used: int
     n_unl_used: int
 
     def to_dict(self) -> dict:
@@ -81,7 +80,6 @@ class PriorEstimate:
             # null: the -inf sentinel won the sweep, so every point is accepted
             "argmin_threshold": self.argmin_threshold if math.isfinite(self.argmin_threshold) else None,
             "gamma_bar": self.gamma_bar,
-            "n_pos_used": self.n_pos_used,
             "n_unl_used": self.n_unl_used,
         }
 
@@ -107,7 +105,6 @@ class ThresholdIntervals:
 
     boundaries: np.ndarray
     accept_counts: np.ndarray
-    n_pos: int
     gamma: float
 
     def __post_init__(self):
@@ -123,16 +120,18 @@ class ThresholdIntervals:
             raise DataError("interval boundaries must be finite")
         if np.any(np.diff(b) <= 0):
             raise DataError("interval boundaries must be strictly increasing")
-        if np.any(np.diff(c) >= 0):
-            raise DataError("acceptance counts must be strictly decreasing")
-        if c[0] != self.n_pos or c[-1] < 1 or np.any(c > self.n_pos):
-            raise DataError("acceptance counts are inconsistent with n_pos")
+        if np.any(np.diff(c) >= 0) or c[-1] < 1:
+            raise DataError("acceptance counts must be positive and strictly decreasing")
         if not (0.0 < self.gamma < 1.0):
             raise DataError(f"gamma must be in (0, 1), got {self.gamma}")
 
+    @property
+    def n_pos(self) -> int:
+        """Positives summarised: every one is accepted at the lowest boundary."""
+        return int(self.accept_counts[0])
+
     def to_dict(self) -> dict:
         return {
-            "n_pos": int(self.n_pos),
             "gamma": self.gamma,
             "boundaries": self.boundaries.tolist(),
             "accept_counts": self.accept_counts.tolist(),
@@ -145,7 +144,6 @@ class ThresholdIntervals:
             return cls(
                 boundaries=json_array(doc["boundaries"], "boundaries", json_number),
                 accept_counts=json_array(doc["accept_counts"], "accept_counts", json_int),
-                n_pos=json_int(doc["n_pos"], "n_pos"),
                 gamma=json_number(doc["gamma"], "gamma"),
             )
         except KeyError as exc:
@@ -168,7 +166,7 @@ def build_intervals(r_pos, gamma: float = GAMMA) -> ThresholdIntervals:
         raise ValueError("r_pos must be nonempty")
     values, counts = np.unique(rp, return_counts=True)
     accept = counts[::-1].cumsum()[::-1]
-    return ThresholdIntervals(boundaries=values, accept_counts=accept, n_pos=rp.size, gamma=gamma)
+    return ThresholdIntervals(boundaries=values, accept_counts=accept, gamma=gamma)
 
 
 def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstimate:
@@ -204,6 +202,5 @@ def estimate_test_prior(intervals: ThresholdIntervals, r_test_unl) -> PriorEstim
         raw_value=raw,
         argmin_threshold=float(thresholds[k]),
         gamma_bar=float(gbar),
-        n_pos_used=n_pos,
         n_unl_used=ru.size,
     )

@@ -36,7 +36,7 @@ epoch and is raised at the latest at the end of its block.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class TrainReport:
     val_objective: list = field(default_factory=list)
     corrected_fraction: list = field(default_factory=list)
     best_epoch: int = -1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -54,9 +54,11 @@ class TestSynth:
     def test_case_defaults_match_reference_counts(self, tmp_path):
         assert main(["synth", "--case", "1", "--seed", "0", "--out", str(tmp_path / "c")]) == 0
         m = read_json(tmp_path / "c" / "manifest.json")
-        assert m["counts"] == {
-            "train_pos": 200, "train_unl": 1000, "val_pos": 100, "val_unl": 500, "test": 1000,
-        }
+        counts = {"n_train_pos": 200, "n_train_unl": 1000, "n_val_pos": 100, "n_val_unl": 500, "n_test": 1000}
+        assert {name: m["config"][name] for name in counts} == counts
+        for name, n in zip(("train_pos.csv", "train_unl.csv", "val_pos.csv", "val_unl.csv", "test_unl.csv"),
+                           counts.values()):
+            assert len((tmp_path / "c" / name).read_text().splitlines()) == n
         assert m["config"]["train_prior"] == 0.4
         assert m["config"]["test_prior"] == 0.6
 
@@ -83,6 +85,14 @@ class TestSynth:
         assert f"{next(iter(doc))} must be" in capsys.readouterr().err
         assert not (tmp_path / "y").exists()
 
+    @pytest.mark.parametrize("field", ["n_train_pos", "n_train_unl", "n_val_pos", "n_val_unl", "n_test"])
+    def test_zero_count_named(self, tmp_path, capsys, field):
+        """Each split count is checked by name: the test draw's dummy positive is never the one reported."""
+        out = tmp_path / "z"
+        assert main(["synth", "--" + field.replace("_", "-"), "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} must be a positive integer, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["synth", "train", "verify-theory"])
     def test_negative_seed_named(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -101,7 +111,7 @@ class TestTrain:
         report = read_json(trained_run / "report.json")
         assert report["config"]["method"] == "drpu"
         assert 0.0 <= report["pi_hat"]["value"] <= 1.0
-        assert len(report["train_report"]["val_objective"]) == 40
+        assert 0 <= report["best_epoch"] < 40
         assert report["seed"] == 5 and report["config_hash"]
         assert (trained_run / "model.json").exists()
         assert (trained_run / "intervals.json").exists()
@@ -122,7 +132,8 @@ class TestTrain:
         b = read_json(tmp_path / "r2" / "report.json")
         assert a["config_hash"] == b["config_hash"]
         assert a["pi_hat"] == b["pi_hat"]
-        assert a["train_report"] == b["train_report"]
+        assert a["best_epoch"] == b["best_epoch"]
+        assert (tmp_path / "r1" / "trace.csv").read_bytes() == (tmp_path / "r2" / "trace.csv").read_bytes()
         assert (tmp_path / "r1" / "model.json").read_bytes() == (tmp_path / "r2" / "model.json").read_bytes()
         assert (tmp_path / "r1" / "intervals.json").read_bytes() == (tmp_path / "r2" / "intervals.json").read_bytes()
 
@@ -181,6 +192,25 @@ class TestTrain:
                 assert code == 5, (n_pos, n_unl)
                 assert f"(n_pos={n_pos}, n_unl={n_unl})" in capsys.readouterr().err
                 assert not (out / "model.json").exists()
+
+    def test_splits_of_different_widths_refused_before_training(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """2-column validation files beside 1-column training files exit 3 naming the files, with no epoch run."""
+        data = tmp_path / "wide"
+        shutil.copytree(dataset_dir, data)
+        for name in ("val_pos.csv", "val_unl.csv"):
+            lines = (data / name).read_text().splitlines()
+            (data / name).write_text("".join(f"{ln},0.5\n" for ln in lines))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(experiments, "train", no_training)
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: feature files differ in width: ")
+        assert f"{data / 'train_pos.csv'} has width 1" in err and f"{data / 'val_unl.csv'} has width 2" in err
+        assert not out.exists()
 
     def test_default_flags_form_a_working_pipeline(self, tmp_path):
         data = tmp_path / "defaults"
@@ -480,7 +510,7 @@ class TestAdapt:
             "--batch-size", "80", "--max-centers", "50",
         ])
         assert code == 0
-        assert read_json(run / "model.json")["dim_in"] == 2
+        assert load_model(run / "model.json").dim_in == 2
         code = main([
             "adapt", "--model", str(run / "model.json"), "--intervals", str(run / "intervals.json"),
             "--test", str(data / "test_unl.csv"), "--report", str(run / "report.json"),
@@ -488,6 +518,22 @@ class TestAdapt:
         ])
         assert code == 0
         assert read_json(run / "adapted.json")["pi_prime"]["n_unl_used"] == 400
+
+    @pytest.mark.parametrize("dim_in, n_pos", [(1, 100), (7, 3)], ids=["as_written", "stale"])
+    def test_documents_with_dim_in_and_n_pos_still_load(self, dataset_dir, trained_run, tmp_path, dim_in, n_pos):
+        """Files that also carry the kernel's dim_in and the summary's n_pos, which earlier versions wrote, adapt to the
+        same values: the two copies are ignored, so a stale one is neither an error nor trusted."""
+        model_doc, intervals_doc = read_json(trained_run / "model.json"), read_json(trained_run / "intervals.json")
+        assert (len(model_doc["centers"][0]), intervals_doc["accept_counts"][0]) == (1, 100)  # the values as written
+        model = write_doc(tmp_path / "model.json", {**model_doc, "dim_in": dim_in})
+        intervals = write_doc(tmp_path / "intervals.json", {**intervals_doc, "n_pos": n_pos})
+        docs = []
+        for m, iv in ((trained_run / "model.json", trained_run / "intervals.json"), (model, intervals)):
+            out = tmp_path / f"adapted{len(docs)}.json"
+            assert main(["adapt", "--model", str(m), "--intervals", str(iv), "--test", str(dataset_dir / "test_unl.csv"),
+                         "--report", str(trained_run / "report.json"), "--out", str(out)]) == 0
+            docs.append({k: v for k, v in read_json(out).items() if k != "inputs"})
+        assert docs[0] == docs[1]
 
     def test_isolated_adapt_matches_in_process_raw_scores(
         self, dataset_dir, trained_run, tmp_path
@@ -664,13 +710,13 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, bad, trained_run / "intervals.json", dataset_dir / "test_unl.csv")
         assert (code, wrote) == (3, False)
 
-    @pytest.mark.parametrize("probe", ["list_document", "n_pos_not_a_number"])
+    @pytest.mark.parametrize("probe", ["list_document", "zero_accept_count"])
     def test_malformed_interval_document(self, dataset_dir, trained_run, tmp_path, probe):
         doc = read_json(trained_run / "intervals.json")
         if probe == "list_document":
             doc = [doc]
         else:
-            doc["n_pos"] = "abc"
+            doc["accept_counts"][-1] = 0  # still strictly decreasing; no positive is accepted there
         bad = tmp_path / "intervals.json"
         bad.write_text(json.dumps(doc))
         code, wrote = self.adapt(tmp_path, trained_run / "model.json", bad, dataset_dir / "test_unl.csv")
@@ -679,16 +725,16 @@ class TestDataFaults:
     @pytest.mark.parametrize(
         "document, path, value, named",
         [
-            ("intervals.json", ("n_pos",), RAW_1E400, "n_pos"),
-            ("intervals.json", ("n_pos",), 2.5, "n_pos"),
-            ("intervals.json", ("n_pos",), True, "n_pos"),
+            ("intervals.json", ("accept_counts", 0), RAW_1E400, "an entry of accept_counts"),
+            ("intervals.json", ("accept_counts", 0), 2.5, "an entry of accept_counts"),
+            ("intervals.json", ("accept_counts", 0), True, "an entry of accept_counts"),
             ("intervals.json", ("accept_counts", 1), RAW_1E400, "an entry of accept_counts"),
             ("intervals.json", ("accept_counts", 1), 2.5, "an entry of accept_counts"),
             ("intervals.json", ("boundaries", 0), "x", "an entry of boundaries"),
             ("intervals.json", ("gamma",), "0.9", "gamma"),
             ("model.json", ("clamp",), "no", "clamp"),
             ("model.json", ("clamp",), 0, "clamp"),
-            ("model.json", ("dim_in",), 3, "dim_in"),
+            ("model.json", ("centers", 0), 3, "an entry of centers"),
             ("model.json", ("params", 0), "x", "an entry of params"),
             ("model.json", ("centers", 0, 0), "x", "an entry of an entry of centers"),
             ("model.json", ("params", 0), True, "an entry of params"),
@@ -955,7 +1001,8 @@ class TestRunIdentity:
 
 
 IDENTITY = {"seed", "config_hash"}
-EVALUATE_KEYS = {"theta", "n_test", "accuracy", "error_rate", "auc", "auc_ties_at_half", "boundary", "inputs", *IDENTITY}
+EVALUATE_KEYS = {"theta", "n_test", "accuracy", "auc", "auc_ties_at_half", "boundary", "inputs", *IDENTITY}
+ESTIMATE_KEYS = {"value", "raw_value", "argmin_threshold", "gamma_bar", "n_unl_used"}
 
 
 def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_path):
@@ -972,12 +1019,12 @@ def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_pa
     assert main(["evaluate", "--model", model, "--theta", "0.5", "--test", test, "--out", str(by_theta)]) == 0
     assert main(["verify-theory", "--trials", "2", "--out", str(theory)]) == 0
     keys = {
-        dataset_dir / "manifest.json": {"config", "counts", "dim", "files", *IDENTITY},
-        trained_run / "report.json": {"config", "pi_hat", "train_report", *IDENTITY},
-        tmp_path / "nnpu" / "report.json": {"config", "train_report", *IDENTITY},
-        trained_run / "model.json": {"kind", "dim_in", "bandwidth", "clamp", "centers", "params", *IDENTITY},
-        tmp_path / "nnpu" / "model.json": {"kind", "dim_in", "bandwidth", "clamp", "centers", "params", *IDENTITY},
-        trained_run / "intervals.json": {"n_pos", "gamma", "boundaries", "accept_counts", *IDENTITY},
+        dataset_dir / "manifest.json": {"config", "dim", "files", *IDENTITY},
+        trained_run / "report.json": {"config", "pi_hat", "best_epoch", *IDENTITY},
+        tmp_path / "nnpu" / "report.json": {"config", "best_epoch", *IDENTITY},
+        trained_run / "model.json": {"kind", "bandwidth", "clamp", "centers", "params", *IDENTITY},
+        tmp_path / "nnpu" / "model.json": {"kind", "bandwidth", "clamp", "centers", "params", *IDENTITY},
+        trained_run / "intervals.json": {"gamma", "boundaries", "accept_counts", *IDENTITY},
         adapted: {"pi_hat", "pi_prime", "c0", "theta", "cost", "inputs", *IDENTITY},
         by_adapted: EVALUATE_KEYS,
         by_theta: EVALUATE_KEYS,
@@ -986,6 +1033,7 @@ def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_pa
     assert {path: set(read_json(path)) for path in keys} == keys
     assert set(read_json(adapted)["inputs"]) == {"model", "intervals", "report", "test"}
     report = read_json(trained_run / "report.json")
+    assert set(report["pi_hat"]) == set(read_json(adapted)["pi_prime"]) == ESTIMATE_KEYS
     for path in (trained_run / "model.json", trained_run / "intervals.json", adapted, by_adapted, by_theta):
         assert (read_json(path)["seed"], read_json(path)["config_hash"]) == (report["seed"], report["config_hash"])
 

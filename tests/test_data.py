@@ -8,6 +8,7 @@ from _helpers import reference_load_csv
 from pushift.data import (
     GaussianMixtureSpec,
     PUDataset,
+    SplitDataset,
     case1_mixture,
     case2_mixture,
     load_csv,
@@ -358,3 +359,9 @@ class TestPUDatasetValidation:
     def test_hidden_label_length(self):
         with pytest.raises(DataError):
             PUDataset(np.zeros((3, 2)), np.zeros((4, 2)), hidden_labels=np.ones(3))
+
+    def test_split_width_mismatch(self):
+        """A split is refused when it is built, so no training loop starts on it."""
+        train = PUDataset(np.zeros((3, 1)), np.zeros((4, 1)))
+        with pytest.raises(DataError, match="training data are 1-d, validation data are 2-d"):
+            SplitDataset(train=train, val=PUDataset(np.zeros((3, 2)), np.zeros((4, 2))))

@@ -90,17 +90,20 @@ def test_train_config_field(capsys, tmp_path, monkeypatch, chain, field):
         assert_echoed(echoed[field], value)
 
 
-# (document, path) of every field ``adapt`` reads; a path names a field, or an entry of an array or object.
+# (document, path) of every field ``adapt`` reads; a path names a field, or an entry of an array or object.  A
+# document's seed is read only beside its config_hash, by the one reader of the identity, so the report's stands for all.
 ADAPT_INPUTS = {
-    "model.json": [("kind",), ("dim_in",), ("bandwidth",), ("clamp",), ("centers",), ("centers", 0), ("params",), ("params", 0)],
-    "intervals.json": [("n_pos",), ("gamma",), ("boundaries",), ("boundaries", 0), ("accept_counts",), ("accept_counts", 0)],
+    "model.json": [("kind",), ("config_hash",), ("bandwidth",), ("clamp",), ("centers",), ("centers", 0), ("params",),
+                   ("params", 0)],
+    "intervals.json": [("config_hash",), ("gamma",), ("boundaries",), ("boundaries", 0), ("accept_counts",),
+                       ("accept_counts", 0)],
     "report.json": [("pi_hat",), ("pi_hat", "value"), ("seed",), ("config_hash",)],
 }
 
 
 @pytest.mark.parametrize("document, path", [(doc, path) for doc, paths in ADAPT_INPUTS.items() for path in paths])
 def test_adapt_input_field(capsys, tmp_path, chain, document, path):
-    """``adapt`` reads the model, the intervals and the report's pi_hat, seed and config_hash."""
+    """``adapt`` reads the model, the intervals, the report's pi_hat, and the run identity."""
     files = {name: chain / "run" / name for name in ("model.json", "intervals.json", "report.json")}
     valid = read_json(files[document])
     for i, value in enumerate(BAD_VALUES):

@@ -8,7 +8,7 @@ import pytest
 
 from pushift.errors import ConfigError
 from pushift.generators import exp_generator, lsif_generator
-from pushift.metrics import _average_ranks, accuracy, auc, error_rate
+from pushift.metrics import _average_ranks, accuracy, auc
 from pushift.theory import auc_excess_bound_check, population_auc_risk, random_distribution, random_ratio_values
 
 from _helpers import auc_brute_force
@@ -113,5 +113,5 @@ class TestAucBound:
 class TestErrorRates:
     def test_perfect_predictions(self):
         y = np.array([1, -1, 1])
-        assert error_rate(y, y) == 0.0
         assert accuracy(y, y) == 1.0
+        assert accuracy(y, -y) == 0.0

@@ -123,7 +123,7 @@ class TestEstimatePrior:
         rng = np.random.default_rng(2)
         est = estimate_prior(rng.uniform(1, 2, 400), rng.uniform(0, 2, 1200), gamma=0.5)
         assert 0.0 <= est.value <= 1.0
-        assert est.n_pos_used == 400 and est.n_unl_used == 1200
+        assert est.n_unl_used == 1200
         assert est.value == min(1.0, max(0.0, est.raw_value))
 
 
@@ -163,7 +163,7 @@ class TestThresholdIntervals:
         for mutate in (
             lambda d: d.update(boundaries=d["boundaries"][::-1]),
             lambda d: d.update(accept_counts=[1, 2, 3][: len(d["accept_counts"])]),
-            lambda d: d.update(n_pos=2),
+            lambda d: d["accept_counts"].__setitem__(-1, 0),  # strictly decreasing, but no positive accepted
             lambda d: d.pop("boundaries"),
             lambda d: d.pop("gamma"),  # every field to_dict writes is required
             # NaN compares false, so the ordering checks alone let it through
@@ -171,7 +171,7 @@ class TestThresholdIntervals:
             lambda d: d["boundaries"].__setitem__(-1, float("inf")),
             lambda d: d["boundaries"].__setitem__(0, -float("inf")),
             # a JSON integer beyond int64 overflows the count array
-            lambda d: d.update(n_pos=10**30, accept_counts=[10**30] + d["accept_counts"][1:]),
+            lambda d: d["accept_counts"].__setitem__(0, 10**30),
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)

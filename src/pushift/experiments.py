@@ -71,7 +71,6 @@ class AdaptResult:
     pi_prime: PriorEstimate
     c0: float
     theta: float
-    cost: float
 
 
 def case_data(case: int, seed: int, n_train, n_val, n_test: int, train_prior: float, test_prior: float):
@@ -155,7 +154,7 @@ def adapt_threshold(
         cost=cost,
     )
     c0, theta = cost_threshold(spec)
-    return AdaptResult(pi_prime=pi_prime, c0=c0, theta=theta, cost=cost)
+    return AdaptResult(pi_prime=pi_prime, c0=c0, theta=theta)
 
 
 def _interior(p: float) -> float:
@@ -191,7 +190,6 @@ def gaussian_case_experiment(
     n_train=(200, 1000),
     n_val=(100, 500),
     n_test: int = 1000,
-    gamma: float = GAMMA,
     cfg: Optional[TrainConfig] = None,
     with_upu: bool = True,
     max_centers: Optional[int] = None,
@@ -200,14 +198,14 @@ def gaussian_case_experiment(
     """One full run of a synthetic scenario, including the uPU comparison.
 
     The threshold is placed at cost 0.5.  The uPU baseline shares the ratio
-    model's centers and receives this package's own prior estimate (it has
-    no prior-free training path), which the output records as
-    ``upu_prior_source``.
+    model's centers and receives the ratio model's prior estimate
+    ``pi_hat``, since it has no prior-free training path.  The record holds
+    what the run computed, not the arguments it was given.
     """
     train_prior, test_prior = CASE_DEFAULTS[case]["train_prior"], CASE_DEFAULTS[case]["test_prior"]
     split, test = case_data(case, seed, n_train, n_val, n_test, train_prior, test_prior)
     cfg = cfg or TrainConfig(seed=seed)
-    fit = fit_drpu(split, cfg, gamma=gamma, max_centers=max_centers, bandwidth=bandwidth)
+    fit = fit_drpu(split, cfg, max_centers=max_centers, bandwidth=bandwidth)
     adapted = adapt_threshold(fit.model, fit.intervals, test.unlabeled, fit.pi_hat.value)
 
     boundary_drpu = decision_boundary_1d(fit.model.predict, adapted.theta)
@@ -216,10 +214,6 @@ def gaussian_case_experiment(
     auc_drpu = auc(r_test[labels == 1], r_test[labels == -1])
 
     out = {
-        "case": case,
-        "seed": seed,
-        "train_prior": train_prior,
-        "test_prior": test_prior,
         "pi_hat": fit.pi_hat.value,
         "pi_prime_hat": adapted.pi_prime.value,
         "c0": adapted.c0,
@@ -227,15 +221,12 @@ def gaussian_case_experiment(
         "boundary_drpu": boundary_drpu,
         "auc_drpu": auc_drpu,
         "best_epoch": fit.report.best_epoch,
-        "gamma": gamma,
-        "alpha": cfg.alpha,
     }
 
     if with_upu:
-        upu_model = GaussianBasisLinear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth, clamp=False)
+        upu_model = GaussianBasisLinear(fit.model.centers, bandwidth=bandwidth, clamp=False)
         upu_model, _ = train_baseline("upu", logistic_loss(), fit.pi_hat.value, upu_model, split, cfg)
         out["boundary_upu"] = decision_boundary_1d(upu_model.predict, 0.0)
-        out["upu_prior_source"] = "pushift.prior.estimate_prior"
     return out
 
 
@@ -289,11 +280,9 @@ def shift_robustness_experiment(seed: int = 0) -> dict:
             acc[name].append(float(np.mean(threshold_decisions(dm.predict(X), 0.0) == y)))
 
     return {
-        "seed": seed,
         "test_priors": list(test_priors),
         "pi_hat": fit.pi_hat.value,
         "pi_prime_hat": pi_primes,
         "accuracy": acc,
         "average": {k: float(np.mean(v)) for k, v in acc.items()},
-        "baseline_prior_injected_error": prior_error,
     }

@@ -89,6 +89,14 @@ def _product(A, v):
         return np.ldexp((A @ np.ldexp(v, -e).astype(A.dtype)).astype(float), e)
 
 
+def _param_vector(value, size: int) -> np.ndarray:
+    """A float64 copy of ``value``, which must have shape ``(size,)``."""
+    value = np.array(value, dtype=float)
+    if value.shape != (size,):
+        raise ConfigError(f"params must have shape ({size},), got {value.shape}")
+    return value
+
+
 def expit(x):
     """Logistic sigmoid 1 / (1 + exp(-x)), the derivative of softplus.
 
@@ -122,10 +130,7 @@ class RatioModel:
 
     @params.setter
     def params(self, value):
-        value = np.asarray(value, dtype=float)
-        if value.shape != self._params.shape:
-            raise ConfigError(f"parameter vector must have shape {self._params.shape}, got {value.shape}")
-        self._params = value.copy()
+        self._params = _param_vector(value, self._params.size)
 
     @property
     def n_params(self) -> int:
@@ -288,15 +293,15 @@ class MLP(RatioModel):
             raise ConfigError(f"unknown output mode {output!r}")
         self.layer_sizes = layer_sizes
         self.output = output
-        self.seed = int(seed)
         self._shapes = [
             (layer_sizes[i + 1], layer_sizes[i]) for i in range(len(layer_sizes) - 1)
         ]
-        super().__init__(layer_sizes[0], np.zeros(sum(o * i + o for o, i in self._shapes)))
-        self.params = self._init_params() if params is None else params
+        # A document's layer sizes can ask for terabytes: a given vector is checked against them before any allocation.
+        n_params = sum(o * i + o for o, i in self._shapes)
+        super().__init__(layer_sizes[0], self._init_params(seed) if params is None else _param_vector(params, n_params))
 
-    def _init_params(self) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(self.seed))
+    def _init_params(self, seed: int) -> np.ndarray:
+        rng = np.random.Generator(np.random.Philox(int(seed)))
         chunks = []
         for out_dim, in_dim in self._shapes:
             bound = np.sqrt(6.0 / in_dim)
@@ -352,7 +357,6 @@ class MLP(RatioModel):
             "kind": self.kind,
             "layer_sizes": self.layer_sizes,
             "output": self.output,
-            "seed": self.seed,
             "params": self._params.tolist(),
         }
 
@@ -381,7 +385,6 @@ def model_from_dict(doc: dict) -> RatioModel:
         if kind == MLP.kind:
             return MLP(
                 layer_sizes=json_array(doc["layer_sizes"], "layer_sizes", json_int),
-                seed=json_int(doc["seed"], "seed"),
                 output=json_str(doc["output"], "output"),
                 params=_numbers(doc["params"], "params"),
             )

@@ -77,7 +77,7 @@ def test_criterion_2_case2_bounded_error_without_irreducibility():
 
     cfg_kw = dict(
         n_train=(1000, 5000), n_val=(1000, 5000), n_test=5000,
-        max_centers=1000, bandwidth=1.5, gamma=0.9, with_upu=False,
+        max_centers=1000, bandwidth=1.5, with_upu=False,
     )
     errors = []
     for seed in range(10):
@@ -272,6 +272,7 @@ def test_criterion_8_shift_robustness_at_desk_scale():
     t0 = time.time()
     records = [shift_robustness_experiment(seed=s) for s in range(3)]
     elapsed = time.time() - t0
+    assert all(set(r) == {"test_priors", "pi_hat", "pi_prime_hat", "accuracy", "average"} for r in records)
 
     drpu = float(np.mean([r["average"]["drpu"] for r in records]))
     true_ref = float(np.mean([r["average"]["nnpu_true"] for r in records]))

@@ -752,7 +752,7 @@ class TestDataFaults:
 
     @pytest.mark.parametrize(
         "document, field",
-        [("model.json", "clamp"), ("mlp", "output"), ("mlp", "seed"), ("intervals.json", "gamma")],
+        [("model.json", "clamp"), ("mlp", "output"), ("intervals.json", "gamma")],
     )
     def test_writer_field_missing_named(self, dataset_dir, trained_run, tmp_path, capsys, document, field):
         """Every field the writers emit is required: a model without clamp is not read as a clamped one."""
@@ -767,6 +767,25 @@ class TestDataFaults:
         code, wrote = self.adapt(tmp_path, files["model.json"], files["intervals.json"], dataset_dir / "test_unl.csv")
         assert (code, wrote) == (3, False)
         assert f"missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["adapt", "evaluate"])
+    def test_mlp_layer_sizes_beyond_memory(self, dataset_dir, trained_run, tmp_path, capsys, command):
+        """A 100-byte MLP document whose layer sizes ask for 65 TiB: its params are checked against them before
+        anything is allocated, so exit 3, not a MemoryError traceback."""
+        model = write_doc(tmp_path / "model.json", {
+            "kind": "mlp", "layer_sizes": [3000000, 3000000, 1], "output": "softplus", "params": [],
+        })
+        argv = {
+            "adapt": ["--intervals", str(trained_run / "intervals.json"), "--test", str(dataset_dir / "test_unl.csv"),
+                      "--report", str(trained_run / "report.json")],
+            "evaluate": ["--theta", "0.5", "--test", str(dataset_dir / "eval_test.csv")],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(model), *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "data error: invalid model document: params must have shape (9000006000001,), got (0,)\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -1,15 +1,22 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from pushift.baselines import logistic_loss, train_baseline
 from pushift.data import SplitDataset, synth_case1
 from pushift.experiments import (
+    CASE_DEFAULTS,
+    AdaptResult,
     adapt_threshold,
+    case_data,
     decision_boundary_1d,
     fit_drpu,
     gaussian_case_experiment,
+    kernel_centers,
 )
+from pushift.models import GaussianBasisLinear
 from pushift.prior import GAMMA, gamma_bar
 from pushift.trainer import TrainConfig
 
@@ -102,24 +109,33 @@ class TestFitAndAdapt:
 
 
 class TestCaseExperiment:
+    KW = dict(n_train=(60, 300), n_val=(80, 400), n_test=300)
+
     def test_record_fields_and_determinism(self):
-        kw = dict(
-            n_train=(60, 300), n_val=(80, 400), n_test=300,
-            cfg=TrainConfig(epochs=10, batch_size=60, learning_rate=5e-4, seed=9),
-            gamma=0.9, with_upu=False,
-        )
+        """The record holds what the run computed; the arguments it was given stay with the caller."""
+        kw = dict(self.KW, cfg=TrainConfig(epochs=10, batch_size=60, learning_rate=5e-4, seed=9), with_upu=False)
         a = gaussian_case_experiment(case=1, seed=9, **kw)
         b = gaussian_case_experiment(case=1, seed=9, **kw)
         assert a == b
-        for key in ("pi_hat", "pi_prime_hat", "c0", "theta", "boundary_drpu", "auc_drpu"):
-            assert key in a
+        assert set(a) == {"pi_hat", "pi_prime_hat", "c0", "theta", "boundary_drpu", "auc_drpu", "best_epoch"}
 
-    def test_upu_records_prior_source(self):
-        rec = gaussian_case_experiment(
-            case=1, seed=10,
-            n_train=(60, 300), n_val=(80, 400), n_test=300,
-            cfg=TrainConfig(epochs=5, batch_size=60, learning_rate=5e-4, seed=10),
-            gamma=0.9,
-        )
-        assert rec["upu_prior_source"] == "pushift.prior.estimate_prior"
-        assert "boundary_upu" in rec
+    def test_upu_shares_the_subsampled_centers(self):
+        """With ``max_centers`` the uPU model takes the ratio model's subsampled centres: its boundary equals
+        that of a uPU model built on ``kernel_centers`` with the same seed, bit for bit."""
+        cfg = TrainConfig(epochs=5, batch_size=60, learning_rate=5e-4, seed=10)
+        rec = gaussian_case_experiment(case=1, seed=10, cfg=cfg, max_centers=50, **self.KW)
+        assert set(rec) == {
+            "pi_hat", "pi_prime_hat", "c0", "theta", "boundary_drpu", "auc_drpu", "best_epoch", "boundary_upu"
+        }
+        priors = {k: CASE_DEFAULTS[1][k] for k in ("train_prior", "test_prior")}
+        split, _ = case_data(1, 10, **self.KW, **priors)
+        centers = kernel_centers(split, cfg.seed, 50)
+        assert len(centers) == 50 < split.train.n_unl
+        upu = GaussianBasisLinear(centers, clamp=False)
+        upu, _ = train_baseline("upu", logistic_loss(), rec["pi_hat"], upu, split, cfg)
+        assert rec["boundary_upu"] == decision_boundary_1d(upu.predict, 0.0)
+
+
+def test_adapt_result_fields():
+    """``adapt_threshold`` returns what it computed; its inputs, the cost among them, stay with the caller."""
+    assert [f.name for f in fields(AdaptResult)] == ["pi_prime", "c0", "theta"]

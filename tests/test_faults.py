@@ -15,6 +15,7 @@ import pytest
 from _helpers import RAW_1E400, read_json, replaced, write_doc
 from pushift.cli import SYNTH_FIELDS, TRAIN_FIELDS, main
 from pushift.experiments import CASE_DEFAULTS
+from pushift.models import mlp, save_model
 
 BAD_VALUES = [None, True, "x", [], {}, 2.5, -1, 1e308, RAW_1E400, [[1]]]
 
@@ -43,13 +44,15 @@ def assert_echoed(echoed, value):
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """Directory of one valid run: ``data/``, ``run/`` and ``adapted.json``."""
+    """Directory of one valid run: ``data/``, ``run/`` (with an MLP ``mlp.json`` that ``save_model`` wrote) and
+    ``adapted.json``."""
     root = tmp_path_factory.mktemp("chain")
     cfg = write_doc(root / "synth.json", {**SYNTH_CONFIG, "out": str(root / "data")})
     assert main(["synth", "--config", str(cfg)]) == 0
     cfg = write_doc(root / "train.json", {**TRAIN_CONFIG, "data": str(root / "data"), "out": str(root / "run")})
     assert main(["train", "--config", str(cfg)]) == 0
     run_dir = root / "run"
+    save_model(mlp([1, 4, 1], seed=0), run_dir / "mlp.json")
     argv = adapt_argv(root, run_dir / "model.json", run_dir / "intervals.json", run_dir / "report.json", root / "adapted.json")
     assert main(argv) == 0
     return root
@@ -98,6 +101,8 @@ ADAPT_INPUTS = {
     "intervals.json": [("config_hash",), ("gamma",), ("boundaries",), ("boundaries", 0), ("accept_counts",),
                        ("accept_counts", 0)],
     "report.json": [("pi_hat",), ("pi_hat", "value"), ("seed",), ("config_hash",)],
+    # an MLP model.json, in the kernel model's place
+    "mlp.json": [("layer_sizes",), ("layer_sizes", 0), ("layer_sizes", 1), ("output",), ("params",), ("params", 0)],
 }
 
 
@@ -105,9 +110,10 @@ ADAPT_INPUTS = {
 def test_adapt_input_field(capsys, tmp_path, chain, document, path):
     """``adapt`` reads the model, the intervals, the report's pi_hat, and the run identity."""
     files = {name: chain / "run" / name for name in ("model.json", "intervals.json", "report.json")}
-    valid = read_json(files[document])
+    valid = read_json(chain / "run" / document)
+    slot = "model.json" if document == "mlp.json" else document
     for i, value in enumerate(BAD_VALUES):
-        files[document] = write_doc(tmp_path / f"{i}-{document}", replaced(valid, path, value))
+        files[slot] = write_doc(tmp_path / f"{i}-{document}", replaced(valid, path, value))
         out = tmp_path / f"adapted{i}.json"
         code = run(capsys, adapt_argv(chain, files["model.json"], files["intervals.json"], files["report.json"], out))
         if code == 0 and document == "report.json":

@@ -491,6 +491,14 @@ class TestSerialization:
         X = np.random.default_rng(9).normal(size=(20, 4))
         np.testing.assert_array_equal(back.predict(X), model.predict(X))
 
+    def test_mlp_document_holds_no_seed(self):
+        """A loaded MLP takes its ``params``, never its initial seed, so the document carries none; a ``seed``
+        from an earlier version is ignored."""
+        model = mlp([2, 5, 1], seed=4, output="linear")
+        doc = model.to_dict()
+        assert set(doc) == {"kind", "layer_sizes", "output", "params"}
+        np.testing.assert_array_equal(model_from_dict({**doc, "seed": 99}).params, model.params)
+
     def test_non_finite_params_raise_and_write_no_file(self, tmp_path):
         model = GaussianBasisLinear(np.zeros((3, 2)))
         model.params = [0.5, np.nan, 1.0]

@@ -2,9 +2,11 @@
 
 Every run is described by a JSON config document; command-line flags
 override config fields (flag > config > default).  Every output JSON but
-the ``verify-theory`` report carries the run identity, the effective config
-hash and the seed, so reruns with the same hash are byte-identical on the
-numeric fields at a fixed BLAS thread count.  ``adapt`` and ``evaluate``
+the ``verify-theory`` report carries the run identity ``config_hash``: a hash
+of the ``config`` that ``manifest.json`` and ``report.json`` write (which
+holds no path) and, for ``train``, of the four training arrays it read.  No
+output holds a path, so reruns with one hash write byte-identical files in
+any directory at a fixed BLAS thread count.  ``adapt`` and ``evaluate``
 refuse inputs whose identities differ (exit 3).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
@@ -34,7 +36,7 @@ from .errors import (
     ConfigError, DataError, DegeneratePriorError, TrainingDiverged, json_int, json_number, json_object, json_str,
     read_json, write_json,
 )
-from .experiments import CASE_DEFAULTS, adapt_threshold, case_data, decision_boundary_1d, fit_drpu, kernel_centers
+from .experiments import CASE_DEFAULTS, adapt_to_scores, case_data, decision_boundary_1d, fit_drpu, kernel_centers
 from .generators import generator_by_name
 from .metrics import accuracy, auc, ties_present
 from .models import GaussianBasisLinear, model_from_dict
@@ -91,11 +93,13 @@ READERS = {int: json_int, float: json_number, str: json_str}
 LOSSES = {"sigmoid": sigmoid_loss, "logistic": logistic_loss}
 
 
-def _config_hash(cfg: dict) -> str:
-    """Hash of the run parameters; filesystem paths are not identity."""
-    semantic = {k: v for k, v in cfg.items() if k not in ("out", "data")}
-    blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+def _config_hash(config: dict, arrays=()) -> str:
+    """The run identity: a hash of the ``config`` a run writes, which holds no path, and of each array it read
+    (shape and float64 values)."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
+    for x in arrays:
+        digest.update(f"{x.shape}".encode() + np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return digest.hexdigest()[:12]
 
 
 def _add_fields(parser, fields: dict) -> None:
@@ -139,7 +143,7 @@ def _validate_prior(name, value):
 
 def cmd_synth(args) -> int:
     cfg = _effective_config(SYNTH_FIELDS, args)
-    case, seed = cfg["case"], cfg["seed"]
+    out, case, seed = cfg.pop("out"), cfg["case"], cfg["seed"]
     if case not in CASE_DEFAULTS:
         raise ConfigError(f"case must be 1 or 2, got {case}")
     for name in ("train_prior", "test_prior"):
@@ -162,17 +166,10 @@ def cmd_synth(args) -> int:
         "test_unl.csv": (te.unlabeled, None),
         "eval_test.csv": (te.unlabeled, te.hidden_labels),  # labeled copy of the test set, for evaluation only
     }
-    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     for name, (X, labels) in files.items():
         save_csv(os.path.join(out, name), X, labels=labels)
-    manifest = {
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "seed": seed,
-        "dim": tr.dim,
-        "files": list(files),
-    }
+    manifest = {"config": cfg, "config_hash": _config_hash(cfg), "dim": tr.dim, "files": list(files)}
     write_json(os.path.join(out, "manifest.json"), manifest, indent=1)
     print(f"synth: wrote {out}/ (case {case}, seed {seed}, hash {manifest['config_hash']})")
     return EXIT_OK
@@ -199,7 +196,7 @@ def _load_split(data_dir) -> SplitDataset:
 
 def cmd_train(args) -> int:
     cfg = _effective_config(TRAIN_FIELDS, args)
-    seed, method = cfg["seed"], cfg["method"]
+    data, out, seed, method = cfg.pop("data"), cfg.pop("out"), cfg["seed"], cfg["method"]
     if method not in UNREAD_FIELDS:
         raise ConfigError(f"method must be drpu, upu, or nnpu, got {method!r}")
     for name in UNREAD_FIELDS[method]:
@@ -211,11 +208,11 @@ def cmd_train(args) -> int:
     prior = cfg["prior"]
     if method != "drpu" and not (prior is not None and 0.0 < prior < 1.0):
         raise ConfigError(f"method {method} needs a prior in (0, 1), got {prior}")
-    split = _load_split(cfg["data"])
+    split = _load_split(data)
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
-    out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    identity = {"seed": seed, "config_hash": _config_hash(cfg)}
+    arrays = (split.train.positives, split.train.unlabeled, split.val.positives, split.val.unlabeled)
+    identity = {"config_hash": _config_hash(cfg, arrays)}
     report = {"config": cfg, **identity}
 
     if method == "drpu":
@@ -248,46 +245,49 @@ def cmd_adapt(args) -> int:
         raise ConfigError(f"{args.report} has no pi_hat field: adapt needs the report of a drpu training run")
     estimate = json_object(report["pi_hat"], f"{args.report}: pi_hat")
     pi_hat = json_number(estimate.get("value"), f"{args.report}: pi_hat value", 0.0, 1.0)
-    identity = _run_identity((args.model, model_doc), (args.intervals, intervals_doc), (args.report, report))
+    config_hash = _run_identity((args.model, model_doc), (args.intervals, intervals_doc), (args.report, report))
     _validate_prior("cost", args.cost)
     X, _ = load_csv(args.test, labeled=False)
 
-    adapted = adapt_threshold(model, intervals, X, pi_hat, cost=args.cost)
+    adapted = adapt_to_scores(intervals, _scores(model, X, args.model), pi_hat, cost=args.cost)
     doc = {
         "pi_hat": pi_hat,
         "pi_prime": adapted.pi_prime.to_dict(),
         "c0": adapted.c0,
         "theta": adapted.theta,
         "cost": args.cost,
-        "inputs": {"model": args.model, "intervals": args.intervals, "report": args.report, "test": args.test},
-        **identity,
+        "config_hash": config_hash,
     }
     write_json(args.out, doc, indent=1)
-    print(
-        f"adapt: pi_prime={adapted.pi_prime.value:.4f} c0={adapted.c0:.4f} "
-        f"theta={adapted.theta:.4f} -> {args.out}"
-    )
+    print(f"adapt: pi_prime={adapted.pi_prime.value:.4f} c0={adapted.c0:.4f} theta={adapted.theta:.4f} -> {args.out}")
     return EXIT_OK
 
 
-def _run_identity(*sources) -> dict:
-    """The ``seed`` and ``config_hash`` that the ``(path, document)`` sources agree on, each null when none has one.
+def _run_identity(*sources):
+    """The ``config_hash`` that the ``(path, document)`` sources agree on, null when none has one.
 
     A document without ``config_hash`` has no identity; ``save_model`` and ``ThresholdIntervals.save`` write
-    such files.  Two different identities raise DataError naming both.
+    such files.  Two different identities raise DataError naming both.  A ``seed`` beside the hash, which earlier
+    versions wrote, is ignored: the hash covers ``config.seed``.
     """
     found = {}
     for path, doc in sources:
         if "config_hash" in doc:
-            seed, chash = doc.get("seed"), doc["config_hash"]
-            seed = None if seed is None else json_int(seed, f"{path}: seed")
-            chash = None if chash is None else json_str(chash, f"{path}: config_hash")
-            found.setdefault((seed, chash), path)
+            chash = doc["config_hash"]
+            found.setdefault(None if chash is None else json_str(chash, f"{path}: config_hash"), path)
     if len(found) > 1:
-        runs = ", ".join(f"{path} has config_hash {chash} and seed {seed}" for (seed, chash), path in found.items())
+        runs = ", ".join(f"{path} has config_hash {chash}" for chash, path in found.items())
         raise DataError(f"inputs come from different runs: {runs}")
-    seed, chash = next(iter(found), (None, None))
-    return {"seed": seed, "config_hash": chash}
+    return next(iter(found), None)
+
+
+def _scores(model, X, model_path):
+    """``model.predict(X)``; a NaN or infinite score, as an overflowing model gives, raises DataError naming the model."""
+    scores = model.predict(X)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DataError(f"{model_path}: the model scores {bad} of {scores.size} test rows as NaN or infinite")
+    return scores
 
 
 def cmd_evaluate(args) -> int:
@@ -302,10 +302,10 @@ def cmd_evaluate(args) -> int:
         adapted = json_object(read_json(args.adapted), args.adapted)
         theta = json_number(adapted.get("theta"), f"{args.adapted}: theta")
         sources.append((args.adapted, adapted))
-    identity = _run_identity(*sources)
+    config_hash = _run_identity(*sources)
     X, labels = load_csv(args.test, labeled=True)
 
-    scores = model.predict(X)
+    scores = _scores(model, X, args.model)
     preds = threshold_decisions(scores, theta)
     pos, neg = scores[labels == 1], scores[labels == -1]
     doc = {
@@ -315,8 +315,7 @@ def cmd_evaluate(args) -> int:
         "auc": auc(pos, neg) if pos.size and neg.size else None,
         # ties count 1/2 in the AUC; flag rows where that convention engaged
         "auc_ties_at_half": bool(pos.size and neg.size and ties_present(pos, neg)),
-        "inputs": {"model": args.model, "test": args.test, "adapted": args.adapted},
-        **identity,
+        "config_hash": config_hash,
     }
     if X.shape[1] == 1:
         boundary = decision_boundary_1d(model.predict, theta)

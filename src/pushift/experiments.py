@@ -45,6 +45,7 @@ __all__ = [
     "kernel_centers",
     "fit_drpu",
     "adapt_threshold",
+    "adapt_to_scores",
     "decision_boundary_1d",
     "gaussian_case_experiment",
     "shift_robustness_experiment",
@@ -138,15 +139,13 @@ def fit_drpu(
     return DrpuFit(model=model, report=report, pi_hat=pi_hat, intervals=intervals)
 
 
-def adapt_threshold(
-    model,
-    intervals: ThresholdIntervals,
-    test_unlabeled,
-    pi_hat: float,
-    cost: float = 0.5,
-) -> AdaptResult:
+def adapt_threshold(model, intervals: ThresholdIntervals, test_unlabeled, pi_hat: float, cost: float = 0.5) -> AdaptResult:
     """Test-time adaptation from unlabeled data and the saved summary only."""
-    r_test = model.predict(np.atleast_2d(np.asarray(test_unlabeled, dtype=float)))
+    return adapt_to_scores(intervals, model.predict(test_unlabeled), pi_hat, cost)
+
+
+def adapt_to_scores(intervals: ThresholdIntervals, r_test, pi_hat: float, cost: float = 0.5) -> AdaptResult:
+    """``adapt_threshold`` on the model's scores ``r_test`` of the test-time unlabeled rows."""
     pi_prime = estimate_test_prior(intervals, r_test)
     spec = ShiftSpec(
         train_prior=_interior(pi_hat),

@@ -80,7 +80,8 @@ def _product(A, v):
     """``A @ v`` in ``A``'s dtype, as float64.  A float32 ``A`` takes ``v`` cast to float32; a ``v`` reaching 2**64 is
     scaled below 1 by a power of two and the product scaled back, exact, so no float32 cast or sum of |A| <= 1 overflows."""
     if A.dtype == v.dtype:
-        return A @ v
+        with np.errstate(over="ignore"):  # an overflowed score is refused by its reader
+            return A @ v
     top = np.abs(v).max(initial=0.0)
     if not top >= 2.0**64:  # NaN too: the plain cast keeps it
         return (A @ v.astype(A.dtype)).astype(float)
@@ -330,13 +331,14 @@ class MLP(RatioModel):
         """
         layers = self._layers(theta)
         activations = [X]
-        for W, b in layers:
-            pre = activations[-1] @ W.T
-            pre += b
-            if len(activations) < len(layers):
-                activations.append(np.maximum(pre, 0.0, out=pre))
-        z = pre[:, 0]
-        y = np.logaddexp(0.0, z) if self.output == "softplus" else z
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score or objective is refused by its reader
+            for W, b in layers:
+                pre = activations[-1] @ W.T
+                pre += b
+                if len(activations) < len(layers):
+                    activations.append(np.maximum(pre, 0.0, out=pre))
+            z = pre[:, 0]
+            y = np.logaddexp(0.0, z) if self.output == "softplus" else z
 
         def backward(weights):
             w = np.asarray(weights, dtype=float)

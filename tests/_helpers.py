@@ -3,8 +3,8 @@ the pairwise AUC, the mini-batch gradient of an objective's active branch,
 a model's gradient at one point, and reference implementations of the MLP
 forward and backward passes, of the Adam step and of the theory suites' trial
 loops and finite-support risks; a runner for checks whose bits hold only
-at one BLAS thread; the traced peak memory of a call; and a one-grammar CSV
-reader."""
+at one BLAS thread; the traced peak memory of a call; a one-grammar CSV
+reader; and test ids named by a document field's path."""
 
 import copy
 import json
@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
@@ -242,6 +243,12 @@ def replaced(doc, path, value):
         target = target[key]
     target[path[-1]] = value
     return doc
+
+
+def field_param(document, path, *values):
+    """A ``pytest.param`` of one field of ``document``, its id built from the field path and the first value
+    (``model.json-centers-0-3``), so adding or removing a case renames no other."""
+    return pytest.param(document, path, *values, id="-".join(map(str, (document, *path, *values[:1]))))
 
 
 def reference_finite_support_risk(dist, decisions, prior, cost):

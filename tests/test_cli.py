@@ -1,15 +1,17 @@
 import json
 import re
 import shutil
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _helpers import RAW_1E400, read_json, replaced, write_doc
+from _helpers import RAW_1E400, field_param, read_json, replaced, run_at_one_blas_thread, write_doc
 from pushift import experiments
 from pushift.cli import COMMANDS, build_parser, main
-from pushift.models import load_model, mlp, save_model
+from pushift.models import MLP, load_model, mlp, save_model
 from pushift.prior import ThresholdIntervals, build_intervals
 
 
@@ -45,11 +47,8 @@ class TestSynth:
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("train_pos.csv", "train_unl.csv", "val_pos.csv", "val_unl.csv",
-                     "test_unl.csv", "eval_test.csv"):
+                     "test_unl.csv", "eval_test.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        ma = read_json(tmp_path / "a" / "manifest.json")
-        mb = read_json(tmp_path / "b" / "manifest.json")
-        assert ma["config_hash"] == mb["config_hash"]
 
     def test_case_defaults_match_reference_counts(self, tmp_path):
         assert main(["synth", "--case", "1", "--seed", "0", "--out", str(tmp_path / "c")]) == 0
@@ -112,7 +111,7 @@ class TestTrain:
         assert report["config"]["method"] == "drpu"
         assert 0.0 <= report["pi_hat"]["value"] <= 1.0
         assert 0 <= report["best_epoch"] < 40
-        assert report["seed"] == 5 and report["config_hash"]
+        assert report["config"]["seed"] == 5 and report["config_hash"]
         assert (trained_run / "model.json").exists()
         assert (trained_run / "intervals.json").exists()
 
@@ -128,19 +127,13 @@ class TestTrain:
         ]
         assert main(args + ["--out", str(tmp_path / "r1")]) == 0
         assert main(args + ["--out", str(tmp_path / "r2")]) == 0
-        a = read_json(tmp_path / "r1" / "report.json")
-        b = read_json(tmp_path / "r2" / "report.json")
-        assert a["config_hash"] == b["config_hash"]
-        assert a["pi_hat"] == b["pi_hat"]
-        assert a["best_epoch"] == b["best_epoch"]
-        assert (tmp_path / "r1" / "trace.csv").read_bytes() == (tmp_path / "r2" / "trace.csv").read_bytes()
-        assert (tmp_path / "r1" / "model.json").read_bytes() == (tmp_path / "r2" / "model.json").read_bytes()
-        assert (tmp_path / "r1" / "intervals.json").read_bytes() == (tmp_path / "r2" / "intervals.json").read_bytes()
+        for name in ("report.json", "trace.csv", "model.json", "intervals.json"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
-    def test_readme_config_hash(self, dataset_dir, tmp_path):
-        """README quotes this hash for `train --epochs 20`; it pins every train default, gamma's included."""
-        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--epochs", "20"]) == 0
-        assert read_json(tmp_path / "r" / "report.json")["config_hash"] == "85d3d34d74df"
+    def test_readme_config_hash(self, three_runs):
+        """README quotes this hash for `train --epochs 20` on `synth --case 1 --seed 7`; it pins every train
+        default, gamma's included, and the data the run read."""
+        assert read_json(three_runs / "A" / "report.json")["config_hash"] == "a11722a9654d"
 
     def test_missing_data_dir_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
@@ -299,8 +292,6 @@ class TestTrain:
             assert main(base + [flag, value, "--out", str(tmp_path / run)]) == 0
         neg, zero = (tmp_path / run / "report.json" for run in ("neg", "zero"))
         assert read_json(neg)["config_hash"] == read_json(zero)["config_hash"]
-        if flag == "--alpha":  # 0 is alpha's default, so this is the README run
-            assert read_json(neg)["config_hash"] == "85d3d34d74df"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -379,7 +370,7 @@ class TestAdapt:
         assert doc["auc"] is not None
         assert "boundary" in doc
         # provenance flows from the training report through adapt to metrics
-        assert doc["seed"] == 5 and doc["config_hash"]
+        assert doc["config_hash"] == read_json(trained_run / "report.json")["config_hash"]
 
     def test_no_crossing_writes_null_boundary(self, dataset_dir, trained_run, tmp_path):
         """A threshold the scores never reach has no boundary; metrics.json stays strict JSON."""
@@ -532,7 +523,7 @@ class TestAdapt:
             out = tmp_path / f"adapted{len(docs)}.json"
             assert main(["adapt", "--model", str(m), "--intervals", str(iv), "--test", str(dataset_dir / "test_unl.csv"),
                          "--report", str(trained_run / "report.json"), "--out", str(out)]) == 0
-            docs.append({k: v for k, v in read_json(out).items() if k != "inputs"})
+            docs.append(out.read_bytes())
         assert docs[0] == docs[1]
 
     def test_isolated_adapt_matches_in_process_raw_scores(
@@ -569,7 +560,7 @@ class TestAdapt:
         assert via_files["theta"] == theta
         # the report is the one source of pi_hat and of the run identity
         assert via_files["pi_hat"] == pi_hat
-        assert (via_files["seed"], via_files["config_hash"]) == (report["seed"], report["config_hash"])
+        assert via_files["config_hash"] == report["config_hash"]
 
     def test_labeled_test_file_rejected(self, dataset_dir, trained_run, tmp_path):
         code = main([
@@ -672,6 +663,35 @@ class TestDataFaults:
         assert (code, [str(w.message) for w in caught], out.exists()) == (3, [], False)
         assert capsys.readouterr().err == CENTER_ERROR
 
+    @pytest.mark.parametrize("command", ["adapt", "evaluate"])
+    @pytest.mark.parametrize("scores", ["nan", "inf", "kernel"])
+    def test_non_finite_model_scores_named(self, dataset_dir, trained_run, tmp_path, capsys, command, scores):
+        """A model whose products overflow scores test rows as NaN or infinite.  Both commands refuse such scores:
+        exit 3 naming the model file, with no numpy warning.  ``evaluate`` once crashed on NaN scores in writing
+        the metrics, and wrote metrics from infinite ones."""
+        if scores == "nan":  # hidden units 1e308 x and an output 1e308 (h1 - h2): inf - inf where x > 1
+            model = MLP([1, 2, 1], params=[1e308, 1e308, 0, 0, 1e308, -1e308, 0])
+        elif scores == "inf":  # a first-layer weight of 1e308 overflows its unit, and the softplus output, to inf
+            model = mlp([1, 4, 1], seed=0)
+            model.params = np.where(np.arange(model.n_params) == 0, 1e308, model.params)
+        else:  # every kernel weight 1e308: the features' sum overflows
+            model = load_model(trained_run / "model.json")
+            model.params = np.full(model.n_params, 1e308)
+        save_model(model, tmp_path / "model.json")
+        argv = {
+            "adapt": ["--intervals", str(trained_run / "intervals.json"), "--test", str(dataset_dir / "test_unl.csv"),
+                      "--report", str(trained_run / "report.json")],
+            "evaluate": ["--theta", "0", "--test", str(dataset_dir / "eval_test.csv")],
+        }[command]
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--model", str(tmp_path / "model.json"), *argv, "--out", str(out)])
+        assert (code, out.exists()) == (3, False)
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"data error: {re.escape(str(tmp_path / 'model.json'))}: the model scores [1-9]\d* of 400 "
+                            r"test rows as NaN or infinite\n", err), err
+
     def test_nan_interval_boundary(self, dataset_dir, trained_run, tmp_path):
         doc = read_json(trained_run / "intervals.json")
         doc["boundaries"][-1] = float("nan")
@@ -725,20 +745,20 @@ class TestDataFaults:
     @pytest.mark.parametrize(
         "document, path, value, named",
         [
-            ("intervals.json", ("accept_counts", 0), RAW_1E400, "an entry of accept_counts"),
-            ("intervals.json", ("accept_counts", 0), 2.5, "an entry of accept_counts"),
-            ("intervals.json", ("accept_counts", 0), True, "an entry of accept_counts"),
-            ("intervals.json", ("accept_counts", 1), RAW_1E400, "an entry of accept_counts"),
-            ("intervals.json", ("accept_counts", 1), 2.5, "an entry of accept_counts"),
-            ("intervals.json", ("boundaries", 0), "x", "an entry of boundaries"),
-            ("intervals.json", ("gamma",), "0.9", "gamma"),
-            ("model.json", ("clamp",), "no", "clamp"),
-            ("model.json", ("clamp",), 0, "clamp"),
-            ("model.json", ("centers", 0), 3, "an entry of centers"),
-            ("model.json", ("params", 0), "x", "an entry of params"),
-            ("model.json", ("centers", 0, 0), "x", "an entry of an entry of centers"),
-            ("model.json", ("params", 0), True, "an entry of params"),
-            ("model.json", ("bandwidth",), True, "bandwidth"),
+            field_param("intervals.json", ("accept_counts", 0), RAW_1E400, "an entry of accept_counts"),
+            field_param("intervals.json", ("accept_counts", 0), 2.5, "an entry of accept_counts"),
+            field_param("intervals.json", ("accept_counts", 0), True, "an entry of accept_counts"),
+            field_param("intervals.json", ("accept_counts", 1), RAW_1E400, "an entry of accept_counts"),
+            field_param("intervals.json", ("accept_counts", 1), 2.5, "an entry of accept_counts"),
+            field_param("intervals.json", ("boundaries", 0), "x", "an entry of boundaries"),
+            field_param("intervals.json", ("gamma",), "0.9", "gamma"),
+            field_param("model.json", ("clamp",), "no", "clamp"),
+            field_param("model.json", ("clamp",), 0, "clamp"),
+            field_param("model.json", ("centers", 0), 3, "an entry of centers"),
+            field_param("model.json", ("params", 0), "x", "an entry of params"),
+            field_param("model.json", ("centers", 0, 0), "x", "an entry of an entry of centers"),
+            field_param("model.json", ("params", 0), True, "an entry of params"),
+            field_param("model.json", ("bandwidth",), True, "bandwidth"),
             pytest.param("model.json", ("bandwidth",), 10**400, "bandwidth", id="model.json-bandwidth-401-digits"),
         ],
     )
@@ -850,7 +870,7 @@ class TestDataFaults:
         assert self.run_adapt(dataset_dir, run, run / "report.json", adapted) == 0
         assert read_json(adapted)["pi_prime"]["argmin_threshold"] is None
 
-    @pytest.mark.parametrize("field,value", [("seed", float("nan")), ("seed", "7"), ("config_hash", 5)])
+    @pytest.mark.parametrize("field,value", [("config_hash", 5)])
     def test_report_echoed_fields_checked(self, dataset_dir, trained_run, tmp_path, field, value):
         doc = read_json(trained_run / "report.json")
         doc[field] = value
@@ -859,7 +879,7 @@ class TestDataFaults:
         out = tmp_path / "adapted.json"
         assert (self.run_adapt(dataset_dir, trained_run, report, out), out.exists()) == (3, False)
 
-    @pytest.mark.parametrize("field,value", [("seed", float("nan")), ("config_hash", 5)])
+    @pytest.mark.parametrize("field,value", [("config_hash", 5)])
     def test_adapted_echoed_fields_checked(self, dataset_dir, trained_run, tmp_path, field, value):
         adapted = tmp_path / "adapted.json"
         assert self.run_adapt(dataset_dir, trained_run, trained_run / "report.json", adapted) == 0
@@ -962,15 +982,51 @@ def adapt_argv(root, model, intervals, report, out):
             "--out", str(out)]
 
 
+def rerun_mismatches():
+    """The files that differ, or exist once, between two README chains (``synth --case 1 --seed 7``, ``train
+    --epochs 20``, ``adapt``, ``evaluate``) run under two directories of different depths."""
+    with tempfile.TemporaryDirectory() as root:
+        trees = [Path(root, "a"), Path(root, "b", "nested")]
+        for tree in trees:
+            data, run = tree / "data", tree / "run"
+            assert main(["synth", "--case", "1", "--seed", "7", "--out", str(data)]) == 0
+            assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "20"]) == 0
+            assert main(adapt_argv(tree, "run", "run", "run", run / "adapted.json")) == 0
+            assert main(["evaluate", "--model", str(run / "model.json"), "--adapted", str(run / "adapted.json"),
+                         "--test", str(data / "eval_test.csv"), "--out", str(run / "metrics.json")]) == 0
+        files = [{p.relative_to(tree) for p in tree.rglob("*") if p.is_file()} for tree in trees]
+        differ = {f for f in files[0] & files[1] if (trees[0] / f).read_bytes() != (trees[1] / f).read_bytes()}
+        return sorted(map(str, differ | (files[0] ^ files[1])))
+
+
 class TestRunIdentity:
-    """``train`` stamps ``seed`` and ``config_hash`` into what it ships; the test site refuses a mix of runs."""
+    """``train`` stamps ``config_hash`` into what it ships; the test site refuses a mix of runs."""
 
     def test_train_stamps_the_report_identity(self, three_runs):
         for run in "ABC":
             report = read_json(three_runs / run / "report.json")
             for name in ("model.json", "intervals.json"):
-                doc = read_json(three_runs / run / name)
-                assert (doc["seed"], doc["config_hash"]) == (report["seed"], report["config_hash"])
+                assert read_json(three_runs / run / name)["config_hash"] == report["config_hash"]
+
+    def test_one_config_on_two_datasets_is_two_runs(self, three_runs, tmp_path, capsys):
+        """The hash covers the training data: `train --epochs 5` on `synth --seed 7` and on `--seed 8` once
+        shared a hash, and adapt on a mix of the two runs exited 0."""
+        assert main(["synth", "--case", "1", "--seed", "8", "--out", str(tmp_path / "data")]) == 0
+        for run, data in (("seven", three_runs / "data"), ("eight", tmp_path / "data")):
+            assert main(["train", "--data", str(data), "--out", str(tmp_path / run), "--epochs", "5"]) == 0
+        seven, eight = (read_json(tmp_path / run / "report.json") for run in ("seven", "eight"))
+        assert seven["config"] == eight["config"] and seven["config_hash"] != eight["config_hash"]
+        out = tmp_path / "adapted.json"
+        assert (main(adapt_argv(tmp_path, "seven", "eight", "seven", out)), out.exists()) == (3, False)
+        err = capsys.readouterr().err
+        assert err.startswith("data error: inputs come from different runs: ")
+        assert seven["config_hash"] in err and eight["config_hash"] in err
+
+    def test_reruns_in_other_directories_are_byte_identical(self):
+        """At one BLAS thread two README chains on equal data, with other --data and --out paths, write the same
+        bytes in every file: no output holds a path."""
+        proc = run_at_one_blas_thread("test_cli.rerun_mismatches()")
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("runs", ["ABC", "AAB", "ABA", "BAA"])
     def test_adapt_across_runs_exits_3(self, three_runs, tmp_path, capsys, runs):
@@ -982,7 +1038,7 @@ class TestRunIdentity:
         assert all(read_json(three_runs / run / "report.json")["config_hash"] in err for run in runs)
 
     @pytest.mark.parametrize("document", ["model.json", "intervals.json"])
-    @pytest.mark.parametrize("field, value", [("seed", "7"), ("seed", -1), ("config_hash", 5)])
+    @pytest.mark.parametrize("field, value", [("config_hash", 5)])
     def test_mistyped_identity_named(self, three_runs, tmp_path, capsys, document, field, value):
         doc = write_doc(tmp_path / document, replaced(read_json(three_runs / "A" / document), (field,), value))
         out = tmp_path / "adapted.json"
@@ -990,6 +1046,17 @@ class TestRunIdentity:
         argv[argv.index(str(three_runs / "A" / document))] = str(doc)
         assert (main(argv), out.exists()) == (3, False)
         assert capsys.readouterr().err.startswith(f"data error: {doc}: {field} must be")
+
+    @pytest.mark.parametrize("document", ["model.json", "intervals.json", "report.json"])
+    def test_stale_seed_is_ignored(self, three_runs, tmp_path, document):
+        """Earlier versions wrote a ``seed`` beside ``config_hash``; the hash covers ``config.seed``, so a stale
+        copy, even of the wrong type, changes no byte of the output."""
+        doc = write_doc(tmp_path / document, {**read_json(three_runs / "A" / document), "seed": "7"})
+        out = tmp_path / "adapted.json"
+        argv = adapt_argv(three_runs, "A", "A", "A", out)
+        argv[argv.index(str(three_runs / "A" / document))] = str(doc)
+        assert main(argv) == 0
+        assert out.read_bytes() == (three_runs / "A" / "adapted.json").read_bytes()
 
     def test_evaluate_across_runs_exits_3(self, three_runs, tmp_path, capsys):
         out = tmp_path / "metrics.json"
@@ -1008,25 +1075,22 @@ class TestRunIdentity:
         argv = adapt_argv(three_runs, "A", "A", "A", tmp_path / "adapted.json")
         argv[argv.index("--model") + 1], argv[argv.index("--intervals") + 1] = str(model), str(intervals)
         assert main(argv) == 0
-        assert read_json(tmp_path / "adapted.json") == {
-            **read_json(three_runs / "A" / "adapted.json"),
-            "inputs": {"model": str(model), "intervals": str(intervals),
-                       "report": str(three_runs / "A" / "report.json"), "test": str(three_runs / "data" / "test_unl.csv")},
-        }
+        assert (tmp_path / "adapted.json").read_bytes() == (three_runs / "A" / "adapted.json").read_bytes()
         metrics = tmp_path / "metrics.json"
         assert main(["evaluate", "--model", str(model), "--theta", "0.5",
                      "--test", str(three_runs / "data" / "eval_test.csv"), "--out", str(metrics)]) == 0
-        assert (read_json(metrics)["seed"], read_json(metrics)["config_hash"]) == (None, None)
+        assert read_json(metrics)["config_hash"] is None
 
 
-IDENTITY = {"seed", "config_hash"}
-EVALUATE_KEYS = {"theta", "n_test", "accuracy", "auc", "auc_ties_at_half", "boundary", "inputs", *IDENTITY}
+IDENTITY = {"config_hash"}
+EVALUATE_KEYS = {"theta", "n_test", "accuracy", "auc", "auc_ties_at_half", "boundary", *IDENTITY}
 ESTIMATE_KEYS = {"value", "raw_value", "argmin_threshold", "gamma_bar", "n_unl_used"}
 
 
 def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_path):
     """The exact top-level keys of each document one CLI chain writes: a removed copy cannot come back
-    unnoticed, and the run identity is in every document but the ``verify-theory`` report."""
+    unnoticed, the run identity is in every document but the ``verify-theory`` report, and no document
+    holds a path."""
     assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "nnpu"), "--method", "nnpu",
                  "--prior", "0.4", "--epochs", "2"]) == 0
     adapted, by_adapted, by_theta, theory = (tmp_path / name for name in ("a.json", "m.json", "t.json", "v.json"))
@@ -1044,17 +1108,18 @@ def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_pa
         trained_run / "model.json": {"kind", "bandwidth", "clamp", "centers", "params", *IDENTITY},
         tmp_path / "nnpu" / "model.json": {"kind", "bandwidth", "clamp", "centers", "params", *IDENTITY},
         trained_run / "intervals.json": {"gamma", "boundaries", "accept_counts", *IDENTITY},
-        adapted: {"pi_hat", "pi_prime", "c0", "theta", "cost", "inputs", *IDENTITY},
+        adapted: {"pi_hat", "pi_prime", "c0", "theta", "cost", *IDENTITY},
         by_adapted: EVALUATE_KEYS,
         by_theta: EVALUATE_KEYS,
         theory: {"seed", "trials", "suites"},
     }
     assert {path: set(read_json(path)) for path in keys} == keys
-    assert set(read_json(adapted)["inputs"]) == {"model", "intervals", "report", "test"}
     report = read_json(trained_run / "report.json")
     assert set(report["pi_hat"]) == set(read_json(adapted)["pi_prime"]) == ESTIMATE_KEYS
     for path in (trained_run / "model.json", trained_run / "intervals.json", adapted, by_adapted, by_theta):
-        assert (read_json(path)["seed"], read_json(path)["config_hash"]) == (report["seed"], report["config_hash"])
+        assert read_json(path)["config_hash"] == report["config_hash"]
+    for path in keys:
+        assert not [d for d in (dataset_dir, trained_run, tmp_path) if str(d) in path.read_text()], path
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])

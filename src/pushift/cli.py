@@ -7,7 +7,10 @@ of the ``config`` that ``manifest.json`` and ``report.json`` write (which
 holds no path) and, for ``train``, of the four training arrays it read.  No
 output holds a path, so reruns with one hash write byte-identical files in
 any directory at a fixed BLAS thread count.  ``adapt`` and ``evaluate``
-refuse inputs whose identities differ (exit 3).
+refuse inputs whose identities differ (exit 3); for both, one helper
+(``_score_test``) reads the model, checks the identity and scores the test rows.
+``train`` refuses a setting that needs no data before it reads a CSV, and
+builds its model before it creates ``--out``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
 5 degenerate prior estimation.
@@ -208,23 +211,23 @@ def cmd_train(args) -> int:
     prior = cfg["prior"]
     if method != "drpu" and not (prior is not None and 0.0 < prior < 1.0):
         raise ConfigError(f"method {method} needs a prior in (0, 1), got {prior}")
-    split = _load_split(data)
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
+    gen = generator_by_name(cfg["generator"])
+    split = _load_split(data)
+    centers = kernel_centers(split, seed, cfg["max_centers"])
+    model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=method == "drpu")
     os.makedirs(out, exist_ok=True)
     arrays = (split.train.positives, split.train.unlabeled, split.val.positives, split.val.unlabeled)
     identity = {"config_hash": _config_hash(cfg, arrays)}
     report = {"config": cfg, **identity}
 
     if method == "drpu":
-        gen = generator_by_name(cfg["generator"])
-        fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], max_centers=cfg["max_centers"], bandwidth=cfg["bandwidth"])
-        model, trep = fit.model, fit.report
+        fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], model=model)
+        trep = fit.report
         write_json(os.path.join(out, "intervals.json"), {**fit.intervals.to_dict(), **identity})
         report["pi_hat"] = fit.pi_hat.to_dict()
         summary = f"pi_hat={fit.pi_hat.value:.4f}"
     else:
-        centers = kernel_centers(split, seed, cfg["max_centers"])
-        model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=False)
         model, trep = train_baseline(method, loss(), prior, model, split, tcfg)
         summary = f"prior={prior}"
 
@@ -236,20 +239,43 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _score_test(args, *sources, labeled=False):
+    """The test site: read ``--model``, check that it and the ``(path, document)`` sources agree on one
+    ``config_hash`` (a document without one, as ``save_model`` and ``ThresholdIntervals.save`` write, has no
+    identity; a stale ``seed`` beside it is ignored), load ``--test`` and score it; a NaN or infinite score, as an
+    overflowing model gives, raises DataError naming the model.  Returns ``(model, scores, labels, config_hash)``.
+    """
+    model_doc = read_json(args.model)
+    model = model_from_dict(model_doc)
+    found = {}
+    for path, doc in ((args.model, model_doc), *sources):
+        if "config_hash" in doc:
+            chash = doc["config_hash"]
+            found.setdefault(None if chash is None else json_str(chash, f"{path}: config_hash"), path)
+    if len(found) > 1:
+        runs = ", ".join(f"{path} has config_hash {chash}" for chash, path in found.items())
+        raise DataError(f"inputs come from different runs: {runs}")
+    X, labels = load_csv(args.test, labeled=labeled)
+    scores = model.predict(X)
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise DataError(f"{args.model}: the model scores {bad} of {scores.size} test rows as NaN or infinite")
+    return model, scores, labels, next(iter(found), None)
+
+
 def cmd_adapt(args) -> int:
     _check_out_dir(args.out)
-    model_doc, intervals_doc = read_json(args.model), read_json(args.intervals)
-    model, intervals = model_from_dict(model_doc), ThresholdIntervals.from_dict(intervals_doc)
+    _validate_prior("cost", args.cost)
+    intervals_doc = read_json(args.intervals)
+    intervals = ThresholdIntervals.from_dict(intervals_doc)
     report = json_object(read_json(args.report), args.report)
     if "pi_hat" not in report:
         raise ConfigError(f"{args.report} has no pi_hat field: adapt needs the report of a drpu training run")
     estimate = json_object(report["pi_hat"], f"{args.report}: pi_hat")
     pi_hat = json_number(estimate.get("value"), f"{args.report}: pi_hat value", 0.0, 1.0)
-    config_hash = _run_identity((args.model, model_doc), (args.intervals, intervals_doc), (args.report, report))
-    _validate_prior("cost", args.cost)
-    X, _ = load_csv(args.test, labeled=False)
+    _, scores, _, config_hash = _score_test(args, (args.intervals, intervals_doc), (args.report, report))
 
-    adapted = adapt_to_scores(intervals, _scores(model, X, args.model), pi_hat, cost=args.cost)
+    adapted = adapt_to_scores(intervals, scores, pi_hat, cost=args.cost)
     doc = {
         "pi_hat": pi_hat,
         "pi_prime": adapted.pi_prime.to_dict(),
@@ -263,61 +289,31 @@ def cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _run_identity(*sources):
-    """The ``config_hash`` that the ``(path, document)`` sources agree on, null when none has one.
-
-    A document without ``config_hash`` has no identity; ``save_model`` and ``ThresholdIntervals.save`` write
-    such files.  Two different identities raise DataError naming both.  A ``seed`` beside the hash, which earlier
-    versions wrote, is ignored: the hash covers ``config.seed``.
-    """
-    found = {}
-    for path, doc in sources:
-        if "config_hash" in doc:
-            chash = doc["config_hash"]
-            found.setdefault(None if chash is None else json_str(chash, f"{path}: config_hash"), path)
-    if len(found) > 1:
-        runs = ", ".join(f"{path} has config_hash {chash}" for chash, path in found.items())
-        raise DataError(f"inputs come from different runs: {runs}")
-    return next(iter(found), None)
-
-
-def _scores(model, X, model_path):
-    """``model.predict(X)``; a NaN or infinite score, as an overflowing model gives, raises DataError naming the model."""
-    scores = model.predict(X)
-    bad = np.count_nonzero(~np.isfinite(scores))
-    if bad:
-        raise DataError(f"{model_path}: the model scores {bad} of {scores.size} test rows as NaN or infinite")
-    return scores
-
-
 def cmd_evaluate(args) -> int:
     _check_out_dir(args.out)
     if (args.adapted is None) == (args.theta is None):
         raise ConfigError("evaluate takes exactly one of --adapted and --theta")
     if args.theta is not None and not np.isfinite(args.theta):
         raise ConfigError(f"--theta must be finite, got {args.theta}")
-    model_doc = read_json(args.model)
-    model, sources, theta = model_from_dict(model_doc), [(args.model, model_doc)], args.theta
+    sources, theta = [], args.theta
     if args.adapted is not None:
         adapted = json_object(read_json(args.adapted), args.adapted)
         theta = json_number(adapted.get("theta"), f"{args.adapted}: theta")
         sources.append((args.adapted, adapted))
-    config_hash = _run_identity(*sources)
-    X, labels = load_csv(args.test, labeled=True)
+    model, scores, labels, config_hash = _score_test(args, *sources, labeled=True)
 
-    scores = _scores(model, X, args.model)
     preds = threshold_decisions(scores, theta)
     pos, neg = scores[labels == 1], scores[labels == -1]
     doc = {
         "theta": theta,
-        "n_test": X.shape[0],
+        "n_test": scores.size,
         "accuracy": accuracy(labels, preds),
         "auc": auc(pos, neg) if pos.size and neg.size else None,
         # ties count 1/2 in the AUC; flag rows where that convention engaged
         "auc_ties_at_half": bool(pos.size and neg.size and ties_present(pos, neg)),
         "config_hash": config_hash,
     }
-    if X.shape[1] == 1:
+    if model.dim_in == 1:
         boundary = decision_boundary_1d(model.predict, theta)
         doc["boundary"] = boundary if np.isfinite(boundary) else None  # null: no crossing
     write_json(args.out, doc, indent=1)

@@ -164,12 +164,17 @@ def case2_mixture() -> GaussianMixtureSpec:
     )
 
 
-def synth_from_mixture(mix: GaussianMixtureSpec, n_pos, n_unl, prior, seed) -> PUDataset:
+def _draw_rng(n_pos, n_unl, prior, seed) -> np.random.Generator:
+    """The Philox generator of one draw, after its counts and prior are checked."""
     if n_pos <= 0 or n_unl <= 0:
         raise ConfigError(f"sample counts must be positive, got n_pos={n_pos}, n_unl={n_unl}")
     if not (0.0 < prior < 1.0):
         raise ConfigError(f"prior must be in (0, 1), got {prior}")
-    rng = philox_rng(seed)
+    return philox_rng(seed)
+
+
+def synth_from_mixture(mix: GaussianMixtureSpec, n_pos, n_unl, prior, seed) -> PUDataset:
+    rng = _draw_rng(n_pos, n_unl, prior, seed)
     pos, unl, labels = mix.sample(rng, n_pos, n_unl, prior)
     return PUDataset(pos, unl, labels)
 
@@ -184,11 +189,7 @@ def synth_gaussian_pair(dim: int, n_pos: int, n_unl: int, prior: float, seed) ->
     The class means sit at +-(1,...,1)/sqrt(dim), so the between-class
     distance is 2 regardless of dimension.
     """
-    if n_pos <= 0 or n_unl <= 0:
-        raise ConfigError(f"sample counts must be positive, got n_pos={n_pos}, n_unl={n_unl}")
-    if not (0.0 < prior < 1.0):
-        raise ConfigError(f"prior must be in (0, 1), got {prior}")
-    rng = philox_rng(seed)
+    rng = _draw_rng(n_pos, n_unl, prior, seed)
     mean = np.ones(dim) / np.sqrt(dim)
     pos = rng.normal(size=(n_pos, dim)) + mean
     labels = np.where(rng.random(n_unl) < prior, 1, -1)

@@ -72,7 +72,10 @@ class Objective:
     clip: bool = True
 
     def bracket_value(self, out_pos, out_unl) -> float:
-        return float(_mean(self.bracket(out_unl)) - self.kappa * _mean(self.bracket(out_pos)))
+        return self._bracket_of(self.bracket(out_pos), out_unl)
+
+    def _bracket_of(self, b_pos, out_unl) -> float:
+        return float(_mean(self.bracket(out_unl)) - self.kappa * _mean(b_pos))
 
     def plain(self, out_pos, out_unl) -> float:
         _nonempty(out_pos, out_unl)
@@ -82,8 +85,9 @@ class Objective:
         if not self.clip:
             return self.plain(out_pos, out_unl)
         _nonempty(out_pos, out_unl)
-        pos_term = _mean(self.pos(out_pos) + self.kappa * self.bracket(out_pos))
-        return float(pos_term + max(0.0, self.bracket_value(out_pos, out_unl)) + self.const)
+        b_pos = self.bracket(out_pos)
+        pos_term = _mean(self.pos(out_pos) + self.kappa * b_pos)
+        return float(pos_term + max(0.0, self._bracket_of(b_pos, out_unl)) + self.const)
 
     def weights(self, out_pos, out_unl):
         """Per-point weights: the gradient is sum_i w_pos[i] dout_i/dtheta + sum_j w_unl[j] dout_j/dtheta."""

@@ -48,7 +48,7 @@ __all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.0
     epochs: int = 200
@@ -59,7 +59,7 @@ class TrainConfig:
     l2_reg: float = 0.1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.epochs < 0:
@@ -155,7 +155,6 @@ def train(model, data, objective, cfg: TrainConfig):
     mutated in place and also returned with the best-validation parameters
     restored, together with the per-epoch ``TrainReport``.
     """
-    cfg.validate()
     tr, va = data.train, data.val
     for name, ds in (("train", tr), ("validation", va)):
         if ds.n_pos == 0 or ds.n_unl == 0:
@@ -166,9 +165,6 @@ def train(model, data, objective, cfg: TrainConfig):
         )
 
     report = TrainReport()
-    if cfg.epochs == 0:
-        return model, report
-
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
     best_val = np.inf

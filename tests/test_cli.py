@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from _helpers import RAW_1E400, field_param, read_json, replaced, run_at_one_blas_thread, write_doc
-from pushift import experiments
+from pushift import cli, experiments
 from pushift.cli import COMMANDS, build_parser, main
 from pushift.models import MLP, load_model, mlp, save_model
 from pushift.prior import ThresholdIntervals, build_intervals
@@ -258,6 +258,31 @@ class TestTrain:
         ])
         assert code == 2
         assert "max_centers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, needs_data",
+        [
+            ("--learning-rate", "0", False),
+            ("--alpha", "1.5", False),
+            ("--generator", "bogus", False),
+            ("--bandwidth", "0", True),
+            ("--max-centers", "0", True),
+        ],
+    )
+    def test_bad_setting_leaves_no_output_directory(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, flag, value, needs_data
+    ):
+        """A bad setting exits 2 before ``--out`` is created; one that needs no data, before any CSV is read."""
+        if not needs_data:
+            def no_read(data_dir):
+                raise AssertionError("data read")
+
+            monkeypatch.setattr(cli, "_load_split", no_read)
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(out), "--epochs", "2", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag[2:].replace("-", "_") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc",

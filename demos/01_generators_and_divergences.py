@@ -1,17 +1,10 @@
 #!/usr/bin/env python3
-# Walk through the building blocks: convex generators, the ratio objective
-# (clipped and plain), and the exact divergence on a small discrete distribution.
+# Walk through the building blocks: a convex generator and the ratio
+# objective it induces (clipped and plain).
 
 import numpy as np
 
-from pushift import (
-    DiscreteDistributionPair,
-    exp_generator,
-    lsif_generator,
-    population_divergence,
-    ratio_objective,
-    scaled_quadratic_generator,
-)
+from pushift import lsif_generator, ratio_objective
 
 lsif = lsif_generator()
 print("Quadratic generator:", lsif.name)
@@ -29,18 +22,3 @@ for alpha in (0.0, 0.5, 0.9):
     print(f"alpha={alpha}: corrected={objective.value(r_pos, r_unl):+.4f} "
           f"plain={objective.plain(r_pos, r_unl):+.4f} "
           f"bracket={objective.bracket_value(r_pos, r_unl):+.4f} branch={branch.value}")
-
-# Exact divergences on a three-point distribution.  The curvature-matched
-# quadratic generator always gives the smallest divergence.
-dist = DiscreteDistributionPair(
-    p_plus_mass=[0.1, 0.3, 0.6],
-    p_minus_mass=[0.6, 0.3, 0.1],
-    prior=0.4,
-)
-print("\ntrue ratio on the support:", np.round(dist.true_ratio, 4))
-r_model = np.array([0.2, 1.0, 1.6])
-for gen in (lsif, exp_generator(), scaled_quadratic_generator(0.5)):
-    br = population_divergence(gen, dist, r_model)
-    print(f"  divergence under {gen.name:14s} = {br:.6f}")
-print("  divergence at the true ratio  =",
-      population_divergence(lsif, dist, dist.true_ratio))

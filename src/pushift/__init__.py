@@ -47,13 +47,6 @@ from .prior import (
     estimate_test_prior,
     gamma_bar,
 )
-from .theory import (
-    DiscreteDistributionPair,
-    auc_excess_bound_check,
-    excess_risk_bound_check,
-    population_divergence,
-    squared_loss_decomposition,
-)
 from .trainer import AdamState, TrainConfig, TrainReport, adam_step, train
 
 __version__ = "0.1.0"

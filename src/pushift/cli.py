@@ -1,16 +1,17 @@
-"""Experiment command line: synth, train, adapt, evaluate, verify-theory.
+"""Experiment command line: synth, train, adapt, evaluate.
 
 Every run is described by a JSON config document; command-line flags
-override config fields (flag > config > default).  Every output JSON but
-the ``verify-theory`` report carries the run identity ``config_hash``: a hash
-of the ``config`` that ``manifest.json`` and ``report.json`` write (which
-holds no path) and, for ``train``, of the four training arrays it read.  No
-output holds a path, so reruns with one hash write byte-identical files in
-any directory at a fixed BLAS thread count.  ``adapt`` and ``evaluate``
+override config fields (flag > config > default).  Every output JSON
+carries the run identity ``config_hash``: a hash of the ``config`` that
+``manifest.json`` and ``report.json`` write (which holds no path) and, for
+``train``, of the four training arrays it read.  No output holds a path, so
+reruns with one hash write byte-identical files in any directory at a
+fixed BLAS thread count.  ``adapt`` and ``evaluate``
 refuse inputs whose identities differ (exit 3); for both, one helper
 (``_score_test``) reads the model, checks the identity and scores the test rows.
 ``train`` refuses a setting that needs no data before it reads a CSV, and
-builds its model before it creates ``--out``.
+checks the split (``trainer.check_split``) and builds its model before it
+creates ``--out``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence,
 5 degenerate prior estimation.
@@ -44,8 +45,7 @@ from .generators import generator_by_name
 from .metrics import accuracy, auc, ties_present
 from .models import GaussianBasisLinear, model_from_dict
 from .prior import GAMMA, ThresholdIntervals
-from .theory import run_all
-from .trainer import TrainConfig
+from .trainer import TrainConfig, check_split
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -214,6 +214,7 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
     gen = generator_by_name(cfg["generator"])
     split = _load_split(data)
+    check_split(split, tcfg, cfg["gamma"] if method == "drpu" else None)
     centers = kernel_centers(split, seed, cfg["max_centers"])
     model = GaussianBasisLinear(centers, bandwidth=cfg["bandwidth"], clamp=method == "drpu")
     os.makedirs(out, exist_ok=True)
@@ -321,20 +322,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_theory(args) -> int:
-    if args.out:
-        _check_out_dir(args.out)
-    results = run_all(seed=json_int(args.seed, "seed", error=ConfigError), trials=args.trials)
-    doc = {"seed": args.seed, "trials": args.trials, "suites": [r.to_dict() for r in results]}
-    all_passed = all(r.passed for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name:32s} trials={r.trials} worst_margin={r.worst_margin:+.3e} max_slack={r.max_slack:.3e}")
-    if args.out:
-        write_json(args.out, doc, indent=1)
-    return EXIT_OK if all_passed else 1
-
-
 def _adapt_arguments(ap) -> None:
     ap.add_argument("--model", required=True)
     ap.add_argument("--intervals", required=True)
@@ -352,12 +339,6 @@ def _evaluate_arguments(ep) -> None:
     ep.add_argument("--out", default="metrics.json")
 
 
-def _verify_theory_arguments(vp) -> None:
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--trials", type=int, default=100)
-    vp.add_argument("--out")
-
-
 # Subcommand -> (help, handler, the function that adds its arguments).
 COMMANDS = {
     "synth": ("generate a synthetic Gaussian dataset directory", cmd_synth, partial(_add_fields, fields=SYNTH_FIELDS)),
@@ -366,7 +347,6 @@ COMMANDS = {
     ),
     "adapt": ("estimate the test prior and place the threshold", cmd_adapt, _adapt_arguments),
     "evaluate": ("score a labeled test file with a trained model", cmd_evaluate, _evaluate_arguments),
-    "verify-theory": ("run the randomized bound/identity suites", cmd_verify_theory, _verify_theory_arguments),
 }
 
 

@@ -11,7 +11,6 @@ reads them, and the CSV writers never emit them alongside training inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,8 +88,8 @@ class SplitDataset:
 class GaussianMixtureSpec:
     """Univariate Gaussian mixtures for the two synthetic scenarios.
 
-    Components are (mean, variance, weight) triples per class; ``sample``,
-    ``pdf_marginal`` and ``true_ratio`` take the class-prior as an argument.
+    Components are (mean, variance, weight) triples per class; ``sample``
+    takes the class-prior as an argument.
     """
 
     components_pos: list
@@ -103,27 +102,6 @@ class GaussianMixtureSpec:
                 raise ConfigError(f"{name} weights sum to {w}, not 1")
             if any(c[1] <= 0 for c in comps):
                 raise ConfigError(f"{name} contains a nonpositive variance")
-
-    @staticmethod
-    def _pdf(comps, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for mean, var, weight in comps:
-            out += weight * np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-        return out
-
-    def pdf_pos(self, x):
-        return self._pdf(self.components_pos, x)
-
-    def pdf_neg(self, x):
-        return self._pdf(self.components_neg, x)
-
-    def pdf_marginal(self, x, prior):
-        return prior * self.pdf_pos(x) + (1.0 - prior) * self.pdf_neg(x)
-
-    def true_ratio(self, x, prior):
-        """p_pos / marginal at class-prior ``prior``, the population target of ratio fitting."""
-        return self.pdf_pos(x) / self.pdf_marginal(x, prior)
 
     def _sample_class(self, rng, comps, n):
         weights = np.array([c[2] for c in comps])

@@ -31,12 +31,12 @@ from .data import (
     synth_gaussian_pair,
 )
 from .divergence import ratio_objective
-from .errors import ConfigError, DegeneratePriorError
+from .errors import ConfigError
 from .generators import lsif_generator
 from .metrics import auc
 from .models import GaussianBasisLinear, mlp
-from .prior import GAMMA, PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior, gamma_bar
-from .trainer import TrainConfig, TrainReport, train
+from .prior import GAMMA, PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior
+from .trainer import TrainConfig, TrainReport, check_split, train
 
 __all__ = [
     "DrpuFit",
@@ -125,11 +125,8 @@ def fit_drpu(
     supplied; ``max_centers`` subsamples the centers for large unlabeled
     pools.
     """
-    # gamma_bar depends only on the validation sizes: fail before training
-    # when no threshold can be admissible, not after it.
-    gbar = gamma_bar(split.val.n_pos, split.val.n_unl, gamma)
-    if gbar >= 1.0:
-        raise DegeneratePriorError(gbar, split.val.n_pos, split.val.n_unl)
+    # The checks read only the split sizes: fail before training, not after it.
+    check_split(split, cfg, gamma)
     gen = gen or lsif_generator()
     if model is None:
         model = GaussianBasisLinear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)

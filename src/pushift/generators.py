@@ -47,10 +47,6 @@ class BregmanGenerator:
         object.__setattr__(self, "f_conj_at_zero", c0)
         object.__setattr__(self, "big_f", lambda t: conj(t) - c0)
 
-    @property
-    def strongly_convex(self) -> bool:
-        return self.mu > 0.0
-
 
 def lsif_generator() -> BregmanGenerator:
     """Quadratic generator f(t) = t^2 / 2 (least-squares importance fitting)."""

@@ -41,9 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import Branch
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, DegeneratePriorError, TrainingDiverged
+from .prior import gamma_bar
 
-__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "train"]
+__all__ = ["TrainConfig", "TrainReport", "AdamState", "adam_step", "check_split", "train"]
 
 ADAM_EPS = 1e-8
 
@@ -118,6 +119,25 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> np.ndarray:
     return m_hat
 
 
+def check_split(data, cfg: TrainConfig, gamma=None) -> None:
+    """Refuse a split that ``cfg`` cannot train on: an empty split or a ``batch_size`` above the unlabeled
+    training pool (ConfigError).  Given the prior sweep's ``gamma``, also refuse a ``gamma`` outside (0, 1)
+    (ConfigError) and validation sizes at which no threshold is admissible (DegeneratePriorError).  Every
+    check reads only the split sizes, so it runs before any work."""
+    tr, va = data.train, data.val
+    for name, ds in (("train", tr), ("validation", va)):
+        if ds.n_pos == 0 or ds.n_unl == 0:
+            raise ConfigError(f"{name} split needs at least one positive and one unlabeled point")
+    if gamma is not None:
+        gbar = gamma_bar(va.n_pos, va.n_unl, gamma)
+        if gbar >= 1.0:
+            raise DegeneratePriorError(gbar, va.n_pos, va.n_unl)
+    if cfg.batch_size > tr.n_unl:
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} exceeds the unlabeled training pool ({tr.n_unl})"
+        )
+
+
 def _epoch_batches(rng, n_pos, n_unl, batch_size):
     """Index pairs covering the unlabeled set once, with paired positives.
 
@@ -155,16 +175,11 @@ def train(model, data, objective, cfg: TrainConfig):
     mutated in place and also returned with the best-validation parameters
     restored, together with the per-epoch ``TrainReport``.
     """
+    check_split(data, cfg)
     tr, va = data.train, data.val
-    for name, ds in (("train", tr), ("validation", va)):
-        if ds.n_pos == 0 or ds.n_unl == 0:
-            raise ConfigError(f"{name} split needs at least one positive and one unlabeled point")
-    if cfg.batch_size > tr.n_unl:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} exceeds the unlabeled training pool ({tr.n_unl})"
-        )
-
     report = TrainReport()
+    if not cfg.epochs:  # no step gathers rows, so no training copy is encoded
+        return model, report
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.zeros(model.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
     best_val = np.inf

@@ -1,13 +1,15 @@
 """Shared oracles for the test suite: finite differences, brute-force sweeps,
 the pairwise AUC, the mini-batch gradient of an objective's active branch,
-a model's gradient at one point, and reference implementations of the MLP
-forward and backward passes, of the Adam step and of the theory suites' trial
-loops and finite-support risks; a runner for checks whose bits hold only
-at one BLAS thread; the traced peak memory of a call; a one-grammar CSV
-reader; and test ids named by a document field's path."""
+a model's gradient at one point, the true ratio of a synthetic mixture, and
+reference implementations of the MLP forward and backward passes, of the
+Adam step and of the theory suites' trial loops and finite-support risks; a
+runner for checks whose bits hold only at one BLAS thread; the traced peak
+memory of a call; a one-grammar CSV reader; and test ids named by a document
+field's path."""
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +22,9 @@ import pytest
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import expit
-from pushift.theory import (
+from pushift.trainer import ADAM_EPS
+
+from _theory import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
     auc_excess_bound_check,
@@ -30,7 +34,6 @@ from pushift.theory import (
     random_ratio_values,
     squared_loss_decomposition,
 )
-from pushift.trainer import ADAM_EPS
 
 RAW_1E400 = "@1e400"  # written as the bare token 1e400, which json.dumps cannot produce
 ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -43,6 +46,25 @@ def run_at_one_blas_thread(call):
     code = f"import sys, {module}; sys.exit(', '.join({call}) or None)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **ONE_BLAS_THREAD)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+
+def mixture_pdf(components, x):
+    """Density at ``x`` of one class of a ``GaussianMixtureSpec``: its (mean, variance, weight) components."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for mean, var, weight in components:
+        out += weight * np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return out
+
+
+def mixture_marginal(mix, x, prior):
+    """Marginal density of a ``GaussianMixtureSpec`` at class-prior ``prior``."""
+    return prior * mixture_pdf(mix.components_pos, x) + (1.0 - prior) * mixture_pdf(mix.components_neg, x)
+
+
+def mixture_true_ratio(mix, x, prior):
+    """p_pos / marginal at class-prior ``prior``, the population target of ratio fitting."""
+    return mixture_pdf(mix.components_pos, x) / mixture_marginal(mix, x, prior)
 
 
 def peak_traced(fn):

@@ -1,5 +1,5 @@
-"""Exact finite-support population quantities and the randomized checks of
-the package's guiding inequalities.
+"""Test oracle: exact finite-support population quantities and the randomized
+checks of the package's guiding inequalities.
 
 On a ``DiscreteDistributionPair`` every population quantity is an
 exhaustive sum over the support: the Bregman divergence from the true ratio
@@ -26,14 +26,14 @@ suite's cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .classifier import ShiftSpec, cost_threshold, threshold_decisions
-from .errors import ConfigError
-from .generators import BregmanGenerator, exp_generator, lsif_generator, scaled_quadratic_generator
+from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
+from pushift.errors import ConfigError
+from pushift.generators import BregmanGenerator, exp_generator, lsif_generator, scaled_quadratic_generator
 
 __all__ = [
     "DiscreteDistributionPair",
@@ -122,7 +122,7 @@ def population_divergence(gen: BregmanGenerator, dist: DiscreteDistributionPair,
 
 def _divergence_term(gen: BregmanGenerator, dist: DiscreteDistributionPair, r_values) -> float:
     """sqrt(2 BR / mu), the divergence factor of every bound; needs mu > 0."""
-    if not gen.strongly_convex:
+    if not gen.mu > 0.0:
         raise ConfigError(f"generator {gen.name} is not strongly convex (mu={gen.mu})")
     br = population_divergence(gen, dist, r_values)
     return float(np.sqrt(max(0.0, 2.0 * br / gen.mu)))
@@ -217,9 +217,6 @@ class SuiteResult:
     passed: bool
     worst_margin: float  # min(rhs - lhs) for inequalities, -max|lhs-rhs| for identities
     max_slack: float  # max(rhs - lhs) observed
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def random_distribution(rng) -> DiscreteDistributionPair:

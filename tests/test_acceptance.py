@@ -28,11 +28,12 @@ from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_g
 from pushift.metrics import auc
 from pushift.models import GaussianBasisLinear, mlp
 from pushift.prior import build_intervals, estimate_prior, estimate_test_prior, gamma_bar
-from pushift.theory import run_all
 from pushift.trainer import TrainConfig, train
 
+from _theory import run_all
 from _helpers import (
-    auc_brute_force, brute_force_prior_sweep, finite_difference, objective_gradient, relative_error, value_and_grad
+    auc_brute_force, brute_force_prior_sweep, finite_difference, mixture_marginal, mixture_pdf, mixture_true_ratio,
+    objective_gradient, relative_error, value_and_grad,
 )
 
 X_STAR_CASE1 = math.log(2.0 / 3.0) / 2.0  # shifted-optimal boundary, case 1
@@ -71,7 +72,7 @@ def test_criterion_2_case2_bounded_error_without_irreducibility():
     """Case 2: identifiability fails, yet the boundary error stays bounded."""
     mix = case2_mixture()
     x = np.linspace(-12.0, 12.0, 200001)
-    kappa = float(np.min(mix.pdf_marginal(x, 0.6) / mix.pdf_pos(x)))  # grid infimum of p / p_pos
+    kappa = float(np.min(mixture_marginal(mix, x, 0.6) / mixture_pdf(mix.components_pos, x)))  # grid infimum of p / p_pos
     assert abs(kappa - (0.6 + 0.4 * 0.2 / 0.8)) < 1e-6  # the max-mixture proportion in closed form
     assert kappa - 0.6 > 0.05  # genuine identifiability gap vs the true prior
 
@@ -106,8 +107,8 @@ def test_criterion_3_prior_estimation_quality_and_trend():
         for seed in range(seeds):
             ds = synth_from_mixture(mix, n_pos, n_unl, 0.4, (seed, n_pos))
             est = estimate_prior(
-                mix.true_ratio(ds.positives.ravel(), 0.4),
-                mix.true_ratio(ds.unlabeled.ravel(), 0.4),
+                mixture_true_ratio(mix, ds.positives.ravel(), 0.4),
+                mixture_true_ratio(mix, ds.unlabeled.ravel(), 0.4),
                 gamma=0.75,
             )
             errs.append(abs(est.value - 0.4))

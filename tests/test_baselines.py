@@ -9,6 +9,8 @@ from pushift.errors import ConfigError
 from pushift.models import GaussianBasisLinear, mlp
 from pushift.trainer import AdamState, TrainConfig, _epoch_batches, adam_step
 
+from _helpers import mixture_pdf
+
 
 class TestSurrogateLosses:
     def test_values_at_zero(self):
@@ -80,8 +82,8 @@ class TestRiskEstimators:
         def g(x):
             return x - 0.2
 
-        risk_pos = integrate.quad(lambda x: loss.loss(1, g(x)) * mix.pdf_pos(x), -12, 12)[0]
-        risk_neg = integrate.quad(lambda x: loss.loss(-1, g(x)) * mix.pdf_neg(x), -12, 12)[0]
+        risk_pos = integrate.quad(lambda x: loss.loss(1, g(x)) * mixture_pdf(mix.components_pos, x), -12, 12)[0]
+        risk_neg = integrate.quad(lambda x: loss.loss(-1, g(x)) * mixture_pdf(mix.components_neg, x), -12, 12)[0]
         population = 0.4 * risk_pos + 0.6 * risk_neg
 
         estimates = []

@@ -7,7 +7,8 @@ from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
 from pushift.errors import ConfigError
 from pushift.generators import lsif_generator
 from pushift.models import GaussianBasisLinear
-from pushift.theory import (
+
+from _theory import (
     DiscreteDistributionPair,
     bound_constant,
     excess_risk_bound_check,

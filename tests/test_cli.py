@@ -92,7 +92,7 @@ class TestSynth:
         assert capsys.readouterr().err == f"config error: {field} must be a positive integer, got 0\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synth", "train", "verify-theory"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_named(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
         assert main([command, "--seed", "-1"]) == 2
@@ -267,6 +267,8 @@ class TestTrain:
             ("--generator", "bogus", False),
             ("--bandwidth", "0", True),
             ("--max-centers", "0", True),
+            ("--gamma", "1.5", True),
+            ("--batch-size", "5000", True),  # the unlabeled training pool holds 400 rows
         ],
     )
     def test_bad_setting_leaves_no_output_directory(
@@ -282,6 +284,15 @@ class TestTrain:
         assert main(["train", "--data", str(dataset_dir), "--out", str(out), "--epochs", "2", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
+    def test_degenerate_validation_split_leaves_no_output_directory(self, tmp_path, capsys):
+        """Three validation positives and five unlabeled points admit no threshold: exit 5 before ``--out``."""
+        data, out = tmp_path / "d", tmp_path / "r"
+        assert main(["synth", "--n-val-pos", "3", "--n-val-unl", "5", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2"]) == 5
+        assert capsys.readouterr().err.startswith("degenerate prior estimation: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1114,18 +1125,16 @@ ESTIMATE_KEYS = {"value", "raw_value", "argmin_threshold", "gamma_bar", "n_unl_u
 
 def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_path):
     """The exact top-level keys of each document one CLI chain writes: a removed copy cannot come back
-    unnoticed, the run identity is in every document but the ``verify-theory`` report, and no document
-    holds a path."""
+    unnoticed, the run identity is in every document, and no document holds a path."""
     assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "nnpu"), "--method", "nnpu",
                  "--prior", "0.4", "--epochs", "2"]) == 0
-    adapted, by_adapted, by_theta, theory = (tmp_path / name for name in ("a.json", "m.json", "t.json", "v.json"))
+    adapted, by_adapted, by_theta = (tmp_path / name for name in ("a.json", "m.json", "t.json"))
     model, test = str(trained_run / "model.json"), str(dataset_dir / "eval_test.csv")
     assert main(["adapt", "--model", model, "--intervals", str(trained_run / "intervals.json"),
                  "--report", str(trained_run / "report.json"), "--test", str(dataset_dir / "test_unl.csv"),
                  "--out", str(adapted)]) == 0
     assert main(["evaluate", "--model", model, "--adapted", str(adapted), "--test", test, "--out", str(by_adapted)]) == 0
     assert main(["evaluate", "--model", model, "--theta", "0.5", "--test", test, "--out", str(by_theta)]) == 0
-    assert main(["verify-theory", "--trials", "2", "--out", str(theory)]) == 0
     keys = {
         dataset_dir / "manifest.json": {"config", "dim", "files", *IDENTITY},
         trained_run / "report.json": {"config", "pi_hat", "best_epoch", *IDENTITY},
@@ -1136,7 +1145,6 @@ def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_pa
         adapted: {"pi_hat", "pi_prime", "c0", "theta", "cost", *IDENTITY},
         by_adapted: EVALUATE_KEYS,
         by_theta: EVALUATE_KEYS,
-        theory: {"seed", "trials", "suites"},
     }
     assert {path: set(read_json(path)) for path in keys} == keys
     report = read_json(trained_run / "report.json")
@@ -1147,7 +1155,7 @@ def test_output_documents_state_each_value_once(dataset_dir, trained_run, tmp_pa
         assert not [d for d in (dataset_dir, trained_run, tmp_path) if str(d) in path.read_text()], path
 
 
-@pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate", "verify-theory"])
+@pytest.mark.parametrize("command", ["synth", "train", "adapt", "evaluate"])
 def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, capsys, command):
     """An output path under a regular file exits 2 with the path named, not an OSError traceback,
     and before any work: nothing is printed."""
@@ -1159,7 +1167,6 @@ def test_unwritable_output_is_config_error(dataset_dir, trained_run, tmp_path, c
                   "--test", str(dataset_dir / "test_unl.csv"), "--report", str(trained_run / "report.json")],
         "evaluate": ["--model", str(trained_run / "model.json"), "--test", str(dataset_dir / "eval_test.csv"),
                      "--theta", "0.5"],
-        "verify-theory": ["--trials", "2"],
     }[command]
     assert main([command, *inputs, "--out", str(tmp_path / "afile" / "x")]) == 2
     out, err = capsys.readouterr()
@@ -1181,22 +1188,6 @@ def test_unwritable_output_is_refused_before_the_inputs_are_read(dataset_dir, tm
     assert capsys.readouterr().err.startswith("config error: cannot write output:")
 
 
-class TestVerifyTheory:
-    def test_passes_and_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "theory.json"
-        code = main(["verify-theory", "--seed", "1", "--trials", "40", "--out", str(out)])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert printed.count("PASS") == 6
-        doc = read_json(out)
-        assert all(s["passed"] for s in doc["suites"])
-
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_trials_below_one_named(self, capsys, trials):
-        assert main(["verify-theory", "--trials", trials]) == 2
-        assert "trials" in capsys.readouterr().err
-
-
 class TestParser:
     """Every subcommand is listed; only the invoked one's arguments are built."""
 
@@ -1205,13 +1196,13 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         printed = capsys.readouterr().out
+        assert "{synth,train,adapt,evaluate}" in printed
         for name, (help_text, _, _) in COMMANDS.items():
             assert name in printed and help_text in printed
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("synth", "--n-train-pos"), ("train", "--max-centers"), ("adapt", "--report"),
-         ("evaluate", "--theta"), ("verify-theory", "--trials")],
+        [("synth", "--n-train-pos"), ("train", "--max-centers"), ("adapt", "--report"), ("evaluate", "--theta")],
     )
     def test_subcommand_help_lists_its_flags(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:

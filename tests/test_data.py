@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from _helpers import reference_load_csv
+from _helpers import mixture_marginal, mixture_pdf, mixture_true_ratio, reference_load_csv
 from pushift.data import (
     GaussianMixtureSpec,
     PUDataset,
@@ -84,7 +84,7 @@ class TestSyntheticGenerators:
 def _grid_infimum_ratio(mix, prior):
     """Fine-grid infimum of p(x) / p_pos(x), the max-mixture proportion kappa."""
     x = np.linspace(-12.0, 12.0, 200001)
-    return float(np.min(mix.pdf_marginal(x, prior) / mix.pdf_pos(x)))
+    return float(np.min(mixture_marginal(mix, x, prior) / mixture_pdf(mix.components_pos, x)))
 
 
 class TestMixtureSpec:
@@ -109,7 +109,7 @@ class TestMixtureSpec:
         for mix, w in ((case1_mixture(), 1.0), (case2_mixture(), 0.8)):  # weight of N(+1, 1) in p_pos
             p_pos, p_neg = w * up + (1 - w) * down, (1 - w) * up + w * down
             for prior in (0.4, 0.6):
-                eta = prior * mix.true_ratio(x, prior)
+                eta = prior * mixture_true_ratio(mix, x, prior)
                 np.testing.assert_allclose(eta, prior * p_pos / (prior * p_pos + (1 - prior) * p_neg), rtol=1e-12)
 
 

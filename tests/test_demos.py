@@ -19,7 +19,6 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     [
         "01_generators_and_divergences.py",
         "03_threshold_summary_adaptation.py",
-        "04_theory_verification.py",
         "05_baseline_overfitting.py",
         "06_shift_robustness_10d.py",
     ],

@@ -5,13 +5,13 @@ from pushift.baselines import logistic_loss, risk_objective, sigmoid_loss
 from pushift.divergence import Branch, ratio_objective
 from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import GaussianBasisLinear
-from pushift.theory import (
+
+from _theory import (
     DiscreteDistributionPair,
     population_divergence,
     random_distribution,
     random_ratio_values,
 )
-
 from _helpers import finite_difference, objective_gradient, relative_error
 
 LSIF = lsif_generator()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pushift.baselines import logistic_loss, train_baseline
-from pushift.data import SplitDataset, synth_case1
+from pushift.data import PUDataset, SplitDataset, synth_case1
+from pushift.errors import ConfigError
 from pushift.experiments import (
     CASE_DEFAULTS,
     AdaptResult,
@@ -106,6 +107,13 @@ class TestFitAndAdapt:
         fit = fit_drpu(split, TrainConfig(seed=0, epochs=2))
         assert fit.intervals.gamma == GAMMA
         assert fit.pi_hat.gamma_bar == gamma_bar(100, 500, GAMMA) < 1.0
+
+    def test_empty_validation_split_is_config_error(self):
+        """The empty-split check runs before the validation sizes reach ``gamma_bar``, which needs n >= 1."""
+        val = synth_case1(50, 200, 0.4, 6)
+        split = SplitDataset(train=synth_case1(50, 400, 0.4, 5), val=PUDataset(val.positives[:0], val.unlabeled))
+        with pytest.raises(ConfigError, match="validation split needs at least one positive"):
+            fit_drpu(split, TrainConfig(epochs=1, batch_size=100))
 
 
 class TestCaseExperiment:

@@ -17,7 +17,7 @@ from pushift.prior import (
     gamma_bar,
 )
 
-from _helpers import brute_force_prior_sweep
+from _helpers import brute_force_prior_sweep, mixture_true_ratio
 
 
 class TestEpsilon:
@@ -204,9 +204,9 @@ class TestEstimateTestPrior:
             s_va, s_te = ss.spawn(2)
             val = synth_from_mixture(mix, 400, 2000, 0.4, s_va)
             test = synth_from_mixture(mix, 1, 2000, 0.4, s_te)
-            r_pos = mix.true_ratio(val.positives.ravel(), 0.4)
-            r_unl = mix.true_ratio(val.unlabeled.ravel(), 0.4)
-            r_test = mix.true_ratio(test.unlabeled.ravel(), 0.4)
+            r_pos = mixture_true_ratio(mix, val.positives.ravel(), 0.4)
+            r_unl = mixture_true_ratio(mix, val.unlabeled.ravel(), 0.4)
+            r_test = mixture_true_ratio(mix, test.unlabeled.ravel(), 0.4)
             direct = estimate_prior(r_pos, r_unl, gamma=0.9)
             shifted = estimate_test_prior(build_intervals(r_pos, gamma=0.9), r_test)
             diffs.append(abs(direct.value - shifted.value))
@@ -221,8 +221,8 @@ class TestEstimateTestPrior:
             s_va, s_te = ss.spawn(2)
             val = synth_from_mixture(mix, 100, 500, 0.4, s_va)
             test = synth_from_mixture(mix, 1, 1000, 0.6, s_te)
-            r_pos = mix.true_ratio(val.positives.ravel(), 0.4)
-            r_test = mix.true_ratio(test.unlabeled.ravel(), 0.4)
+            r_pos = mixture_true_ratio(mix, val.positives.ravel(), 0.4)
+            r_test = mixture_true_ratio(mix, test.unlabeled.ravel(), 0.4)
             est = estimate_test_prior(build_intervals(r_pos, gamma=0.9), r_test)
             errors.append(abs(est.value - 0.6))
         assert np.median(errors) <= 0.05
@@ -255,8 +255,8 @@ class TestConsistencyTrend:
             errs = []
             for seed in range(n_seeds):
                 ds = synth_from_mixture(mix, n_pos, n_unl, 0.4, (seed, n_pos))
-                r_pos = mix.true_ratio(ds.positives.ravel(), 0.4)
-                r_unl = mix.true_ratio(ds.unlabeled.ravel(), 0.4)
+                r_pos = mixture_true_ratio(mix, ds.positives.ravel(), 0.4)
+                r_unl = mixture_true_ratio(mix, ds.unlabeled.ravel(), 0.4)
                 est = estimate_prior(r_pos, r_unl, gamma=0.75)
                 errs.append(abs(est.value - 0.4))
             return float(np.median(errs))

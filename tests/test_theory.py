@@ -1,10 +1,11 @@
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from _helpers import reference_finite_support_bayes_risk, reference_finite_support_risk, reference_run_suite
-from pushift.theory import SUITES, finite_support_excess_risk, random_distribution, run_all, run_suite
+from _theory import SUITES, finite_support_excess_risk, random_distribution, run_all, run_suite
 
 
 class TestSuites:
@@ -40,7 +41,7 @@ class TestSuites:
 
     def test_result_fields_serializable(self):
         res = run_suite("auc_bound", seed=2, trials=20)
-        doc = res.to_dict()
+        doc = asdict(res)
         assert set(doc) == {"name", "kind", "trials", "passed", "worst_margin", "max_slack"}
 
 

@@ -420,6 +420,15 @@ class TestBlockScoring:
         _, peak = peak_traced(lambda: fit_drpu(split, cfg, gamma=0.9, max_centers=1000, bandwidth=1.5))
         assert peak < (1000 + 5000) * 1000 * 4 + 10e6
 
+    def test_zero_epochs_encode_no_training_copy(self):
+        """With no step to gather rows, a criterion-2-sized ``train`` (1000 / 5000 training points, 1000
+        centers) builds no float32 training copy: its peak stays far below the copy's 24 MB."""
+        split, _ = case_data(2, 0, (1000, 5000), (1000, 5000), 1, 0.6, 0.4)
+        model = GaussianBasisLinear(kernel_centers(split, 0, 1000), bandwidth=1.5)
+        cfg = TrainConfig(epochs=0, batch_size=500, learning_rate=2e-4, seed=0)
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
+        assert peak < (1000 + 5000) * 1000 * 4 / 10
+
     def test_scoring_block_holds_no_step_rows(self):
         """One step on whole splits gathers as many float32 rows as the training copy holds.  The step then
         frees them, so the scoring block after it (about 2.4 MB here) comes on top of the copy alone;

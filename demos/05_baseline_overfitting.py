@@ -9,7 +9,6 @@ from pushift import (
     SplitDataset,
     TrainConfig,
     logistic_loss,
-    lsif_generator,
     ratio_objective,
     sigmoid_loss,
     synth_case1,
@@ -33,7 +32,7 @@ nnpu, nnpu_report = train_baseline("nnpu", sigmoid_loss(), 0.4, nnpu, split, cfg
 
 ratio = GaussianBasisLinear(split.train.unlabeled, bandwidth=0.3)
 rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
-ratio, ratio_report = train(ratio, split, ratio_objective(lsif_generator(), rcfg.alpha), rcfg)
+ratio, ratio_report = train(ratio, split, ratio_objective(rcfg.alpha), rcfg)
 
 print("epoch   uPU train risk   nnPU train risk   corrected ratio objective")
 for epoch in range(0, 150, 15):

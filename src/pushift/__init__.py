@@ -29,13 +29,6 @@ from .experiments import (
     gaussian_case_experiment,
     shift_robustness_experiment,
 )
-from .generators import (
-    BregmanGenerator,
-    exp_generator,
-    generator_by_name,
-    lsif_generator,
-    scaled_quadratic_generator,
-)
 from .metrics import accuracy, auc, ties_present
 from .models import MLP, GaussianBasisLinear, load_model, mlp, save_model
 from .prior import (

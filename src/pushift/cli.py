@@ -41,7 +41,6 @@ from .errors import (
     read_json, write_json,
 )
 from .experiments import CASE_DEFAULTS, adapt_to_scores, case_data, decision_boundary_1d, fit_drpu, kernel_centers
-from .generators import generator_by_name
 from .metrics import accuracy, auc, ties_present
 from .models import GaussianBasisLinear, model_from_dict
 from .prior import GAMMA, ThresholdIntervals
@@ -75,7 +74,6 @@ TRAIN_FIELDS = {
     "data": (str, "data"),
     "out": (str, "run"),
     "method": (str, "drpu"),
-    "generator": (str, "lsif"),
     "loss": (str, "sigmoid"),
     "prior": (float, None),  # baselines only
     "alpha": (float, TrainConfig.alpha),
@@ -89,7 +87,7 @@ TRAIN_FIELDS = {
 }
 
 # Fields a method does not read: set away from the default, each would give one model another config hash.
-UNREAD_FIELDS = {"drpu": ("loss", "prior"), "upu": ("generator", "alpha", "gamma"), "nnpu": ("generator", "alpha", "gamma")}
+UNREAD_FIELDS = {"drpu": ("loss", "prior"), "upu": ("alpha", "gamma"), "nnpu": ("alpha", "gamma")}
 
 READERS = {int: json_int, float: json_number, str: json_str}
 
@@ -212,7 +210,6 @@ def cmd_train(args) -> int:
     if method != "drpu" and not (prior is not None and 0.0 < prior < 1.0):
         raise ConfigError(f"method {method} needs a prior in (0, 1), got {prior}")
     tcfg = TrainConfig(**{k: cfg[k] for k in ("alpha", "epochs", "batch_size", "learning_rate", "l2_reg", "seed")})
-    gen = generator_by_name(cfg["generator"])
     split = _load_split(data)
     check_split(split, tcfg, cfg["gamma"] if method == "drpu" else None)
     centers = kernel_centers(split, seed, cfg["max_centers"])
@@ -223,7 +220,7 @@ def cmd_train(args) -> int:
     report = {"config": cfg, **identity}
 
     if method == "drpu":
-        fit = fit_drpu(split, tcfg, gen=gen, gamma=cfg["gamma"], model=model)
+        fit = fit_drpu(split, tcfg, gamma=cfg["gamma"], model=model)
         trep = fit.report
         write_json(os.path.join(out, "intervals.json"), {**fit.intervals.to_dict(), **identity})
         report["pi_hat"] = fit.pi_hat.to_dict()
@@ -243,8 +240,9 @@ def cmd_train(args) -> int:
 def _score_test(args, *sources, labeled=False):
     """The test site: read ``--model``, check that it and the ``(path, document)`` sources agree on one
     ``config_hash`` (a document without one, as ``save_model`` and ``ThresholdIntervals.save`` write, has no
-    identity; a stale ``seed`` beside it is ignored), load ``--test`` and score it; a NaN or infinite score, as an
-    overflowing model gives, raises DataError naming the model.  Returns ``(model, scores, labels, config_hash)``.
+    identity; a stale ``seed`` beside it is ignored), load ``--test`` and score it.  A test file whose width is not
+    the model's input dimension raises DataError naming both files; a NaN or infinite score, as an overflowing model
+    gives, raises DataError naming the model.  Returns ``(model, scores, labels, config_hash)``.
     """
     model_doc = read_json(args.model)
     model = model_from_dict(model_doc)
@@ -257,6 +255,8 @@ def _score_test(args, *sources, labeled=False):
         runs = ", ".join(f"{path} has config_hash {chash}" for chash, path in found.items())
         raise DataError(f"inputs come from different runs: {runs}")
     X, labels = load_csv(args.test, labeled=labeled)
+    if X.shape[1] != model.dim_in:
+        raise DataError(f"{args.test} has width {X.shape[1]}, but the model in {args.model} reads {model.dim_in}")
     scores = model.predict(X)
     bad = np.count_nonzero(~np.isfinite(scores))
     if bad:

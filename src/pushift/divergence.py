@@ -1,11 +1,11 @@
 """The one non-negative PU objective, shared by the ratio models and the baselines.
 
 An ``Objective`` is built from two pointwise terms of the model output,
-``pos`` and ``bracket``, their slopes, a weight ``kappa`` and a constant:
+``pos`` and ``bracket``, their slopes and a weight ``kappa``:
 
-    plain(out)   = mean_P[pos] + mean_U[bracket] + const
+    plain(out)   = mean_P[pos] + mean_U[bracket]
     bracket(out) = mean_U[bracket] - kappa * mean_P[bracket]
-    value(out)   = mean_P[pos + kappa * bracket] + max(0, bracket(out)) + const
+    value(out)   = mean_P[pos + kappa * bracket] + max(0, bracket(out))
 
 The bracket's population value is nonnegative, so ``value`` clips it at zero
 and ``value - plain = max(0, b) - b``: value >= plain, with equality exactly
@@ -17,8 +17,9 @@ chain-rule weights: descend on the plain objective while the bracket is
 nonnegative (or unclipped), otherwise descend on the negated bracket to push
 it back above zero.
 
-The ratio objective (nnBD, Kato & Teshima 2021) takes pos = -f'(r),
-bracket = F(r) = f_conj(r) - f_conj(0), kappa = alpha and const = f_conj(0);
+The ratio objective is LSIF, the least-squares ratio fit (uLSIF, Kanamori,
+Hido & Sugiyama 2009), with the non-negative correction of nnBD (Kato &
+Teshima 2021): pos = -r, bracket = r^2 / 2 and kappa = alpha.
 ``baselines.risk_objective`` builds the uPU / nnPU risks (Kiryo et al. 2017)
 from a surrogate loss.
 """
@@ -32,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .generators import BregmanGenerator
 
 __all__ = ["Branch", "Objective", "ratio_objective"]
 
@@ -68,7 +68,6 @@ class Objective:
     bracket: Callable
     d_bracket: Callable
     kappa: float
-    const: float = 0.0
     clip: bool = True
 
     def bracket_value(self, out_pos, out_unl) -> float:
@@ -79,7 +78,7 @@ class Objective:
 
     def plain(self, out_pos, out_unl) -> float:
         _nonempty(out_pos, out_unl)
-        return float(_mean(self.pos(out_pos)) + _mean(self.bracket(out_unl)) + self.const)
+        return float(_mean(self.pos(out_pos)) + _mean(self.bracket(out_unl)))
 
     def value(self, out_pos, out_unl) -> float:
         if not self.clip:
@@ -87,7 +86,7 @@ class Objective:
         _nonempty(out_pos, out_unl)
         b_pos = self.bracket(out_pos)
         pos_term = _mean(self.pos(out_pos) + self.kappa * b_pos)
-        return float(pos_term + max(0.0, self._bracket_of(b_pos, out_unl)) + self.const)
+        return float(pos_term + max(0.0, self._bracket_of(b_pos, out_unl)))
 
     def weights(self, out_pos, out_unl):
         """Per-point weights: the gradient is sum_i w_pos[i] dout_i/dtheta + sum_j w_unl[j] dout_j/dtheta."""
@@ -97,11 +96,11 @@ class Objective:
         return self.kappa * self.d_bracket(out_pos) / n_p, -self.d_bracket(out_unl) / n_u, Branch.CORRECTED
 
 
-def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
-    """Bregman-divergence objective of a ratio model; ``alpha`` lower-bounds the positive prior.
+def ratio_objective(alpha: float) -> Objective:
+    """LSIF objective of a ratio model; ``alpha`` lower-bounds the positive prior.
 
-    Uses d/dt (-f'(t)) = -f''(t) and d/dt F(t) = t f''(t).  With alpha = 0
-    the bracket is a mean of nonnegative terms and the clip never engages.
+    The slopes are d/dr (-r) = -1 and d/dr (r^2 / 2) = r.  With alpha = 0 the
+    bracket is a mean of nonnegative terms and the clip never engages.
     """
     if not (0.0 <= alpha < 1.0):
         raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
@@ -113,10 +112,9 @@ def ratio_objective(gen: BregmanGenerator, alpha: float) -> Objective:
         return r
 
     return Objective(
-        pos=lambda r: -gen.f_prime(ratios(r)),
-        d_pos=lambda r: -gen.f_prime2(r),
-        bracket=lambda r: gen.big_f(ratios(r)),
-        d_bracket=lambda r: r * gen.f_prime2(r),
+        pos=lambda r: -ratios(r),
+        d_pos=lambda r: np.full(np.shape(r), -1.0),
+        bracket=lambda r: 0.5 * np.square(ratios(r)),
+        d_bracket=lambda r: np.asarray(r, dtype=float),
         kappa=alpha,
-        const=gen.f_conj_at_zero,
     )

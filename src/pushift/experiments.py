@@ -32,7 +32,6 @@ from .data import (
 )
 from .divergence import ratio_objective
 from .errors import ConfigError
-from .generators import lsif_generator
 from .metrics import auc
 from .models import GaussianBasisLinear, mlp
 from .prior import GAMMA, PriorEstimate, ThresholdIntervals, build_intervals, estimate_test_prior
@@ -110,7 +109,6 @@ def kernel_centers(split: SplitDataset, seed: int, max_centers: Optional[int] = 
 def fit_drpu(
     split: SplitDataset,
     cfg: TrainConfig,
-    gen=None,
     gamma: float = GAMMA,
     model=None,
     max_centers: Optional[int] = None,
@@ -127,10 +125,9 @@ def fit_drpu(
     """
     # The checks read only the split sizes: fail before training, not after it.
     check_split(split, cfg, gamma)
-    gen = gen or lsif_generator()
     if model is None:
         model = GaussianBasisLinear(kernel_centers(split, cfg.seed, max_centers), bandwidth=bandwidth)
-    model, report = train(model, split, ratio_objective(gen, cfg.alpha), cfg)
+    model, report = train(model, split, ratio_objective(cfg.alpha), cfg)
     intervals = build_intervals(model.predict(split.val.positives), gamma=gamma)
     pi_hat = estimate_test_prior(intervals, model.predict(split.val.unlabeled))
     return DrpuFit(model=model, report=report, pi_hat=pi_hat, intervals=intervals)

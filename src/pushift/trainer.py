@@ -171,7 +171,7 @@ def train(model, data, objective, cfg: TrainConfig):
     """Train ``model`` on a train/validation split of PU data.
 
     ``data`` is a ``SplitDataset`` and ``objective`` a ``divergence.Objective``
-    (``ratio_objective(gen, cfg.alpha)`` for a ratio model).  The model is
+    (``ratio_objective(cfg.alpha)`` for a ratio model).  The model is
     mutated in place and also returned with the best-validation parameters
     restored, together with the per-epoch ``TrainReport``.
     """

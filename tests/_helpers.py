@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
-from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import expit
 from pushift.trainer import ADAM_EPS
 
@@ -29,9 +28,12 @@ from _theory import (
     INEQUALITY_TOL,
     auc_excess_bound_check,
     bound_constant,
+    exp_generator,
+    lsif_generator,
     population_divergence,
     random_distribution,
     random_ratio_values,
+    scaled_quadratic_generator,
     squared_loss_decomposition,
 )
 

@@ -1,5 +1,18 @@
-"""Test oracle: exact finite-support population quantities and the randomized
-checks of the package's guiding inequalities.
+"""Test oracle: convex generators and the Bregman objectives they induce,
+exact finite-support population quantities, and the randomized checks of
+the package's guiding inequalities.
+
+A generator bundles a convex function ``f`` on [0, inf) with its first two
+derivatives and the induced quantities of the divergence objectives:
+
+    f_conj(t) = t * f'(t) - f(t)        (the "tilted" conjugate along the ray)
+    big_f(t)  = f_conj(t) - f_conj(0)   (nonnegative, vanishes at 0)
+
+``mu`` is the strong-convexity constant inf_{t>=0} f''(t), declared by each
+constructor because every generator here is closed form.  The package fits
+with one of them, LSIF (f(t) = t^2 / 2), written out in
+``divergence.ratio_objective``; ``generator_objective`` builds the objective
+of any generator and is that function's reference.
 
 On a ``DiscreteDistributionPair`` every population quantity is an
 exhaustive sum over the support: the Bregman divergence from the true ratio
@@ -26,16 +39,23 @@ suite's cost/prior settings, and ``run_suite`` judges the (lhs, rhs) records:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
+from pushift.divergence import Objective
 from pushift.errors import ConfigError
-from pushift.generators import BregmanGenerator, exp_generator, lsif_generator, scaled_quadratic_generator
 
 __all__ = [
+    "BregmanGenerator",
+    "lsif_generator",
+    "scaled_quadratic_generator",
+    "exp_generator",
+    "generator_by_name",
+    "generator_objective",
     "DiscreteDistributionPair",
     "population_divergence",
     "finite_support_excess_risk",
@@ -55,6 +75,102 @@ __all__ = [
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
 MAX_SUPPORT = 20
+
+
+@dataclass(frozen=True)
+class BregmanGenerator:
+    name: str
+    f: Callable
+    f_prime: Callable
+    f_prime2: Callable
+    f_conj: Callable
+    mu: float
+    f_conj_at_zero: float = field(init=False)
+    big_f: Callable = field(init=False)
+
+    def __post_init__(self):
+        c0 = float(self.f_conj(0.0))
+        conj = self.f_conj
+        object.__setattr__(self, "f_conj_at_zero", c0)
+        object.__setattr__(self, "big_f", lambda t: conj(t) - c0)
+
+
+def lsif_generator() -> BregmanGenerator:
+    """Quadratic generator f(t) = t^2 / 2 (least-squares importance fitting)."""
+    return replace(scaled_quadratic_generator(1.0), name="lsif")
+
+
+def scaled_quadratic_generator(mu: float) -> BregmanGenerator:
+    """Generator f(t) = mu * t^2 / 2 for a given finite curvature mu > 0."""
+    if not (0 < mu < np.inf):
+        raise ConfigError(f"scaled quadratic generator needs a finite mu > 0, got {mu}")
+    mu = float(mu)
+    return BregmanGenerator(
+        name=f"quadratic:{mu:g}",
+        f=lambda t: 0.5 * mu * np.square(t),
+        f_prime=lambda t: mu * np.asarray(t, dtype=float),
+        f_prime2=lambda t: np.full_like(np.asarray(t, dtype=float), mu),
+        f_conj=lambda t: 0.5 * mu * np.square(t),
+        mu=mu,
+    )
+
+
+def exp_generator() -> BregmanGenerator:
+    """Exponential generator f(t) = e^t, with f_conj(t) = (t - 1) e^t.
+
+    inf_{t>=0} f''(t) = 1, so this is strongly convex on the ratio domain and
+    a non-quadratic stress case for the divergence identities.
+    """
+    return BregmanGenerator(
+        name="exp",
+        f=lambda t: np.exp(t),
+        f_prime=lambda t: np.exp(t),
+        f_prime2=lambda t: np.exp(t),
+        f_conj=lambda t: (np.asarray(t, dtype=float) - 1.0) * np.exp(t),
+        mu=1.0,
+    )
+
+
+def generator_by_name(name: str) -> BregmanGenerator:
+    """Resolve a generator from its name: ``"lsif"``, ``"exp"`` or ``"quadratic:<mu>"``."""
+    key = name.strip().lower()
+    if key == "lsif":
+        return lsif_generator()
+    if key == "exp":
+        return exp_generator()
+    if key.startswith("quadratic:"):
+        try:
+            mu = float(key.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad quadratic generator spec {name!r}") from exc
+        return scaled_quadratic_generator(mu)
+    raise ConfigError(f"unknown generator {name!r} (expected lsif, exp, or quadratic:<mu>)")
+
+
+def generator_objective(gen: BregmanGenerator, alpha: float) -> Objective:
+    """Bregman-divergence objective (nnBD) of a ratio model under ``gen``; ``alpha`` lower-bounds the positive prior.
+
+    pos = f_conj(0) - f'(r) and bracket = F(r), with slopes -f''(r) and r f''(r).  The constant f_conj(0), which
+    is 0 for the quadratic generators and -1 for ``exp``, rides on the positive term, so ``plain`` is the empirical
+    divergence up to a term free of r.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
+
+    def ratios(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0):
+            raise ValueError("ratio values must be nonnegative")
+        return r
+
+    c0 = gen.f_conj_at_zero
+    return Objective(
+        pos=lambda r: c0 - gen.f_prime(ratios(r)),
+        d_pos=lambda r: -gen.f_prime2(r),
+        bracket=lambda r: gen.big_f(ratios(r)),
+        d_bracket=lambda r: r * gen.f_prime2(r),
+        kappa=alpha,
+    )
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,12 @@ from pushift.data import (
 )
 from pushift.divergence import Branch, ratio_objective
 from pushift.experiments import gaussian_case_experiment, shift_robustness_experiment
-from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.metrics import auc
 from pushift.models import GaussianBasisLinear, mlp
 from pushift.prior import build_intervals, estimate_prior, estimate_test_prior, gamma_bar
 from pushift.trainer import TrainConfig, train
 
-from _theory import run_all
+from _theory import exp_generator, generator_objective, lsif_generator, run_all, scaled_quadratic_generator
 from _helpers import (
     auc_brute_force, brute_force_prior_sweep, finite_difference, mixture_marginal, mixture_pdf, mixture_true_ratio,
     objective_gradient, relative_error, value_and_grad,
@@ -194,7 +193,8 @@ def test_criterion_6_gradient_checks():
         xu = rng.normal(size=(7, dim)) if trial % 3 != 2 else np.full((4, dim), 50.0)
         gen = [lsif_generator(), exp_generator(), scaled_quadratic_generator(1.7)][trial % 3]
         alpha = [0.0, 0.5, 0.95][trial % 3]
-        grad, branch = objective_gradient(ratio_objective(gen, alpha), model, xp, xu)
+        objective = ratio_objective(alpha) if trial % 3 == 0 else generator_objective(gen, alpha)
+        grad, branch = objective_gradient(objective, model, xp, xu)
 
         def branch_objective(theta, model=model, gen=gen, alpha=alpha, xp=xp, xu=xu, branch=branch):
             m = GaussianBasisLinear(model.centers, model.bandwidth)
@@ -247,13 +247,12 @@ def test_criterion_7_nonnegative_correction_behavior():
     # ratio model: the bracket goes negative under the same pressure, and the
     # clip keeps it from ever subtracting from the objective
     ratio_model = GaussianBasisLinear(split.train.unlabeled, bandwidth=0.3)
-    gen = lsif_generator()
     rcfg = TrainConfig(alpha=0.9, epochs=150, batch_size=100, learning_rate=5e-2, l2_reg=0.0, seed=0)
-    ratio_model, ratio_report = train(ratio_model, split, ratio_objective(gen, rcfg.alpha), rcfg)
+    ratio_model, ratio_report = train(ratio_model, split, ratio_objective(rcfg.alpha), rcfg)
     assert max(ratio_report.corrected_fraction) > 0  # defensive branch exercised
     r_pos = ratio_model.predict(split.train.positives)
     r_unl = ratio_model.predict(split.train.unlabeled)
-    objective = ratio_objective(gen, rcfg.alpha)
+    objective = ratio_objective(rcfg.alpha)
     value, plain = objective.value(r_pos, r_unl), objective.plain(r_pos, r_unl)
     bracket = objective.bracket_value(r_pos, r_unl)
     assert bracket < 0

@@ -5,7 +5,6 @@ import pytest
 
 from pushift.classifier import ShiftSpec, cost_threshold, threshold_decisions
 from pushift.errors import ConfigError
-from pushift.generators import lsif_generator
 from pushift.models import GaussianBasisLinear
 
 from _theory import (
@@ -13,6 +12,7 @@ from _theory import (
     bound_constant,
     excess_risk_bound_check,
     finite_support_excess_risk,
+    lsif_generator,
     population_divergence,
     random_distribution,
     random_ratio_values,

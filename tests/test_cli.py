@@ -133,7 +133,7 @@ class TestTrain:
     def test_readme_config_hash(self, three_runs):
         """README quotes this hash for `train --epochs 20` on `synth --case 1 --seed 7`; it pins every train
         default, gamma's included, and the data the run read."""
-        assert read_json(three_runs / "A" / "report.json")["config_hash"] == "a11722a9654d"
+        assert read_json(three_runs / "A" / "report.json")["config_hash"] == "d74e19f633b0"
 
     def test_missing_data_dir_exit_code(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
@@ -146,13 +146,12 @@ class TestTrain:
             ])
         assert code == 4
 
-    @pytest.mark.parametrize("flag", [["--generator", "quadratic:1e308"], ["--l2-reg", "1e308"]])
-    def test_overflowed_optimiser_state_exit_code(self, capsys, dataset_dir, tmp_path, flag):
+    def test_overflowed_optimiser_state_exit_code(self, capsys, dataset_dir, tmp_path):
         """The squared gradient overflows and freezes finite parameters: exit 4, no model, no warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"), "--gamma", "0.9",
-                         "--epochs", "2", *flag])
+                         "--epochs", "2", "--l2-reg", "1e308"])
         assert code == 4
         assert "non-finite optimiser state at epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "r" / "model.json").exists()
@@ -235,7 +234,6 @@ class TestTrain:
             ("--learning-rate", "inf"),
             ("--l2-reg", "nan"),
             ("--bandwidth", "inf"),
-            ("--generator", "quadratic:inf"),
             ("--prior", "inf"),
             ("--prior", "nan"),
         ],
@@ -264,7 +262,6 @@ class TestTrain:
         [
             ("--learning-rate", "0", False),
             ("--alpha", "1.5", False),
-            ("--generator", "bogus", False),
             ("--bandwidth", "0", True),
             ("--max-centers", "0", True),
             ("--gamma", "1.5", True),
@@ -284,6 +281,22 @@ class TestTrain:
         assert main(["train", "--data", str(dataset_dir), "--out", str(out), "--epochs", "2", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
+    def test_generator_flag_is_gone(self, dataset_dir, tmp_path, capsys):
+        """LSIF is the one ratio objective: ``--generator`` is a usage error (exit 2) before ``--out`` exists."""
+        out = tmp_path / "r"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(dataset_dir), "--out", str(out), "--epochs", "2", "--generator", "lsif"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --generator lsif" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generator_config_field_is_unknown(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        cfg = write_doc(tmp_path / "cfg.json", {"generator": "lsif"})
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config fields: ['generator']\n"
         assert not out.exists()
 
     def test_degenerate_validation_split_leaves_no_output_directory(self, tmp_path, capsys):
@@ -334,8 +347,8 @@ class TestTrain:
         "method, field, value",
         [
             ("drpu", "loss", "logistic"), ("drpu", "prior", 0.3),
-            ("upu", "generator", "exp"), ("upu", "alpha", 0.5), ("upu", "gamma", 0.8),
-            ("nnpu", "generator", "exp"), ("nnpu", "alpha", 0.5), ("nnpu", "gamma", 0.8),
+            ("upu", "alpha", 0.5), ("upu", "gamma", 0.8),
+            ("nnpu", "alpha", 0.5), ("nnpu", "gamma", 0.8),
         ],
     )
     def test_field_the_method_does_not_read_is_refused(self, tmp_path, capsys, method, field, value, source):
@@ -869,11 +882,22 @@ class TestDataFaults:
         assert capsys.readouterr().err.startswith(f"data error: cannot read {bad}")
         assert not out.exists()
 
-    def test_wrong_dimension_test_file(self, trained_run, tmp_path):
+    def test_wrong_dimension_test_file(self, trained_run, tmp_path, capsys):
+        """A test file of another width than the model's input exits 3 naming the file and the model."""
         test = tmp_path / "test2d.csv"
         test.write_text("0.3,0.7\n1.2,-0.4\n" * 50)
-        code, wrote = self.adapt(tmp_path, trained_run / "model.json", trained_run / "intervals.json", test)
+        model = trained_run / "model.json"
+        code, wrote = self.adapt(tmp_path, model, trained_run / "intervals.json", test)
         assert (code, wrote) == (3, False)
+        assert capsys.readouterr().err == f"data error: {test} has width 2, but the model in {model} reads 1\n"
+
+    def test_wrong_dimension_labeled_test_file(self, trained_run, tmp_path, capsys):
+        test, out = tmp_path / "eval2d.csv", tmp_path / "metrics.json"
+        test.write_text("0.3,0.7,1\n1.2,-0.4,-1\n" * 50)
+        model = trained_run / "model.json"
+        assert main(["evaluate", "--model", str(model), "--test", str(test), "--theta", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {test} has width 2, but the model in {model} reads 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [{"pi_hat": 0.4}, {"pi_hat": {"value": "abc"}}, {"pi_hat": {"value": 1.5}}, []])
     def test_report_pi_hat_checked(self, dataset_dir, trained_run, tmp_path, doc):

@@ -17,7 +17,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 @pytest.mark.parametrize(
     "demo",
     [
-        "01_generators_and_divergences.py",
+        "01_ratio_objective.py",
         "03_threshold_summary_adaptation.py",
         "05_baseline_overfitting.py",
         "06_shift_robustness_10d.py",

@@ -1,16 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from pushift.baselines import logistic_loss, risk_objective, sigmoid_loss
 from pushift.divergence import Branch, ratio_objective
-from pushift.generators import exp_generator, lsif_generator, scaled_quadratic_generator
 from pushift.models import GaussianBasisLinear
 
 from _theory import (
     DiscreteDistributionPair,
+    exp_generator,
+    generator_objective,
+    lsif_generator,
     population_divergence,
     random_distribution,
     random_ratio_values,
+    scaled_quadratic_generator,
 )
 from _helpers import finite_difference, objective_gradient, relative_error
 
@@ -23,13 +28,13 @@ def branch_of(objective, out_pos, out_unl):
 
 class TestEmpiricalObjective:
     def test_hand_values(self):
-        plain = ratio_objective(LSIF, 0.0).plain
+        plain = ratio_objective(0.0).plain
         assert plain([1], [1]) == -0.5
         assert plain([0], [0]) == 0.0
         assert plain([2, 2], [1, 3]) == 0.5
 
     def test_errors(self):
-        plain = ratio_objective(LSIF, 0.0).plain
+        plain = ratio_objective(0.0).plain
         with pytest.raises(ValueError):
             plain([], [1])
         with pytest.raises(ValueError):
@@ -40,32 +45,34 @@ class TestEmpiricalObjective:
 
 class TestCorrectedObjective:
     def test_normal_branch_example(self):
-        obj = ratio_objective(LSIF, 0.0)
+        obj = ratio_objective(0.0)
         assert obj.value([1], [1]) == -0.5
         assert branch_of(obj, [1], [1]) is Branch.NORMAL
         assert obj.bracket_value([1], [1]) == 0.5
 
     def test_corrected_branch_example(self):
-        obj = ratio_objective(LSIF, 0.9)
+        obj = ratio_objective(0.9)
         assert branch_of(obj, [2], [0]) is Branch.CORRECTED
         assert abs(obj.bracket_value([2], [0]) - (-1.8)) < 1e-12
         assert abs(obj.value([2], [0]) - (-0.2)) < 1e-12
 
     def test_all_zero_inputs(self):
-        assert ratio_objective(LSIF, 0.5).value([0, 0], [0, 0]) == 0.0
+        assert ratio_objective(0.5).value([0, 0], [0, 0]) == 0.0
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
-            ratio_objective(LSIF, 1.0)
+            ratio_objective(1.0)
         with pytest.raises(ValueError):
-            ratio_objective(LSIF, -0.1)
+            ratio_objective(-0.1)
 
-    @pytest.mark.parametrize("gen", [LSIF, exp_generator()], ids=lambda g: g.name)
-    def test_corrected_dominates_plain(self, gen):
+    @pytest.mark.parametrize(
+        "make", [ratio_objective, partial(generator_objective, exp_generator())], ids=["lsif", "exp"]
+    )
+    def test_corrected_dominates_plain(self, make):
         """corrected >= plain, equality exactly when the bracket is nonnegative."""
         rng = np.random.default_rng(5)
         for _ in range(200):
-            obj = ratio_objective(gen, rng.uniform(0.0, 0.99))
+            obj = make(rng.uniform(0.0, 0.99))
             r_pos = rng.uniform(0, 3, rng.integers(1, 20))
             r_unl = rng.uniform(0, 3, rng.integers(1, 20))
             plain = obj.plain(r_pos, r_unl)
@@ -81,9 +88,9 @@ class TestCorrectedObjective:
 
 # name -> (objective at a given alpha or prior, whether it scores a ratio model)
 OBJECTIVES = {
-    "lsif": (lambda k: ratio_objective(LSIF, k), True),
-    "exp": (lambda k: ratio_objective(exp_generator(), k), True),
-    "quadratic:1.7": (lambda k: ratio_objective(scaled_quadratic_generator(1.7), k), True),
+    "lsif": (lambda k: ratio_objective(k), True),
+    "exp": (lambda k: generator_objective(exp_generator(), k), True),
+    "quadratic:1.7": (lambda k: generator_objective(scaled_quadratic_generator(1.7), k), True),
     "upu-sigmoid": (lambda k: risk_objective("upu", sigmoid_loss(), k), False),
     "upu-logistic": (lambda k: risk_objective("upu", logistic_loss(), k), False),
     "nnpu-sigmoid": (lambda k: risk_objective("nnpu", sigmoid_loss(), k), False),
@@ -163,10 +170,10 @@ def mean_objective(objective, out_pos, out_unl):
     """``plain``, ``value`` and ``weights`` of ``objective`` with every mean taken by ``np.mean``."""
     bp, bu = objective.bracket(out_pos), objective.bracket(out_unl)
     bracket = float(np.mean(bu) - objective.kappa * np.mean(bp))
-    plain = float(np.mean(objective.pos(out_pos)) + np.mean(bu) + objective.const)
+    plain = float(np.mean(objective.pos(out_pos)) + np.mean(bu))
     value = plain
     if objective.clip:
-        value = float(np.mean(objective.pos(out_pos) + objective.kappa * bp) + max(0.0, bracket) + objective.const)
+        value = float(np.mean(objective.pos(out_pos) + objective.kappa * bp) + max(0.0, bracket))
     n_p, n_u = out_pos.size, out_unl.size
     if not objective.clip or bracket >= 0:
         weights = objective.d_pos(out_pos) / n_p, objective.d_bracket(out_unl) / n_u, Branch.NORMAL
@@ -182,10 +189,10 @@ class TestPlainMeans:
     @pytest.mark.parametrize(
         "objective",
         [
-            ratio_objective(LSIF, 0.0),
-            ratio_objective(LSIF, 0.6),
-            ratio_objective(exp_generator(), 0.3),
-            ratio_objective(scaled_quadratic_generator(1.7), 0.9),
+            ratio_objective(0.0),
+            ratio_objective(0.6),
+            generator_objective(exp_generator(), 0.3),
+            generator_objective(scaled_quadratic_generator(1.7), 0.9),
             risk_objective("nnpu", sigmoid_loss(), 0.4),
             risk_objective("upu", logistic_loss(), 0.3),
         ],
@@ -208,6 +215,34 @@ class TestPlainMeans:
                 branches.add(branch)
         if objective.clip and objective.kappa >= 0.6:
             assert branches == {Branch.NORMAL, Branch.CORRECTED}
+
+
+def float_bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.9])
+def test_written_out_lsif_matches_the_generator_objective(alpha):
+    """``ratio_objective`` is the LSIF generator's objective, bit for bit, on outputs with zeros and ties."""
+    written, reference = ratio_objective(alpha), generator_objective(lsif_generator(), alpha)
+    rng = np.random.default_rng(23)
+    branches = set()
+    for _ in range(300):
+        outs = []
+        for n in rng.integers(1, 40, size=2):
+            out = rng.uniform(0, 3, n) * rng.uniform(0.2, 2)
+            out[rng.random(n) < 0.2] = 0.0
+            tied = rng.random(n) < 0.2
+            out[tied] = out[0]
+            outs.append(out)
+        for name in ("value", "plain", "bracket_value"):
+            assert float_bits(getattr(written, name)(*outs)) == float_bits(getattr(reference, name)(*outs)), name
+        got, want = written.weights(*outs), reference.weights(*outs)
+        for g, w in zip(got[:2], want[:2]):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert got[2] is want[2]
+        branches.add(got[2])
+    assert branches == ({Branch.NORMAL} if alpha == 0.0 else {Branch.NORMAL, Branch.CORRECTED})
 
 
 class TestPopulationDivergence:
@@ -270,7 +305,7 @@ class TestObjectiveGradient:
     def test_linear_normal_branch_closed_form(self):
         """For the linear model the plain-branch gradient has a closed form."""
         model, centers, xp, xu = self._linear_setup(0)
-        grad, branch = objective_gradient(ratio_objective(LSIF, 0.0), model, xp, xu)
+        grad, branch = objective_gradient(ratio_objective(0.0), model, xp, xu)
         assert branch is Branch.NORMAL
         phi_p, phi_u = model.features(xp), model.features(xu)
         expected = -phi_p.mean(axis=0) + phi_u.T @ (phi_u @ model.params) / len(xu)
@@ -282,7 +317,8 @@ class TestObjectiveGradient:
         model, centers, xp, xu = self._linear_setup(seed)
         gen = [LSIF, exp_generator(), scaled_quadratic_generator(1.7)][seed % 3]
         alpha = [0.0, 0.5, 0.95][seed % 3]
-        grad, branch = objective_gradient(ratio_objective(gen, alpha), model, xp, xu)
+        objective = ratio_objective(alpha) if gen is LSIF else generator_objective(gen, alpha)
+        grad, branch = objective_gradient(objective, model, xp, xu)
 
         def branch_objective(theta):
             m = GaussianBasisLinear(centers, bandwidth=1.2)
@@ -300,13 +336,13 @@ class TestObjectiveGradient:
         # positives scoring high, unlabeled far outside the basis support
         model.params = np.abs(model.params) * 3
         far = np.full((4, 2), 100.0)
-        grad, branch = objective_gradient(ratio_objective(LSIF, 0.99), model, xp, far)
+        grad, branch = objective_gradient(ratio_objective(0.99), model, xp, far)
         assert branch is Branch.CORRECTED
 
     def test_empty_batch_error(self):
         model, centers, xp, xu = self._linear_setup(1)
         with pytest.raises(ValueError):
-            objective_gradient(ratio_objective(LSIF, 0.0), model, np.empty((0, 2)), xu)
+            objective_gradient(ratio_objective(0.0), model, np.empty((0, 2)), xu)
 
     def test_branch_weights_match_bracket_sign(self):
         rng = np.random.default_rng(9)
@@ -315,5 +351,5 @@ class TestObjectiveGradient:
             ru = rng.uniform(0, 3, 9)
             alpha = rng.uniform(0, 0.99)
             bracket = np.mean(LSIF.big_f(ru)) - alpha * np.mean(LSIF.big_f(rp))
-            branch = branch_of(ratio_objective(LSIF, alpha), rp, ru)
+            branch = branch_of(ratio_objective(alpha), rp, ru)
             assert branch is (Branch.NORMAL if bracket >= 0 else Branch.CORRECTED)

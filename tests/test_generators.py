@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from pushift.errors import ConfigError
-from pushift.generators import (
-    exp_generator,
-    generator_by_name,
-    lsif_generator,
-    scaled_quadratic_generator,
-)
+
+from _theory import exp_generator, generator_by_name, lsif_generator, scaled_quadratic_generator
 
 ALL_GENERATORS = [lsif_generator(), scaled_quadratic_generator(2.5), exp_generator()]
 

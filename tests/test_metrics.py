@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from pushift.errors import ConfigError
-from pushift.generators import exp_generator, lsif_generator
 from pushift.metrics import _average_ranks, accuracy, auc
 
-from _theory import auc_excess_bound_check, population_auc_risk, random_distribution, random_ratio_values
+from _theory import (
+    auc_excess_bound_check, exp_generator, lsif_generator, population_auc_risk, random_distribution,
+    random_ratio_values,
+)
 from _helpers import auc_brute_force
 
 LSIF = lsif_generator()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from _helpers import peak_traced, reference_adam_step, run_at_one_blas_thread
+from _theory import lsif_generator
 
 from pushift.baselines import risk_objective, sigmoid_loss
 from pushift.data import SplitDataset, synth_case1, synth_gaussian_pair
 from pushift.divergence import Branch, Objective, ratio_objective
 from pushift.errors import ConfigError, TrainingDiverged
 from pushift.experiments import case_data, fit_drpu, kernel_centers
-from pushift.generators import lsif_generator
 from pushift.models import GaussianBasisLinear, RatioModel, mlp
 from pushift.trainer import (
     AdamState,
@@ -20,8 +20,6 @@ from pushift.trainer import (
     adam_step,
     train,
 )
-
-LSIF = lsif_generator()
 
 
 def small_split(seed=0, n=(40, 200), v=(20, 100)):
@@ -92,7 +90,7 @@ class TestTrain:
         split = small_split()
         model = GaussianBasisLinear(split.train.unlabeled)
         before = model.params.copy()
-        model, report = train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(epochs=0))
+        model, report = train(model, split, ratio_objective(0.0), TrainConfig(epochs=0))
         np.testing.assert_array_equal(model.params, before)
         assert report.train_objective == [] and report.best_epoch == -1
 
@@ -100,10 +98,10 @@ class TestTrain:
         split = small_split()
         model = GaussianBasisLinear(split.train.unlabeled)
         cfg = TrainConfig(epochs=30, batch_size=40, learning_rate=1e-3, seed=3)
-        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        model, report = train(model, split, ratio_objective(cfg.alpha), cfg)
         assert report.best_epoch == int(np.argmin(report.val_objective))
         # the returned snapshot actually attains the reported minimum
-        returned_val = ratio_objective(LSIF, 0.0).plain(
+        returned_val = ratio_objective(0.0).plain(
             model.predict(split.val.positives), model.predict(split.val.unlabeled)
         )
         assert returned_val == pytest.approx(min(report.val_objective), abs=1e-12)
@@ -113,8 +111,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, batch_size=40, learning_rate=1e-3, seed=7)
         m1 = GaussianBasisLinear(split.train.unlabeled)
         m2 = GaussianBasisLinear(split.train.unlabeled)
-        _, r1 = train(m1, split, ratio_objective(LSIF, cfg.alpha), cfg)
-        _, r2 = train(m2, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        _, r1 = train(m1, split, ratio_objective(cfg.alpha), cfg)
+        _, r2 = train(m2, split, ratio_objective(cfg.alpha), cfg)
         assert r1.val_objective == r2.val_objective
         assert r1.train_objective == r2.train_objective
         np.testing.assert_array_equal(m1.params, m2.params)
@@ -123,7 +121,7 @@ class TestTrain:
         split = small_split()
         model = GaussianBasisLinear(split.train.unlabeled)
         cfg = TrainConfig(alpha=0.0, epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
-        _, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        _, report = train(model, split, ratio_objective(cfg.alpha), cfg)
         assert report.corrected_fraction == [0.0] * 20
 
     def test_alpha_zero_matches_plain_descent(self):
@@ -131,10 +129,11 @@ class TestTrain:
         split = small_split()
         cfg = TrainConfig(alpha=0.0, epochs=8, batch_size=40, learning_rate=1e-3, seed=5)
         model = GaussianBasisLinear(split.train.unlabeled)
-        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        model, report = train(model, split, ratio_objective(cfg.alpha), cfg)
         assert report.best_epoch == cfg.epochs - 1  # monotone improvement here
 
-        # reference loop: same batches, always the plain-objective gradient
+        # reference loop: same batches, always the plain-objective gradient, its slopes from the LSIF generator
+        lsif = lsif_generator()
         ref = GaussianBasisLinear(split.train.unlabeled)
         rng = np.random.default_rng(cfg.seed)
         state = AdamState.zeros(ref.n_params, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
@@ -144,7 +143,7 @@ class TestTrain:
                 xp, xu = tr.positives[pos_idx], tr.unlabeled[unl_idx]
                 rp, back_pos = ref.forward(ref.encode(xp).astype(ref.TRAIN_DTYPE))
                 ru, back_unl = ref.forward(ref.encode(xu).astype(ref.TRAIN_DTYPE))
-                grad = back_pos(-LSIF.f_prime2(rp) / rp.size) + back_unl(ru * LSIF.f_prime2(ru) / ru.size)
+                grad = back_pos(-lsif.f_prime2(rp) / rp.size) + back_unl(ru * lsif.f_prime2(ru) / ru.size)
                 grad = grad + cfg.l2_reg * ref.params
                 ref.params = ref.params + adam_step(state, grad, cfg.learning_rate)
         # trainer returns the best-validation snapshot; with monotone improvement
@@ -162,7 +161,7 @@ class TestTrain:
             alpha=0.0, epochs=200, batch_size=200, learning_rate=2e-5,
             adam_beta1=0.5, adam_beta2=0.999, l2_reg=0.1, seed=11,
         )
-        model, report = train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        model, report = train(model, split, ratio_objective(cfg.alpha), cfg)
         assert report.val_objective[-1] < report.val_objective[0]
         assert min(report.val_objective) == report.val_objective[report.best_epoch]
 
@@ -170,7 +169,7 @@ class TestTrain:
         split = small_split()
         model = GaussianBasisLinear(split.train.unlabeled)
         with pytest.raises(ConfigError):
-            train(model, split, ratio_objective(LSIF, 0.0), TrainConfig(batch_size=10_000))
+            train(model, split, ratio_objective(0.0), TrainConfig(batch_size=10_000))
 
     def test_empty_split_rejected(self):
         split = small_split()
@@ -180,7 +179,7 @@ class TestTrain:
         )
         model = GaussianBasisLinear(split.train.unlabeled)
         with pytest.raises(ConfigError):
-            train(model, bad, ratio_objective(LSIF, 0.0), TrainConfig(epochs=1, batch_size=10))
+            train(model, bad, ratio_objective(0.0), TrainConfig(epochs=1, batch_size=10))
 
     def test_divergence_detected(self):
         split = small_split()
@@ -188,7 +187,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
-                train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+                train(model, split, ratio_objective(cfg.alpha), cfg)
 
     def test_config_validation(self):
         for bad in (
@@ -259,11 +258,11 @@ NNPU = risk_objective("nnpu", sigmoid_loss(), 0.4)
 
 # (model factory, objective, whether the block scoring must be bit-equal)
 SCORED_MODELS = {
-    "kernel-clamp": (lambda s: GaussianBasisLinear(s.train.unlabeled), ratio_objective(LSIF, 0.3), False),
+    "kernel-clamp": (lambda s: GaussianBasisLinear(s.train.unlabeled), ratio_objective(0.3), False),
     "kernel-linear": (
         lambda s: GaussianBasisLinear(s.train.unlabeled, clamp=False), NNPU, False,
     ),
-    "mlp-softplus": (lambda s: mlp([1, 8, 8, 1], seed=2), ratio_objective(LSIF, 0.3), True),
+    "mlp-softplus": (lambda s: mlp([1, 8, 8, 1], seed=2), ratio_objective(0.3), True),
     "mlp-linear": (lambda s: mlp([1, 8, 8, 1], seed=2, output="linear"), NNPU, True),
 }
 
@@ -300,7 +299,7 @@ class TestBlockScoring:
         """A short final block scores its epochs as bits of a full block would."""
         split, _ = case_data(2, 0, (200, 1000), (100, 500), 1, 0.6, 0.4)
         centers = kernel_centers(split, 0, 100)
-        objective = ratio_objective(LSIF, 0.3) if clamp else NNPU
+        objective = ratio_objective(0.3) if clamp else NNPU
 
         def run(epochs):
             cfg = TrainConfig(alpha=0.3, epochs=epochs, batch_size=200, learning_rate=1e-3, seed=0)
@@ -350,10 +349,10 @@ class TestBlockScoring:
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e200, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match=r"at epoch 0: "):
-                train(GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg)
+                train(GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(0.0), cfg)
             with pytest.raises(TrainingDiverged, match=r"at epoch 0$"):
                 reference_train(
-                    GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(LSIF, 0.0), cfg
+                    GaussianBasisLinear(split.train.unlabeled), split, ratio_objective(0.0), cfg
                 )
 
     def test_divergence_inside_a_block_names_its_epoch(self):
@@ -365,7 +364,7 @@ class TestBlockScoring:
                 calls.append(None)
                 return np.nan if len(calls) == 6 else super().plain(out_pos, out_unl)
 
-        base = ratio_objective(LSIF, 0.0)
+        base = ratio_objective(0.0)
         objective = NanAtSixthScore(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
         split = small_split()
         cfg = TrainConfig(epochs=20, batch_size=40, learning_rate=1e-3, seed=0)
@@ -388,7 +387,7 @@ class TestBlockScoring:
         def peak(epochs):
             model = GaussianBasisLinear(centers)
             cfg = TrainConfig(epochs=epochs, batch_size=500, learning_rate=1e-3, seed=0)
-            return peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))[1]
+            return peak_traced(lambda: train(model, split, ratio_objective(cfg.alpha), cfg))[1]
 
         extra = peak(2 * width + 3) - peak(1)
         # one block of output columns per row, whatever the epochs, plus a
@@ -407,7 +406,7 @@ class TestBlockScoring:
         train_features = (50 + 450) * cell
         block_outputs = 2 * (50 + 450 + 120 + 5000) * GaussianBasisLinear.SCORE_BLOCK * 8  # result and stack
         cfg = TrainConfig(epochs=2, batch_size=450, learning_rate=1e-3, seed=0)
-        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(cfg.alpha), cfg))
         # holding the encoded validation split alone would take 5120 * cell
         assert peak < train_features + 2 * model.score_rows * cell + block_outputs
 
@@ -426,7 +425,7 @@ class TestBlockScoring:
         split, _ = case_data(2, 0, (1000, 5000), (1000, 5000), 1, 0.6, 0.4)
         model = GaussianBasisLinear(kernel_centers(split, 0, 1000), bandwidth=1.5)
         cfg = TrainConfig(epochs=0, batch_size=500, learning_rate=2e-4, seed=0)
-        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(cfg.alpha), cfg))
         assert peak < (1000 + 5000) * 1000 * 4 / 10
 
     def test_scoring_block_holds_no_step_rows(self):
@@ -437,7 +436,7 @@ class TestBlockScoring:
         copy = (200 + 1000) * 1000 * 4
         cfg = TrainConfig(epochs=1, batch_size=1000, learning_rate=1e-3, seed=0)
         model = GaussianBasisLinear(split.train.unlabeled)
-        _, peak = peak_traced(lambda: train(model, split, ratio_objective(LSIF, cfg.alpha), cfg))
+        _, peak = peak_traced(lambda: train(model, split, ratio_objective(cfg.alpha), cfg))
         assert peak < 2 * copy + 1e6
 
 
@@ -466,7 +465,7 @@ class TestTrainingCopy:
         seen, forward = set(), RatioModel.forward
         monkeypatch.setattr(RatioModel, "forward", lambda self, Z: seen.add(Z.dtype) or forward(self, Z))
         cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=1e-3, seed=0)
-        train(model, split, ratio_objective(LSIF, cfg.alpha), cfg)
+        train(model, split, ratio_objective(cfg.alpha), cfg)
         assert seen == {np.dtype(model.TRAIN_DTYPE)} == {np.dtype(np.float32 if kind == "kernel" else np.float64)}
 
     def test_unlabeled_features_are_never_held_in_float64(self):
@@ -474,7 +473,7 @@ class TestTrainingCopy:
         split = SplitDataset(train=synth_case1(200, 6000, 0.4, 0), val=synth_case1(50, 200, 0.4, 1))
         centers = split.train.unlabeled[:1000]
         cfg = TrainConfig(epochs=1, batch_size=500, learning_rate=1e-3, seed=0)
-        _, peak = peak_traced(lambda: train(GaussianBasisLinear(centers), split, ratio_objective(LSIF, cfg.alpha), cfg))
+        _, peak = peak_traced(lambda: train(GaussianBasisLinear(centers), split, ratio_objective(cfg.alpha), cfg))
         assert peak < 6000 * len(centers) * 8
 
 
@@ -486,10 +485,10 @@ def _held_validation_runs(dim):
     rng = np.random.default_rng(41)
     centers, wide = rng.normal(size=(300, dim)), rng.normal(size=(1000, dim))
     cases = {
-        "kernel-clamp": (lambda: GaussianBasisLinear(centers, 1.2), ratio_objective(LSIF, 0.3)),
+        "kernel-clamp": (lambda: GaussianBasisLinear(centers, 1.2), ratio_objective(0.3)),
         "kernel-linear": (lambda: GaussianBasisLinear(centers, 1.2, clamp=False), NNPU),
-        "kernel-1000": (lambda: GaussianBasisLinear(wide, 1.2), ratio_objective(LSIF, 0.3)),
-        "mlp-softplus": (lambda: mlp([dim, 8, 8, 1], seed=2), ratio_objective(LSIF, 0.3)),
+        "kernel-1000": (lambda: GaussianBasisLinear(wide, 1.2), ratio_objective(0.3)),
+        "mlp-softplus": (lambda: mlp([dim, 8, 8, 1], seed=2), ratio_objective(0.3)),
         "mlp-linear": (lambda: mlp([dim, 8, 8, 1], seed=2, output="linear"), NNPU),
     }
     for name, (make, objective) in cases.items():
